@@ -338,6 +338,7 @@ Status Namenode::update_block_targets(BlockId block,
 }
 
 Result<bool> Namenode::complete(FileId file, ClientId client) {
+  metrics::global_registry().counter("namenode.complete_calls").add();
   if (safe_mode_) {
     // Not an error: the replica reports complete() depends on are still
     // arriving. The client retries, exactly as for minimum-replication waits.
