@@ -478,17 +478,10 @@ void Cluster::upload(const std::string& path, Bytes size, Protocol protocol,
       if (on_done) on_done(stats);
       return;
     }
-    std::unique_ptr<hdfs::OutputStreamBase> stream;
-    if (protocol == Protocol::kSmarth) {
-      stream = std::make_unique<core::SmarthOutputStream>(
-          make_stream_deps(client_index), dfs->id(), dfs->node(),
-          result.value(), size, *tracker, std::move(on_done));
-    } else {
-      stream = std::make_unique<hdfs::DfsOutputStream>(
-          make_stream_deps(client_index), dfs->id(), dfs->node(),
-          result.value(), size, std::move(on_done));
-    }
-    hdfs::OutputStreamBase* raw = stream.get();
+    auto stream = std::make_unique<core::SmarthOutputStream>(
+        make_stream_deps(client_index), protocol, dfs->id(), dfs->node(),
+        result.value(), size, *tracker, std::move(on_done));
+    core::SmarthOutputStream* raw = stream.get();
     streams_.push_back(std::move(stream));
     raw->start();
   });

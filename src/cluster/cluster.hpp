@@ -29,7 +29,7 @@
 
 namespace smarth::cluster {
 
-enum class Protocol { kHdfs, kSmarth };
+using Protocol = hdfs::Protocol;
 
 const char* protocol_name(Protocol protocol);
 
@@ -138,10 +138,9 @@ class Cluster {
   // --- Uploads -----------------------------------------------------------------
   using UploadCallback = std::function<void(const hdfs::StreamStats&)>;
   /// Starts an asynchronous upload (create + stream). The callback fires when
-  /// the stream closes (successfully or not). Returns a handle for live
-  /// inspection (pipeline counts, stats so far); owned by the cluster, valid
-  /// for its lifetime. May complete with nullptr stream if create() fails
-  /// before a stream exists.
+  /// the stream closes (successfully or not); if create() fails, no stream
+  /// is built and the callback gets failed stats. latest_stream() reaches
+  /// the stream for live inspection.
   void upload(const std::string& path, Bytes size, Protocol protocol,
               UploadCallback on_done, std::size_t client_index = 0);
   /// The most recently created output stream (nullptr before the first

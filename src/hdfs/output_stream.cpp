@@ -15,18 +15,15 @@ OutputStreamBase::OutputStreamBase(StreamDeps deps, ClientId client,
     : deps_(std::move(deps)), client_(client), client_node_(client_node),
       file_(file), file_size_(file_size), on_done_(std::move(on_done)) {
   SMARTH_CHECK_MSG(file_size_ > 0, "cannot upload an empty file");
-  const std::int64_t blocks = total_blocks();
-  total_packets_ = 0;
-  for (std::int64_t b = 0; b < blocks; ++b) total_packets_ += packets_in_block(b);
   stats_.client = client_;
   stats_.file_size = file_size_;
-  stats_.blocks = blocks;
+  stats_.blocks = total_blocks();
   bytes_acked_counter_ = &metrics::global_registry().counter("client.bytes_acked");
 }
 
 OutputStreamBase::~OutputStreamBase() { *alive_ = false; }
 
-void OutputStreamBase::start() {
+void OutputStreamBase::begin_upload() {
   stats_.started_at = deps_.sim.now();
   metrics::global_registry().gauge("client.streams_open").add(1.0);
   counted_open_ = true;
@@ -38,8 +35,6 @@ void OutputStreamBase::start() {
          {"bytes", std::to_string(file_size_)},
          {"blocks", std::to_string(total_blocks())}});
   }
-  pump_production();
-  begin_protocol();
 }
 
 std::string OutputStreamBase::trace_track(std::int64_t block_index) {
@@ -91,45 +86,6 @@ Bytes OutputStreamBase::packet_payload(std::int64_t block_index,
   const Bytes remaining = block_bytes(block_index) - seq * unit;
   SMARTH_DCHECK(remaining > 0);
   return std::min(unit, remaining);
-}
-
-void OutputStreamBase::pump_production() {
-  if (!producer_armed_) produce_loop();
-}
-
-void OutputStreamBase::produce_loop() {
-  if (finished_ || produced_packets_ >= total_packets_ ||
-      !production_window_open()) {
-    producer_armed_ = false;
-    return;
-  }
-  producer_armed_ = true;
-  const SimDuration production_time = deps_.config.transfer_production_time(
-      packet_payload(produce_block_, produce_seq_));
-  producer_event_ =
-      deps_.sim.schedule_after(production_time, "client.produce", [this] {
-    if (finished_) {
-      producer_armed_ = false;
-      return;
-    }
-    ProducedPacket packet;
-    packet.block_index = produce_block_;
-    packet.seq_in_block = produce_seq_;
-    packet.payload = packet_payload(produce_block_, produce_seq_);
-    packet.last_in_block = produce_seq_ + 1 == packets_in_block(produce_block_);
-    if (packet.last_in_block) {
-      ++produce_block_;
-      produce_seq_ = 0;
-    } else {
-      ++produce_seq_;
-    }
-    data_queue_.push_back(packet);
-    ++produced_packets_;
-    ++stats_.packets;
-    on_packet_produced();
-    producer_armed_ = false;
-    produce_loop();
-  });
 }
 
 rpc::RetryPolicy OutputStreamBase::retry_policy() const {
@@ -370,7 +326,6 @@ void OutputStreamBase::send_next_packet(ClientPipeline& pipeline) {
          {"block", pipeline.block.to_string()},
          {"pipeline", pipeline.id.to_string()}});
   }
-  arm_watchdog(pipeline);
 }
 
 void OutputStreamBase::complete_file() {
@@ -456,22 +411,6 @@ void OutputStreamBase::abort(const std::string& reason) {
   finish(true, reason);
 }
 
-void OutputStreamBase::arm_watchdog(ClientPipeline& pipeline) {
-  pipeline.watchdog.cancel();
-  if (finished_ || pipeline.failed) return;
-  const PipelineId id = pipeline.id;
-  pipeline.watchdog =
-      deps_.sim.schedule_after(deps_.config.ack_timeout, [this, id] {
-        ClientPipeline* p = find_pipeline(id);
-        if (p == nullptr || p->failed || p->complete() || finished_) return;
-        // A ready pipeline with nothing outstanding is merely idle; one that
-        // never became ready, or has un-acked traffic, has stalled.
-        if (p->ready && p->ack_queue.empty() && p->pending.empty()) return;
-        SMARTH_WARN("stream") << "ack timeout on pipeline " << id.to_string();
-        on_pipeline_error(*p, -1);
-      });
-}
-
 ClientPipeline* OutputStreamBase::find_pipeline(PipelineId id) {
   auto it = pipelines_.find(id);
   return it == pipelines_.end() ? nullptr : &it->second;
@@ -541,17 +480,17 @@ int OutputStreamBase::find_slow_pipeline_node(
   return static_cast<int>(worst);
 }
 
-bool OutputStreamBase::maybe_evict_slow_node(ClientPipeline& pipeline) {
+int OutputStreamBase::maybe_evict_slow_node(ClientPipeline& pipeline) {
   if (!deps_.config.slow_node_eviction || finished_ || pipeline.failed) {
-    return false;
+    return -1;
   }
   const SimTime now = deps_.sim.now();
   if (last_eviction_at_ >= 0 &&
       now - last_eviction_at_ < deps_.config.eviction_cooldown) {
-    return false;
+    return -1;
   }
   const int slow_index = find_slow_pipeline_node(pipeline);
-  if (slow_index < 0) return false;
+  if (slow_index < 0) return -1;
   const NodeId slow = pipeline.targets[static_cast<std::size_t>(slow_index)];
   last_eviction_at_ = now;
   ++stats_.slow_evictions;
@@ -572,254 +511,7 @@ bool OutputStreamBase::maybe_evict_slow_node(ClientPipeline& pipeline) {
                     weight = deps_.config.suspicion_eviction_weight] {
                      nn.report_slow_datanode(slow, weight);
                    });
-  // The straggler rides the normal error path: recovery excludes the node at
-  // error_index, splices in a replacement and transfers the prefix.
-  on_pipeline_error(pipeline, slow_index);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Baseline HDFS stream
-// ---------------------------------------------------------------------------
-
-DfsOutputStream::DfsOutputStream(StreamDeps deps, ClientId client,
-                                 NodeId client_node, FileId file,
-                                 Bytes file_size, DoneCallback on_done)
-    : OutputStreamBase(std::move(deps), client, client_node, file, file_size,
-                       std::move(on_done)) {}
-
-bool DfsOutputStream::production_window_open() const {
-  // Hadoop caps dataQueue + ackQueue at max_outstanding_packets (expressed
-  // here in transfer units).
-  std::size_t in_flight = data_queue_.size();
-  for (const auto& [id, p] : pipelines_) {
-    in_flight += p.pending.size() + p.ack_queue.size();
-  }
-  return in_flight <
-         static_cast<std::size_t>(deps_.config.max_outstanding_transfers());
-}
-
-void DfsOutputStream::begin_protocol() { allocate_next_block(); }
-
-void DfsOutputStream::on_packet_produced() { pump_stream(); }
-
-void DfsOutputStream::allocate_next_block() {
-  ++current_block_;
-  if (current_block_ >= total_blocks()) {
-    complete_file();
-    return;
-  }
-  SMARTH_CHECK(!awaiting_block_);
-  awaiting_block_ = true;
-  request_block(current_block_, {}, [this](Result<LocatedBlock> result) {
-    if (finished_) return;
-    awaiting_block_ = false;
-    if (!result.ok()) {
-      if (result.error().code == "safe_mode" && start_safe_mode_wait()) {
-        // The namenode is back up but still rebuilding its replica map from
-        // block reports; poll until it leaves safe mode (budgeted).
-        safe_mode_retry_ = deps_.sim.schedule_after(
-            deps_.config.safe_mode_retry_interval, [this] {
-              if (finished_) return;
-              --current_block_;  // allocate_next_block() re-increments
-              allocate_next_block();
-            });
-        return;
-      }
-      if (result.error().code == "overloaded" && start_overload_wait()) {
-        // Admission control shed the allocation even after RPC backoff;
-        // re-poll at the overload cadence under its budget.
-        safe_mode_retry_ = deps_.sim.schedule_after(
-            deps_.config.overload_retry_interval, [this] {
-              if (finished_) return;
-              --current_block_;  // allocate_next_block() re-increments
-              allocate_next_block();
-            });
-        return;
-      }
-      finish(true, "addBlock failed: " + result.error().to_string());
-      return;
-    }
-    SMARTH_DEBUG("stream") << "addBlock -> " << result.value().block.to_string()
-                           << " (block index " << current_block_
-                           << "); building pipeline";
-    ClientPipeline& pipeline =
-        create_pipeline(current_block_, result.value(), 0,
-                        /*smarth_mode=*/false);
-    active_pipeline_ = pipeline.id;
-    arm_watchdog(pipeline);
-  });
-}
-
-void DfsOutputStream::deliver_setup_ack(const SetupAck& ack) {
-  ClientPipeline* pipeline = find_pipeline(ack.pipeline);
-  if (pipeline == nullptr || finished_) return;
-  if (!ack.success) {
-    on_pipeline_error(*pipeline, ack.error_index);
-    return;
-  }
-  pipeline->ready = true;
-  trace_pipeline_ready(*pipeline);
-  arm_watchdog(*pipeline);
-  pump_stream();
-}
-
-void DfsOutputStream::pump_stream() {
-  if (finished_ || recovering_) return;
-  ClientPipeline* pipeline = find_pipeline(active_pipeline_);
-  if (pipeline == nullptr || !pipeline->ready || pipeline->failed) return;
-
-  // Window: Hadoop keeps at most max_outstanding_packets un-acked.
-  auto window_open = [&] {
-    return pipeline->ack_queue.size() <
-           static_cast<std::size_t>(deps_.config.max_outstanding_transfers());
-  };
-  while (window_open()) {
-    if (!pipeline->pending.empty()) {
-      send_next_packet(*pipeline);
-      continue;
-    }
-    if (!data_queue_.empty() &&
-        data_queue_.front().block_index == current_block_) {
-      pipeline->pending.push_back(data_queue_.front());
-      data_queue_.pop_front();
-      send_next_packet(*pipeline);
-      continue;
-    }
-    break;
-  }
-  pump_production();
-}
-
-void DfsOutputStream::deliver_ack(const PipelineAck& ack) {
-  if (finished_) return;
-  ClientPipeline* pipeline = find_pipeline(ack.pipeline);
-  if (pipeline == nullptr || pipeline->failed) return;
-  if (ack.status != AckStatus::kSuccess) {
-    on_pipeline_error(*pipeline, ack.error_index);
-    return;
-  }
-  if (pipeline->ack_queue.empty() ||
-      pipeline->ack_queue.front().seq_in_block != ack.seq) {
-    // An ack ahead of the queue head means an earlier ack was lost in
-    // transit (a link flap or crash swallowed it): the ack stream is broken,
-    // which is a pipeline error, not a protocol violation. Acks behind the
-    // head are stale duplicates and are dropped.
-    if (!pipeline->ack_queue.empty() &&
-        ack.seq > pipeline->ack_queue.front().seq_in_block) {
-      SMARTH_WARN("stream") << "ack gap on pipeline "
-                            << ack.pipeline.to_string() << ": got seq "
-                            << ack.seq << ", expected "
-                            << pipeline->ack_queue.front().seq_in_block;
-      on_pipeline_error(*pipeline, -1);
-    }
-    return;
-  }
-  bytes_acked_counter_->add(
-      static_cast<std::uint64_t>(pipeline->ack_queue.front().payload));
-  pipeline->ack_queue.pop_front();
-  ++pipeline->acked_packets;
-  arm_watchdog(*pipeline);
-  if (pipeline->complete()) {
-    pipeline->watchdog.cancel();
-    on_block_fully_acked();
-    return;
-  }
-  if (maybe_evict_slow_node(*pipeline)) return;
-  pump_stream();
-}
-
-void DfsOutputStream::deliver_fnfa(const FnfaMessage& fnfa) {
-  // The baseline protocol has no FNFA; a stray one indicates mis-wiring.
-  SMARTH_WARN("stream") << "unexpected FNFA on baseline stream for "
-                        << fnfa.block.to_string();
-}
-
-void DfsOutputStream::on_block_fully_acked() {
-  SMARTH_DEBUG("stream") << "block index " << current_block_
-                         << " fully acked; stop-and-wait advances";
-  if (ClientPipeline* p = find_pipeline(active_pipeline_)) {
-    trace_pipeline_closed(*p, "complete");
-  }
-  pipelines_.erase(active_pipeline_);
-  active_pipeline_ = PipelineId{};
-  allocate_next_block();
-  pump_production();
-}
-
-void DfsOutputStream::on_pipeline_error(ClientPipeline& pipeline,
-                                        int error_index) {
-  if (recovering_ || finished_) return;
-  if (recovery_budget_exhausted(pipeline.block)) {
-    finish(true, "recovery budget exhausted for " +
-                     pipeline.block.to_string());
-    return;
-  }
-  recovering_ = true;
-  ++stats_.recoveries;
-  trace_pipeline_closed(pipeline, "error");
-  note_recovery_start(pipeline.id);
-  pipeline.failed = true;
-  pipeline.watchdog.cancel();
-  // Alg. 3 line 3: ACK queue back to the (pipeline-local) resend queue.
-  pipeline.pending.insert(pipeline.pending.begin(),
-                          pipeline.ack_queue.begin(),
-                          pipeline.ack_queue.end());
-  pipeline.ack_queue.clear();
-
-  // Everything before the first un-acked packet is gone from the client's
-  // resend buffer; recovery must not sync survivors below that offset.
-  const Bytes durable_floor =
-      pipeline.pending.empty()
-          ? Bytes{0}
-          : pipeline.pending.front().seq_in_block *
-                deps_.config.transfer_payload();
-  auto recovery = std::make_unique<BlockRecovery>(
-      deps_, client_, client_node_, pipeline.id, pipeline.block,
-      pipeline.block_bytes, durable_floor, pipeline.targets, error_index,
-      [this, id = pipeline.id](Result<RecoveryOutcome> result) {
-        if (finished_) return;  // aborted (writer crash) mid-recovery
-        ClientPipeline* old_pipeline = find_pipeline(id);
-        SMARTH_CHECK(old_pipeline != nullptr);
-        note_recovery_end(id);
-        if (!result.ok()) {
-          finish(true, result.error().to_string());
-          return;
-        }
-        stats_.quarantine_events += result.value().quarantined;
-        if (result.value().under_replicated) {
-          ++stats_.under_replication_events;
-        }
-        resume_after_recovery(*old_pipeline, result.value().targets,
-                              result.value().sync_offset);
-      });
-  BlockRecovery* raw = recovery.get();
-  recoveries_.push_back(std::move(recovery));
-  raw->run();
-}
-
-void DfsOutputStream::resume_after_recovery(ClientPipeline& old_pipeline,
-                                            std::vector<NodeId> targets,
-                                            Bytes sync_offset) {
-  const std::int64_t resume_packets =
-      sync_offset / deps_.config.transfer_payload();
-  // Packets already durable everywhere are dropped from the resend queue.
-  std::deque<ProducedPacket> pending = std::move(old_pipeline.pending);
-  while (!pending.empty() &&
-         pending.front().seq_in_block < resume_packets) {
-    pending.pop_front();
-  }
-  const std::int64_t block_index = old_pipeline.block_index;
-  LocatedBlock located{old_pipeline.block, std::move(targets)};
-  pipelines_.erase(old_pipeline.id);
-
-  ClientPipeline& fresh =
-      create_pipeline(block_index, located, sync_offset, /*smarth_mode=*/false);
-  fresh.pending = std::move(pending);
-  active_pipeline_ = fresh.id;
-  recovering_ = false;
-  arm_watchdog(fresh);
-  // Streaming resumes when the new setup ack arrives (deliver_setup_ack).
+  return slow_index;
 }
 
 }  // namespace smarth::hdfs

@@ -1,8 +1,7 @@
-// Client-side write machinery shared by the baseline HDFS stream and the
-// SMARTH multi-pipeline stream: packet production (the paper's Tc), block and
-// packet geometry, pipeline bookkeeping, and the AckSink plumbing. The
-// concrete protocols differ only in how pipelines are scheduled — exactly the
-// delta the paper proposes.
+// Client-side write machinery under the write engine
+// (core::SmarthOutputStream, which runs both protocols): block and packet
+// geometry, the addBlock/complete RPCs, pipeline records and packet sends,
+// recovery bookkeeping, slow-node verdicts and stream completion.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +27,10 @@
 namespace smarth::hdfs {
 
 class BlockRecovery;
+
+/// The write protocols. They differ only in the pipeline schedule (paper
+/// §III-A), so one engine runs both.
+enum class Protocol { kHdfs, kSmarth };
 
 /// Everything a client-side stream needs from its environment.
 struct StreamDeps {
@@ -143,8 +146,9 @@ struct ClientPipeline {
   std::int64_t resume_packets_ = 0;
 };
 
-/// Base class: owns production and geometry; subclasses implement pipeline
-/// scheduling. Completion is announced through the on_done callback.
+/// Base of the write engine: owns geometry, stats and the per-pipeline
+/// records the engine schedules. Completion is announced through the on_done
+/// callback.
 class OutputStreamBase : public AckSink {
  public:
   using DoneCallback = std::function<void(const StreamStats&)>;
@@ -152,9 +156,6 @@ class OutputStreamBase : public AckSink {
   OutputStreamBase(StreamDeps deps, ClientId client, NodeId client_node,
                    FileId file, Bytes file_size, DoneCallback on_done);
   ~OutputStreamBase() override;
-
-  /// Kicks off production and the first block allocation.
-  void start();
 
   /// Kills the stream from outside (writer crash injection): no complete()
   /// RPC, no further packets; the stream finishes failed with `reason`.
@@ -183,18 +184,9 @@ class OutputStreamBase : public AckSink {
   Bytes packet_payload(std::int64_t block_index, std::int64_t seq) const;
 
  protected:
-  // --- production (shared) ----------------------------------------------------
-  /// True while the subclass can accept another produced packet.
-  virtual bool production_window_open() const = 0;
-  /// Called whenever a new packet lands in data_queue_.
-  virtual void on_packet_produced() = 0;
-  /// Called by start() after production is armed.
-  virtual void begin_protocol() = 0;
+  /// Stamps the start time and opens the upload's gauge and trace span.
+  void begin_upload();
 
-  /// Re-checks the production gate; subclasses call this when windows open.
-  void pump_production();
-
-  // --- shared helpers ---------------------------------------------------------
   /// addBlock RPC (with timeout/backoff retry); invokes cb with the located
   /// block (or error). `block_index` lets the namenode recognize a retry of a
   /// lost response and return the existing allocation.
@@ -210,9 +202,6 @@ class OutputStreamBase : public AckSink {
   void complete_file();
   void finish(bool failed, const std::string& reason);
 
-  /// Arms/refreshes the no-ack-progress watchdog for a pipeline.
-  void arm_watchdog(ClientPipeline& pipeline);
-
   // --- slow-node eviction -----------------------------------------------------
   /// Index of a mid-block straggler in `pipeline`, or -1. A node is a
   /// straggler when its windowed own-time (this pipeline's ack-latency delta,
@@ -221,14 +210,11 @@ class OutputStreamBase : public AckSink {
   /// `eviction_min_samples` window samples before any verdict.
   int find_slow_pipeline_node(const ClientPipeline& pipeline) const;
   /// Checks the straggler bound and, when it trips (outside the per-stream
-  /// cooldown), reports the node to the namenode and fires the normal
-  /// pipeline-recovery path with the straggler as error index — evict and
-  /// splice a replacement instead of waiting out the watchdog. Returns true
-  /// when recovery was started (the pipeline is dead to the caller).
-  bool maybe_evict_slow_node(ClientPipeline& pipeline);
-  /// Subclass hook invoked when a pipeline times out or receives an error
-  /// ack; `error_index` is the reporting datanode's pipeline position or -1.
-  virtual void on_pipeline_error(ClientPipeline& pipeline, int error_index) = 0;
+  /// cooldown), reports the node to the namenode and returns its pipeline
+  /// index, or -1. The caller then runs the normal pipeline-recovery path
+  /// with the straggler as error index — evict and splice a replacement
+  /// instead of waiting out the watchdog.
+  int maybe_evict_slow_node(ClientPipeline& pipeline);
 
   ClientPipeline* find_pipeline(PipelineId id);
 
@@ -302,62 +288,21 @@ class OutputStreamBase : public AckSink {
   /// When this stream last evicted a slow node (-1: never); one eviction per
   /// `eviction_cooldown` keeps a noisy window from serially rebuilding.
   SimTime last_eviction_at_ = -1;
-  /// Whole-upload span, opened by start() and closed by finish().
+  /// Whole-upload span, opened by begin_upload() and closed by finish().
   trace::SpanHandle upload_span_;
 
- private:
-  void produce_loop();
+  // Pending events, cancelled by finish() so a finished stream has none
+  // referencing it (lets the cluster prune finished streams safely).
+  sim::EventHandle producer_event_;   ///< next produced packet
+  sim::EventHandle safe_mode_retry_;  ///< safe-mode or overload re-poll
 
-  std::int64_t produced_packets_ = 0;
-  std::int64_t total_packets_ = 0;
-  std::int64_t produce_block_ = 0;
-  std::int64_t produce_seq_ = 0;
-  bool producer_armed_ = false;
-  /// Cancelled on finish() so a finished stream has no pending events
-  /// referencing it (lets the cluster prune finished streams safely).
-  sim::EventHandle producer_event_;
+ private:
   sim::EventHandle complete_retry_;
 
- protected:
-  /// Pending safe-mode re-poll (cancelled by finish()).
-  sim::EventHandle safe_mode_retry_;
-
- private:
   /// When the current safe-mode wait began (-1: not waiting).
   SimTime safe_mode_wait_started_ = -1;
   /// When the current overload wait began (-1: not waiting).
   SimTime overload_wait_started_ = -1;
-};
-
-/// The baseline HDFS protocol: one pipeline at a time, stop-and-wait at every
-/// block boundary (paper §II).
-class DfsOutputStream : public OutputStreamBase {
- public:
-  DfsOutputStream(StreamDeps deps, ClientId client, NodeId client_node,
-                  FileId file, Bytes file_size, DoneCallback on_done);
-
-  // AckSink
-  void deliver_ack(const PipelineAck& ack) override;
-  void deliver_setup_ack(const SetupAck& ack) override;
-  void deliver_fnfa(const FnfaMessage& fnfa) override;
-
- protected:
-  bool production_window_open() const override;
-  void on_packet_produced() override;
-  void begin_protocol() override;
-  void on_pipeline_error(ClientPipeline& pipeline, int error_index) override;
-
- private:
-  void allocate_next_block();
-  void pump_stream();
-  void on_block_fully_acked();
-  void resume_after_recovery(ClientPipeline& old_pipeline,
-                             std::vector<NodeId> targets, Bytes sync_offset);
-
-  std::int64_t current_block_ = -1;
-  PipelineId active_pipeline_;
-  bool awaiting_block_ = false;
-  bool recovering_ = false;
 };
 
 }  // namespace smarth::hdfs

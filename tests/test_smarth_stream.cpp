@@ -50,6 +50,19 @@ TEST(SmarthStream, SlotWaitsUnderDeepThrottle) {
   EXPECT_EQ(stream->stats().max_concurrent_pipelines, 1);
 }
 
+TEST(SmarthStream, OneFnfaPerBlock) {
+  // Every block advances on its FNFA on a fault-free upload.
+  Cluster cluster(small_spec());
+  cluster.throttle_cross_rack(Bandwidth::mbps(30));
+  const auto stats = cluster.run_upload("/f", 24 * kMiB, Protocol::kSmarth);
+  ASSERT_FALSE(stats.failed);
+  const auto* stream =
+      dynamic_cast<const core::SmarthOutputStream*>(cluster.latest_stream());
+  ASSERT_NE(stream, nullptr);
+  EXPECT_EQ(stats.blocks, 6);
+  EXPECT_EQ(stream->fnfa_received(), static_cast<std::uint64_t>(stats.blocks));
+}
+
 TEST(SmarthStream, DatanodeServesOnePipelinePerClientAtATime) {
   // The §IV-C exclusivity rule, observed from the datanode side: sample
   // every datanode's active-pipeline count during the upload; with a single
