@@ -247,17 +247,7 @@ struct HdfsConfig {
   /// Enforce the buffer-overflow guard: at most cluster/replication
   /// concurrent pipelines and one pipeline per datanode per client.
   bool enforce_pipeline_cap = true;
-  /// SMARTH streams a whole block to the first datanode without waiting for
-  /// full-pipeline ACKs; its per-pipeline window is therefore the block.
-  int smarth_outstanding_packets() const {
-    return static_cast<int>((block_size + packet_payload - 1) /
-                            packet_payload);
-  }
 
-  int packets_per_block() const {
-    return static_cast<int>((block_size + packet_payload - 1) /
-                            packet_payload);
-  }
   Bytes packet_wire_size(Bytes payload) const {
     return payload + packet_header_wire;
   }
@@ -279,12 +269,12 @@ struct HdfsConfig {
   std::int64_t packets_in_transfer(Bytes payload) const {
     return (payload + packet_payload - 1) / packet_payload;
   }
+  /// Transfer units in a full block: SMARTH's per-pipeline window, since it
+  /// streams a whole block to the first datanode ahead of the replica ACKs.
   int transfers_per_block() const {
     return static_cast<int>((block_size + transfer_payload() - 1) /
                             transfer_payload());
   }
-  /// SMARTH per-pipeline window, in transfer units (the whole block).
-  int smarth_outstanding_transfers() const { return transfers_per_block(); }
   /// HDFS client window, in transfer units (>= 1; rounds the 80-packet cap
   /// down so block mode never holds more data in flight than packet mode).
   int max_outstanding_transfers() const {
