@@ -1210,6 +1210,7 @@ std::size_t Namenode::restart(const NamenodeImage& image,
           safe_mode_auto_ = false;
           ++safe_mode_exits_;
           last_safe_mode_exit_ = sim_.now();
+          metrics::global_registry().counter("namenode.safe_mode_exits").add();
           trace_nn(trace::Category::kFault, "safe mode timeout-exit", {});
         });
   }

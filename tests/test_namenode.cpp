@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "hdfs/edit_log.hpp"
+#include "hdfs/fsimage.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::hdfs {
 namespace {
@@ -240,6 +243,22 @@ TEST_F(NamenodeTest, ReregistrationIsIdempotent) {
   // The follow-up block report re-asserts the replica.
   nn_->block_received(dn, block, config_.block_size);
   EXPECT_EQ(nn_->block(block)->reported.size(), 3u);
+}
+
+TEST_F(NamenodeTest, SafeModeTimeoutExitIsCountedInRegistry) {
+  metrics::global_registry().reset();
+  // Restarted with none of its six datanodes re-registered, the namenode
+  // can only leave safe mode through the safe_mode_max_wait timeout.
+  const NamenodeImage image = nn_->capture_image();
+  nn_->crash();
+  nn_->restart(image, {});
+  ASSERT_TRUE(nn_->safe_mode());
+  sim_.run_until(sim_.now() + config_.safe_mode_max_wait + seconds(1));
+  EXPECT_FALSE(nn_->safe_mode());
+  const metrics::Counter* exits =
+      metrics::global_registry().find_counter("namenode.safe_mode_exits");
+  ASSERT_NE(exits, nullptr);
+  EXPECT_EQ(exits->value(), 1u);
 }
 
 }  // namespace
