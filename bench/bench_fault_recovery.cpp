@@ -33,6 +33,7 @@
 #include "common/table.hpp"
 #include "faults/fault_injector.hpp"
 #include "hdfs/datanode.hpp"
+#include "trace/metrics_registry.hpp"
 #include "workload/fault_plan.hpp"
 #include "workload/upload_workload.hpp"
 
@@ -140,6 +141,8 @@ struct ScrubResult {
 /// scanner budget. A final read-back checks no corrupt byte survives.
 ScrubResult run_bitrot_scrub(cluster::Protocol protocol, Bytes scan_rate,
                              Bytes file_size) {
+  // Bad-replica reports are read from the registry: start it empty.
+  metrics::global_registry().reset();
   cluster::ClusterSpec spec = cluster::small_cluster(42);
   spec.hdfs.ack_timeout = seconds(2);
   spec.hdfs.scanner_bytes_per_second = scan_rate;
@@ -173,7 +176,8 @@ ScrubResult run_bitrot_scrub(cluster::Protocol protocol, Bytes scan_rate,
   const SimTime deadline = rot_at + seconds(3600);
   while (cluster.sim().now() < deadline) {
     if (result.detect_s < 0 &&
-        cluster.namenode().bad_replica_reports() >=
+        metrics::global_registry().counter_value(
+            "namenode.bad_replica_reports") >=
             static_cast<std::uint64_t>(result.rotted)) {
       result.detect_s = to_seconds(cluster.sim().now() - rot_at);
     }

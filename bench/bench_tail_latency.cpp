@@ -123,7 +123,8 @@ WriteLeg run_write_leg(double factor, bool evict, Bytes file_size) {
   if (stats.failed) return leg;
   leg.seconds = to_seconds(stats.elapsed());
   leg.recoveries = stats.recoveries;
-  leg.evictions = stats.slow_evictions;
+  leg.evictions = static_cast<int>(
+      metrics::global_registry().counter_value("write.slow_evictions"));
   return leg;
 }
 

@@ -136,6 +136,11 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
 }
 
 Cluster::~Cluster() {
+  // The backlog this world ends with, for the robustness table of the run
+  // that is finishing.
+  metrics::global_registry()
+      .gauge("namenode.under_replicated_blocks")
+      .set(static_cast<double>(namenode_->under_replicated_blocks().size()));
   // The watchdog dump provider captures this cluster's simulation; a
   // recorder outliving the cluster (the normal case) must not call into a
   // dead object.
@@ -359,9 +364,10 @@ void Cluster::complete_namenode_recovery(const hdfs::NamenodeImage& image,
   rpc_->set_host_down(namenode_->node_id(), false);
   network_->set_node_isolated(namenode_->node_id(), false);
   last_nn_downtime_ = sim_->now() - nn_crashed_at_;
-  nn_downtimes_.push_back(last_nn_downtime_);
+  metrics::global_registry()
+      .histogram("namenode.downtime_ns")
+      .observe(static_cast<double>(last_nn_downtime_));
   nn_crashed_at_ = -1;
-  if (failover) ++nn_failovers_;
   // The standby stays consistent across the outage — it tails the same log
   // the revived active journals into — so it just resumes tailing.
   if (standby_ != nullptr) standby_->start();
@@ -465,9 +471,17 @@ void Cluster::upload(const std::string& path, Bytes size, Protocol protocol,
   hdfs::DfsClient* dfs = runtime.dfs.get();
   core::SpeedTracker* tracker = runtime.tracker.get();
 
+  // Every upload's outcome is counted here, once: a stream's completion, or
+  // the synthesised failure of a create() that never got a stream.
+  UploadCallback counted = [on_done = std::move(on_done)](
+                               const hdfs::StreamStats& stats) {
+    metrics::Registry& reg = metrics::global_registry();
+    reg.counter("write.uploads").add();
+    if (stats.failed) reg.counter("write.failed_uploads").add();
+    if (on_done) on_done(stats);
+  };
   dfs->create_file(path, [this, path, size, protocol, dfs, tracker,
-                          client_index,
-                          on_done = std::move(on_done)](
+                          client_index, on_done = std::move(counted)](
                              Result<FileId> result) mutable {
     if (!result.ok()) {
       hdfs::StreamStats stats;
@@ -518,9 +532,15 @@ void Cluster::download(const std::string& path, DownloadCallback on_done,
   SMARTH_CHECK(client_index < clients_.size());
   prune_finished_endpoints();
   ClientRuntime& runtime = clients_[client_index];
+  // The one place a reader is built, so every read's outcome is counted here.
   auto reader = std::make_unique<hdfs::DfsInputStream>(
       make_read_deps(), runtime.dfs->id(), runtime.node, path,
-      std::move(on_done));
+      [on_done = std::move(on_done)](const hdfs::ReadStats& stats) {
+        metrics::Registry& reg = metrics::global_registry();
+        reg.counter("read.reads").add();
+        if (stats.failed) reg.counter("read.failed_reads").add();
+        if (on_done) on_done(stats);
+      });
   hdfs::DfsInputStream* raw = reader.get();
   readers_.push_back(std::move(reader));
   raw->start();

@@ -124,12 +124,8 @@ class Cluster {
     return *checkpointer_;
   }
   /// Downtime of the most recent completed outage (-1 before the first).
+  /// Every outage's downtime is also observed in namenode.downtime_ns.
   SimDuration last_namenode_downtime() const { return last_nn_downtime_; }
-  /// Every completed outage's downtime, in order.
-  const std::vector<SimDuration>& namenode_downtimes() const {
-    return nn_downtimes_;
-  }
-  std::uint64_t namenode_failovers() const { return nn_failovers_; }
 
   /// Turns on the namenode's background re-replication of under-replicated
   /// blocks (off by default; the paper's experiments do not rely on it).
@@ -211,8 +207,6 @@ class Cluster {
   bool namenode_crashed_ = false;
   SimTime nn_crashed_at_ = -1;
   SimDuration last_nn_downtime_ = -1;
-  std::vector<SimDuration> nn_downtimes_;
-  std::uint64_t nn_failovers_ = 0;
   std::vector<std::unique_ptr<hdfs::Datanode>> datanodes_;
   std::vector<NodeId> datanode_ids_;
   std::vector<ClientRuntime> clients_;

@@ -64,6 +64,13 @@ void Histogram::add(double x) {
   ++total_;
 }
 
+void Histogram::merge(const Histogram& other) {
+  SMARTH_CHECK_MSG(bounds_ == other.bounds_,
+                   "cannot merge histograms with different bounds");
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  total_ += other.total_;
+}
+
 double Histogram::upper_bound(std::size_t i) const {
   if (i < bounds_.size()) return bounds_[i];
   return std::numeric_limits<double>::infinity();

@@ -43,6 +43,8 @@ class Histogram {
   explicit Histogram(std::vector<double> upper_bounds);
 
   void add(double x);
+  /// Adds `other`'s bucket counts; both must share the same bounds.
+  void merge(const Histogram& other);
   std::size_t bucket_count() const { return counts_.size(); }
   std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
   double upper_bound(std::size_t i) const;

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "trace/metrics_registry.hpp"
 #include "trace/trace_recorder.hpp"
 
 namespace {
@@ -19,6 +20,14 @@ void trace_fault(const char* name, smarth::trace::Args args) {
 }
 
 std::string idx_str(std::size_t index) { return std::to_string(index); }
+
+/// Counts one applied injection in the registry as faults.<class>; the
+/// robustness table's "faults injected" row sums every faults.* counter.
+void count_fault(const char* fault_class) {
+  smarth::metrics::global_registry()
+      .counter(std::string("faults.") + fault_class)
+      .add();
+}
 
 }  // namespace
 
@@ -38,7 +47,7 @@ void FaultInjector::crash(std::size_t datanode_index, SimTime at) {
     SMARTH_KV(LogLevel::kInfo, "faults", "crash").kv("dn", datanode_index);
     trace_fault("crash", {{"dn", idx_str(datanode_index)}});
     dn->crash();
-    ++counts_.crashes;
+    count_fault("crashes");
   });
 }
 
@@ -52,7 +61,7 @@ void FaultInjector::crash_and_rejoin(std::size_t datanode_index, SimTime at,
     SMARTH_KV(LogLevel::kInfo, "faults", "rejoin").kv("dn", datanode_index);
     trace_fault("rejoin", {{"dn", idx_str(datanode_index)}});
     dn->restart();
-    ++counts_.restarts;
+    count_fault("restarts");
   });
   mark_busy(datanode_index, rejoin_at);
 }
@@ -77,7 +86,7 @@ void FaultInjector::fail_slow(std::size_t datanode_index, SimTime from,
       net->set_node_nic(node, Bandwidth::bits_per_second(
                                   nic_before.bits_per_second() / nic_factor));
     }
-    ++counts_.fail_slows;
+    count_fault("fail_slows");
     SMARTH_KV(LogLevel::kInfo, "faults", "fail-slow")
         .kv("dn", datanode_index)
         .kv("disk_factor", disk_factor)
@@ -110,7 +119,7 @@ void FaultInjector::flap_node(std::size_t datanode_index, SimTime down_at,
     SMARTH_KV(LogLevel::kInfo, "faults", "flap-down").kv("dn", datanode_index);
     trace_fault("flap down", {{"dn", idx_str(datanode_index)}});
     net->set_node_isolated(node, true);
-    ++counts_.flaps;
+    count_fault("flaps");
   });
   cluster_.sim().schedule_at(up_at, [net, node, datanode_index] {
     SMARTH_KV(LogLevel::kInfo, "faults", "flap-up").kv("dn", datanode_index);
@@ -132,7 +141,7 @@ void FaultInjector::partition_racks(const std::string& rack_a,
         .kv("rack_b", rack_b);
     trace_fault("partition", {{"rack_a", rack_a}, {"rack_b", rack_b}});
     net->set_rack_partition(rack_a, rack_b, true);
-    ++counts_.partitions;
+    count_fault("partitions");
   });
   cluster_.sim().schedule_at(heal_at, [net, rack_a, rack_b] {
     SMARTH_KV(LogLevel::kInfo, "faults", "partition-healed")
@@ -146,7 +155,7 @@ void FaultInjector::partition_racks(const std::string& rack_a,
 void FaultInjector::corrupt_nth_packet(std::size_t datanode_index,
                                        std::uint64_t nth) {
   cluster_.datanode(datanode_index).inject_checksum_error_on_nth_packet(nth);
-  ++counts_.corruptions;
+  count_fault("corruptions");
 }
 
 std::uint64_t FaultInjector::one_shot_salt(std::size_t datanode_index,
@@ -165,7 +174,7 @@ void FaultInjector::bitrot(std::size_t datanode_index, SimTime at) {
     if (dn->rot_random_finalized_chunk(salt)) {
       SMARTH_KV(LogLevel::kInfo, "faults", "bitrot").kv("dn", datanode_index);
       trace_fault("bitrot", {{"dn", idx_str(datanode_index)}});
-      ++counts_.bitrot_flips;
+      count_fault("bitrot_flips");
     }
   });
 }
@@ -177,7 +186,7 @@ void FaultInjector::crash_client(std::size_t client_index, SimTime at) {
         .kv("client", client_index);
     trace_fault("client crash", {{"client", idx_str(client_index)}});
     cluster_.crash_client(client_index);
-    ++counts_.client_crashes;
+    count_fault("client_crashes");
   });
 }
 
@@ -191,7 +200,7 @@ void FaultInjector::crash_and_rejoin_client(std::size_t client_index,
         .kv("client", client_index);
     trace_fault("client rejoin", {{"client", idx_str(client_index)}});
     cluster_.restart_client(client_index);
-    ++counts_.client_restarts;
+    count_fault("client_restarts");
   });
   mark_client_busy(client_index, rejoin_at);
 }
@@ -202,7 +211,7 @@ void FaultInjector::crash_namenode(SimTime at) {
     SMARTH_KV(LogLevel::kWarn, "faults", "nn-crash");
     trace_fault("nn crash", {});
     cluster_.crash_namenode();
-    ++counts_.nn_crashes;
+    count_fault("nn_crashes");
   });
 }
 
@@ -214,7 +223,7 @@ void FaultInjector::crash_and_restart_namenode(SimTime at, SimTime restart_at) {
     SMARTH_KV(LogLevel::kInfo, "faults", "nn-restart");
     trace_fault("nn restart", {});
     cluster_.restart_namenode();
-    ++counts_.nn_restarts;
+    count_fault("nn_restarts");
   });
   nn_busy_until_ = std::max(nn_busy_until_, restart_at);
 }
@@ -228,7 +237,7 @@ void FaultInjector::crash_and_failover_namenode(SimTime at,
     SMARTH_KV(LogLevel::kInfo, "faults", "nn-failover");
     trace_fault("nn failover", {});
     cluster_.failover_namenode();
-    ++counts_.nn_failovers;
+    count_fault("nn_failovers");
   });
   nn_busy_until_ = std::max(nn_busy_until_, failover_at);
 }
@@ -365,7 +374,7 @@ void FaultInjector::chaos_tick() {
               bitrot_rng_.next())) {
         SMARTH_KV(LogLevel::kInfo, "faults", "chaos-bitrot").kv("dn", i);
         trace_fault("bitrot", {{"dn", idx_str(i)}});
-        ++counts_.bitrot_flips;
+        count_fault("bitrot_flips");
       }
     }
   }

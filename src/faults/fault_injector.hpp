@@ -78,28 +78,10 @@ struct ChaosRates {
   }
 };
 
-/// How many of each fault the injector has applied (deterministic + chaos).
-struct InjectionCounts {
-  std::uint64_t crashes = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t fail_slows = 0;
-  std::uint64_t flaps = 0;
-  std::uint64_t partitions = 0;
-  std::uint64_t corruptions = 0;
-  std::uint64_t client_crashes = 0;
-  std::uint64_t client_restarts = 0;
-  std::uint64_t bitrot_flips = 0;  ///< at-rest chunk corruptions applied
-  std::uint64_t nn_crashes = 0;    ///< namenode process deaths
-  std::uint64_t nn_restarts = 0;   ///< cold restarts (fsimage + log replay)
-  std::uint64_t nn_failovers = 0;  ///< warm standby promotions
-
-  std::uint64_t total() const {
-    return crashes + restarts + fail_slows + flaps + partitions + corruptions +
-           client_crashes + client_restarts + bitrot_flips + nn_crashes +
-           nn_restarts + nn_failovers;
-  }
-};
-
+/// Every applied injection (deterministic or chaos) is counted in the metrics
+/// registry as faults.<class>: crashes, restarts, fail_slows, flaps,
+/// partitions, corruptions, client_crashes, client_restarts, bitrot_flips,
+/// nn_crashes, nn_restarts and nn_failovers.
 class FaultInjector {
  public:
   /// `chaos_seed` seeds the injector's private Rng (chaos mode and duration
@@ -168,7 +150,6 @@ class FaultInjector {
   void stop_chaos();
   bool chaos_running() const;
 
-  const InjectionCounts& counts() const { return counts_; }
   const ChaosRates& rates() const { return rates_; }
 
  private:
@@ -186,7 +167,6 @@ class FaultInjector {
   ChaosRates rates_;
   std::unique_ptr<sim::PeriodicTask> chaos_task_;
   SimDuration tick_ = milliseconds(500);
-  InjectionCounts counts_;
   /// Per-datanode end of the current fault window (chaos mode skips busy
   /// nodes so windows never overlap on one node).
   std::vector<SimTime> busy_until_;

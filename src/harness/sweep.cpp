@@ -31,8 +31,10 @@ SweepSummary run_seed_sweep(std::uint64_t base_seed, int seeds, int jobs,
       if (i >= seeds) return;
       SeedRun& run = sweep.runs[static_cast<std::size_t>(i)];
       run.seed = base_seed + static_cast<std::uint64_t>(i);
+      metrics::global_registry().reset();
       try {
         body(run.seed, run);
+        run.metrics = metrics::global_registry();
       } catch (const std::exception& e) {
         run.errored = true;
         run.error = e.what();
@@ -59,7 +61,7 @@ SweepSummary run_seed_sweep(std::uint64_t base_seed, int seeds, int jobs,
       ++sweep.errored;
       continue;
     }
-    sweep.merged.merge(run.summary);
+    sweep.merged.merge(run.metrics);
     sweep.total_events += run.events;
     const double s = to_seconds(run.stats.elapsed());
     if (counted == 0) {

@@ -2,8 +2,9 @@
 // independently constructed simulation on its own worker thread; nothing is
 // shared between workers (the metrics registry and trace recorder are
 // thread_local), so every per-seed result is bit-identical to running that
-// seed alone. Results are merged on the calling thread in seed order, making
-// the aggregate deterministic regardless of worker scheduling.
+// seed alone. Each seed's registry snapshot is merged on the calling thread
+// in seed order, making the aggregate deterministic regardless of worker
+// scheduling.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "hdfs/output_stream.hpp"
-#include "metrics/report.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::harness {
 
@@ -20,10 +21,11 @@ namespace smarth::harness {
 struct SeedRun {
   std::uint64_t seed = 0;
   hdfs::StreamStats stats;
-  metrics::FaultSummary summary;
+  /// This seed's metrics registry snapshot.
+  metrics::Registry metrics;
   std::uint64_t events = 0;
   /// Harness-level failure: the body threw. (A failed *upload* is a normal
-  /// outcome recorded in stats/summary, not this.)
+  /// outcome recorded in stats/metrics, not this.)
   bool errored = false;
   std::string error;
   /// Flight-recorder run fragment (FlightRecorder::run_json) when the body
@@ -34,8 +36,8 @@ struct SeedRun {
 
 /// Aggregate of a whole sweep, merged in seed order.
 struct SweepSummary {
-  std::vector<SeedRun> runs;     ///< one per seed, ascending seed
-  metrics::FaultSummary merged;  ///< additive fold of every non-errored run
+  std::vector<SeedRun> runs;  ///< one per seed, ascending seed
+  metrics::Registry merged;   ///< every non-errored run's metrics, merged
   std::uint64_t total_events = 0;
   int errored = 0;
   // Upload-seconds statistics across non-errored runs.
@@ -47,7 +49,9 @@ struct SweepSummary {
 
 /// The per-seed body: build a fresh world for `seed`, run it, fill `out`.
 /// Runs on a worker thread; must not touch anything outside its own world
-/// (process-global mutable state like the Logger level is off limits).
+/// (process-global mutable state like the Logger level is off limits). The
+/// worker's metrics registry is reset before the body and copied into
+/// `out.metrics` after it returns, once the body's cluster is gone.
 using SeedBody = std::function<void(std::uint64_t seed, SeedRun& out)>;
 
 /// Runs `body` for seeds base_seed .. base_seed+seeds-1 across min(jobs,

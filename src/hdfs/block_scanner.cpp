@@ -104,6 +104,9 @@ void BlockScanner::scan_next() {
   disk_.read(bytes, [this, epoch, target, block, bytes] {
     if (epoch != epoch_ || !running_) return;
     bytes_scanned_ += bytes;
+    metrics::global_registry()
+        .counter("scanner.bytes_scanned")
+        .add(static_cast<std::uint64_t>(bytes));
     ++chunks_scanned_;
     if (!store_.chunk_ok(block, target.chunk)) {
       ++rot_detected_;

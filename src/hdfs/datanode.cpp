@@ -176,6 +176,7 @@ void Datanode::invalidate_replica(BlockId block) {
   if (!store_.has_replica(block)) return;
   SMARTH_CHECK(store_.remove(block).ok());
   ++replicas_invalidated_;
+  metrics::global_registry().counter("datanode.replicas_invalidated").add();
   SMARTH_INFO("datanode") << self_.to_string()
                           << " invalidated corrupt replica "
                           << block.to_string();

@@ -74,7 +74,7 @@ void DfsClient::create_file_attempt(const std::string& path,
                            "create(" + path +
                                ") gave up after repeated timeouts"});
       },
-      retry_stats_, "create", {rpc::ServiceClass::kMeta},
+      "create", {rpc::ServiceClass::kMeta},
       [path] {
         return Result<FileId>(
             Error{"overloaded", "namenode shed create(" + path + ")"});

@@ -44,9 +44,6 @@ class DfsClient {
                    std::function<void(Result<FileId>)> cb,
                    bool overwrite = false);
 
-  /// Control-plane attempts beyond the first / calls abandoned entirely.
-  const rpc::RetryStats& retry_stats() const { return *retry_stats_; }
-
   /// Starts the periodic heartbeat. `speed_source` (may be null) supplies
   /// the transfer-speed records to piggyback; an empty vector sends a plain
   /// heartbeat.
@@ -71,8 +68,6 @@ class DfsClient {
   std::function<std::vector<SpeedRecord>()> speed_source_;
   std::unique_ptr<sim::PeriodicTask> heartbeat_;
   std::uint64_t heartbeats_sent_ = 0;
-  std::shared_ptr<rpc::RetryStats> retry_stats_ =
-      std::make_shared<rpc::RetryStats>();
 };
 
 }  // namespace smarth::hdfs

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::hdfs {
 
@@ -27,6 +28,7 @@ const char* to_string(EditOpType type) {
 std::int64_t EditLog::append(EditOp op) {
   op.txid = next_txid_++;
   ++appended_;
+  metrics::global_registry().counter("namenode.edit_ops_logged").add();
   ops_.push_back(std::move(op));
   return ops_.back().txid;
 }

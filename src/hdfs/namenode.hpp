@@ -129,8 +129,6 @@ class Namenode {
   /// Fraction of closed-file blocks with >=1 reported non-corrupt replica
   /// (the safe-mode exit criterion; 1.0 for an empty namespace).
   double safe_blocks_fraction() const;
-  std::uint64_t safe_mode_entries() const { return safe_mode_entries_; }
-  std::uint64_t safe_mode_exits() const { return safe_mode_exits_; }
   /// Time of the most recent automatic safe-mode exit (-1 if never).
   SimTime last_safe_mode_exit() const { return last_safe_mode_exit_; }
 
@@ -143,8 +141,6 @@ class Namenode {
   bool is_alive(NodeId dn) const;
   std::vector<NodeId> alive_datanodes() const;
   std::size_t registered_datanode_count() const { return datanodes_.size(); }
-  /// Registrations from already-known datanodes (crash-and-rejoin).
-  std::uint64_t reregistrations() const { return reregistrations_; }
 
   // --- ClientProtocol --------------------------------------------------------
   /// Step 1 of the write workflow: namespace checks, then create the entry.
@@ -230,7 +226,6 @@ class Namenode {
   /// verified-good copy.
   void report_bad_replica(BlockId block, NodeId node);
 
-  std::uint64_t bad_replica_reports() const { return bad_replica_reports_; }
   std::uint64_t invalidations_issued() const { return invalidations_issued_; }
   /// Total (block, node) pairs currently quarantined.
   std::size_t corrupt_replica_count() const;
@@ -348,8 +343,6 @@ class Namenode {
   /// Datanodes registered before the last crash; safe mode holds until that
   /// many have re-registered (in addition to the replica threshold).
   std::size_t safe_mode_min_datanodes_ = 0;
-  std::uint64_t safe_mode_entries_ = 0;
-  std::uint64_t safe_mode_exits_ = 0;
   SimTime last_safe_mode_exit_ = -1;
 
   EditLog* edit_log_ = nullptr;
@@ -373,7 +366,6 @@ class Namenode {
 
   SpeedBoard speeds_;
   std::uint64_t heartbeats_ = 0;
-  std::uint64_t reregistrations_ = 0;
 
   LeaseManager leases_;
   /// Reserved holder expired writers' files are reassigned to while the
@@ -382,6 +374,9 @@ class Namenode {
   UcRecoveryExecutor uc_recovery_executor_;
   std::unique_ptr<sim::PeriodicTask> lease_task_;
   std::map<FileId, LeaseRecoveryState> lease_recoveries_;  ///< deterministic
+  // Durable salvage accounting: fsimage state, restored on replay. The live
+  // increments also bump namenode.lease_recoveries, .uc_blocks_recovered,
+  // .bytes_salvaged and .orphans_abandoned in the metrics registry.
   std::uint64_t lease_expiries_ = 0;
   std::uint64_t uc_blocks_recovered_ = 0;
   Bytes bytes_salvaged_ = 0;
@@ -389,7 +384,6 @@ class Namenode {
   std::uint64_t client_heartbeats_ = 0;
 
   InvalidationExecutor invalidation_executor_;
-  std::uint64_t bad_replica_reports_ = 0;
   std::uint64_t invalidations_issued_ = 0;
 
   /// Decaying slowness scores; volatile like liveness (dropped on restart —

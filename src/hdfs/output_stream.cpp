@@ -151,7 +151,6 @@ void OutputStreamBase::note_recovery_end(PipelineId pipeline) {
   auto it = recovery_started_.find(pipeline);
   if (it == recovery_started_.end()) return;
   const SimDuration took = deps_.sim.now() - it->second;
-  stats_.recovery_time_total += took;
   recovery_started_.erase(it);
   metrics::global_registry()
       .histogram("stream.recovery_ns")
@@ -219,7 +218,7 @@ void OutputStreamBase::request_block(
         (*shared_cb)(Error{"rpc_timeout",
                            "addBlock gave up after repeated timeouts"});
       },
-      retry_stats_, "addBlock",
+      "addBlock",
       {rpc::ServiceClass::kAddBlock, client_.value()},
       [] {
         return Result<LocatedBlock>(
@@ -363,7 +362,7 @@ void OutputStreamBase::complete_file() {
         if (!*alive || finished_) return;
         finish(true, "complete() timed out after repeated attempts");
       },
-      retry_stats_, "complete", {rpc::ServiceClass::kMeta},
+      "complete", {rpc::ServiceClass::kMeta},
       [] {
         return Result<bool>(Error{"overloaded", "namenode shed complete"});
       },
@@ -382,8 +381,6 @@ void OutputStreamBase::finish(bool failed, const std::string& reason) {
   stats_.finished_at = deps_.sim.now();
   stats_.failed = failed;
   stats_.failure_reason = reason;
-  stats_.rpc_retries = retry_stats_->retries;
-  stats_.rpc_give_ups = retry_stats_->give_ups;
   producer_event_.cancel();
   complete_retry_.cancel();
   safe_mode_retry_.cancel();
@@ -493,7 +490,6 @@ int OutputStreamBase::maybe_evict_slow_node(ClientPipeline& pipeline) {
   if (slow_index < 0) return -1;
   const NodeId slow = pipeline.targets[static_cast<std::size_t>(slow_index)];
   last_eviction_at_ = now;
-  ++stats_.slow_evictions;
   metrics::global_registry().counter("write.slow_evictions").add();
   if (trace::active()) {
     trace::recorder()->instant(

@@ -70,27 +70,11 @@ struct StreamStats {
   int pipelines_created = 0;
   int max_concurrent_pipelines = 0;
   int recoveries = 0;
-  /// Mid-block pipeline rebuilds triggered by the slow-node detector rather
-  /// than a failure (subset of `recoveries`).
-  int slow_evictions = 0;
   bool failed = false;
   std::string failure_reason;
 
-  // --- fault/robustness accounting -----------------------------------------
-  std::uint64_t rpc_retries = 0;   ///< control-plane attempts beyond the first
-  std::uint64_t rpc_give_ups = 0;  ///< control-plane calls abandoned
-  int quarantine_events = 0;       ///< datanodes this stream quarantined
-  int under_replication_events = 0;  ///< recoveries that reduced replication
-  /// Total time spent between pipeline-error detection and the rebuilt
-  /// pipeline being handed back (MTTR numerator).
-  SimDuration recovery_time_total = 0;
-
   SimDuration elapsed() const { return finished_at - started_at; }
   Bandwidth throughput() const { return throughput_of(file_size, elapsed()); }
-  /// Mean time to recover a failed pipeline, in seconds (0 if none failed).
-  double recovery_mttr_seconds() const {
-    return recoveries > 0 ? to_seconds(recovery_time_total) / recoveries : 0.0;
-  }
 };
 
 /// One replication pipeline as seen from the client.
@@ -236,8 +220,8 @@ class OutputStreamBase : public AckSink {
   /// retrying forever.
   bool recovery_budget_exhausted(BlockId block);
   /// MTTR bookkeeping around a recovery: start stamps the error-detection
-  /// time; end accumulates into stats and folds the outcome's degradation
-  /// markers in. Also opens/closes the recovery trace span.
+  /// time; end records the elapsed time in the stream.recovery_ns
+  /// histogram. Also opens/closes the recovery trace span.
   void note_recovery_start(PipelineId pipeline);
   void note_recovery_end(PipelineId pipeline);
 
@@ -276,9 +260,6 @@ class OutputStreamBase : public AckSink {
   /// Liveness token captured by in-flight RPC callbacks so a pruned stream's
   /// late responses are dropped instead of dereferencing freed memory.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-  /// Shared with in-flight retry chains (they may outlive the stream).
-  std::shared_ptr<rpc::RetryStats> retry_stats_ =
-      std::make_shared<rpc::RetryStats>();
   /// BlockId value -> recovery attempts consumed.
   std::unordered_map<std::int64_t, int> recovery_attempts_;
   /// PipelineId -> when its error was detected (MTTR bookkeeping).

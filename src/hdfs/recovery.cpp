@@ -241,7 +241,7 @@ void BlockRecovery::request_replacements() {
             << "; continuing under-replicated";
         finish_success();
       },
-      nullptr, "getAdditionalDatanodes");
+      "getAdditionalDatanodes");
 }
 
 void BlockRecovery::transfer_prefix(std::size_t replacement_index) {

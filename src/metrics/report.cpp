@@ -1,6 +1,7 @@
 #include "metrics/report.hpp"
 
-#include <algorithm>
+#include <cmath>
+#include <cstdint>
 
 namespace smarth::metrics {
 
@@ -41,198 +42,146 @@ std::string comparison_csv(const std::string& x_label,
   return table.to_csv();
 }
 
-void FaultSummary::fold(const hdfs::StreamStats& stats) {
-  ++uploads;
-  if (stats.failed) ++failed_uploads;
-  recoveries += stats.recoveries;
-  quarantine_events += stats.quarantine_events;
-  under_replication_events += stats.under_replication_events;
-  rpc_retries += stats.rpc_retries;
-  rpc_give_ups += stats.rpc_give_ups;
-  recovery_time_total += stats.recovery_time_total;
-  slow_evictions += stats.slow_evictions;
-}
+namespace {
 
-void FaultSummary::fold_registry(const Registry& registry) {
-  const auto counter = [&registry](const char* name) -> std::uint64_t {
-    const Counter* c = registry.find_counter(name);
-    return c != nullptr ? c->value() : 0;
-  };
-  rpc_retries = std::max(rpc_retries, counter("rpc.retries"));
-  rpc_give_ups = std::max(rpc_give_ups, counter("rpc.give_ups"));
-  quarantine_events = std::max(
-      quarantine_events, static_cast<int>(counter("quarantine.events")));
-  slow_node_reports =
-      std::max(slow_node_reports, counter("namenode.slow_node_reports"));
-  hedge_cancelled_serves =
-      std::max(hedge_cancelled_serves, counter("hedge.cancelled"));
-  overload_retries = std::max(overload_retries, counter("rpc.overload_retries"));
-  nn_ops_admitted = std::max(nn_ops_admitted, counter("nn.rpc.admitted"));
-  nn_ops_shed = std::max(nn_ops_shed, counter("nn.rpc.shed"));
-  nn_shed_heartbeats =
-      std::max(nn_shed_heartbeats, counter("nn.rpc.shed_heartbeats"));
-  nn_shed_add_blocks =
-      std::max(nn_shed_add_blocks, counter("nn.rpc.shed_add_blocks"));
-  nn_addblock_cap_rejections = std::max(
-      nn_addblock_cap_rejections, counter("nn.rpc.addblock_cap_rejections"));
-  nn_heartbeat_batches =
-      std::max(nn_heartbeat_batches, counter("nn.rpc.heartbeat_batches"));
-  nn_heartbeats_batched =
-      std::max(nn_heartbeats_batched, counter("nn.rpc.heartbeats_batched"));
-}
+/// How a robustness row turns its metric into a cell.
+enum class Cell {
+  kCounter,    ///< the counter's value
+  kGauge,      ///< the gauge's value, as a whole number
+  kPrefixSum,  ///< the sum of every counter whose name starts with `metric`
+  kMttr,       ///< seconds in the histogram per write.recoveries
+  kMean,       ///< the histogram's mean, in seconds
+  kMinMax,     ///< the histogram's "min / max", in seconds
+  kStddev,     ///< the histogram's population stddev, in seconds
+};
 
-void FaultSummary::fold_read(const hdfs::ReadStats& stats) {
-  ++reads;
-  if (stats.failed) ++failed_reads;
-  read_failovers += stats.failovers;
-  checksum_mismatches += stats.checksum_mismatches;
-  bad_replica_reports += stats.bad_replica_reports;
-  hedged_reads += stats.hedged_reads;
-  hedge_wins += stats.hedge_wins;
-  hedges_denied += stats.hedges_denied;
-  hedge_wasted_bytes += stats.hedge_wasted_bytes;
-}
+struct Row {
+  const char* label;
+  Cell cell;
+  const char* metric;
+};
 
-void FaultSummary::merge(const FaultSummary& other) {
-  uploads += other.uploads;
-  failed_uploads += other.failed_uploads;
-  recoveries += other.recoveries;
-  quarantine_events += other.quarantine_events;
-  under_replication_events += other.under_replication_events;
-  rpc_retries += other.rpc_retries;
-  rpc_give_ups += other.rpc_give_ups;
-  recovery_time_total += other.recovery_time_total;
-  rpc_calls_dropped += other.rpc_calls_dropped;
-  rpc_messages_lost += other.rpc_messages_lost;
-  rpc_messages_delayed += other.rpc_messages_delayed;
-  datanode_reregistrations += other.datanode_reregistrations;
-  under_replicated_blocks += other.under_replicated_blocks;
-  faults_injected += other.faults_injected;
-  lease_expiries += other.lease_expiries;
-  uc_blocks_recovered += other.uc_blocks_recovered;
-  bytes_salvaged += other.bytes_salvaged;
-  orphans_abandoned += other.orphans_abandoned;
-  nn_crashes += other.nn_crashes;
-  nn_restarts += other.nn_restarts;
-  nn_failovers += other.nn_failovers;
-  safe_mode_entries += other.safe_mode_entries;
-  safe_mode_exits += other.safe_mode_exits;
-  edit_ops_logged += other.edit_ops_logged;
-  checkpoints += other.checkpoints;
-  nn_downtime.merge(other.nn_downtime);
-  reads += other.reads;
-  failed_reads += other.failed_reads;
-  read_failovers += other.read_failovers;
-  checksum_mismatches += other.checksum_mismatches;
-  bad_replica_reports += other.bad_replica_reports;
-  hedged_reads += other.hedged_reads;
-  hedge_wins += other.hedge_wins;
-  hedges_denied += other.hedges_denied;
-  hedge_wasted_bytes += other.hedge_wasted_bytes;
-  slow_evictions += other.slow_evictions;
-  slow_node_reports += other.slow_node_reports;
-  hedge_cancelled_serves += other.hedge_cancelled_serves;
-  bitrot_flips += other.bitrot_flips;
-  replicas_invalidated += other.replicas_invalidated;
-  scrub_rot_detected += other.scrub_rot_detected;
-  scrub_bytes_scanned += other.scrub_bytes_scanned;
-  nn_ops_admitted += other.nn_ops_admitted;
-  nn_ops_shed += other.nn_ops_shed;
-  nn_shed_heartbeats += other.nn_shed_heartbeats;
-  nn_shed_add_blocks += other.nn_shed_add_blocks;
-  nn_addblock_cap_rejections += other.nn_addblock_cap_rejections;
-  nn_heartbeat_batches += other.nn_heartbeat_batches;
-  nn_heartbeats_batched += other.nn_heartbeats_batched;
-  overload_retries += other.overload_retries;
-}
+/// The robustness table, top to bottom. The nn downtime rows only print
+/// when at least one outage was observed.
+constexpr Row kRows[] = {
+    {"uploads", Cell::kCounter, "write.uploads"},
+    {"failed uploads", Cell::kCounter, "write.failed_uploads"},
+    {"recoveries", Cell::kCounter, "write.recoveries"},
+    {"recovery MTTR (s)", Cell::kMttr, "stream.recovery_ns"},
+    {"quarantine events", Cell::kCounter, "quarantine.events"},
+    {"under-replication events", Cell::kCounter,
+     "write.under_replication_events"},
+    {"rpc retries", Cell::kCounter, "rpc.retries"},
+    {"rpc give-ups", Cell::kCounter, "rpc.give_ups"},
+    {"rpc calls dropped", Cell::kCounter, "rpc.calls_dropped"},
+    {"rpc messages lost", Cell::kCounter, "rpc.messages_lost"},
+    {"rpc messages delayed", Cell::kCounter, "rpc.messages_delayed"},
+    {"datanode re-registrations", Cell::kCounter, "namenode.reregistrations"},
+    {"under-replicated blocks", Cell::kGauge,
+     "namenode.under_replicated_blocks"},
+    {"faults injected", Cell::kPrefixSum, "faults."},
+    {"lease expiries", Cell::kCounter, "namenode.lease_recoveries"},
+    {"UC blocks recovered", Cell::kCounter, "namenode.uc_blocks_recovered"},
+    {"bytes salvaged", Cell::kCounter, "namenode.bytes_salvaged"},
+    {"orphans abandoned", Cell::kCounter, "namenode.orphans_abandoned"},
+    {"nn crashes", Cell::kCounter, "faults.nn_crashes"},
+    {"nn restarts", Cell::kCounter, "faults.nn_restarts"},
+    {"nn failovers", Cell::kCounter, "faults.nn_failovers"},
+    {"safe-mode entries", Cell::kCounter, "namenode.safe_mode_entries"},
+    {"safe-mode exits", Cell::kCounter, "namenode.safe_mode_exits"},
+    {"edit ops logged", Cell::kCounter, "namenode.edit_ops_logged"},
+    {"checkpoints", Cell::kCounter, "namenode.checkpoints"},
+    {"nn downtime mean (s)", Cell::kMean, "namenode.downtime_ns"},
+    {"nn downtime min/max (s)", Cell::kMinMax, "namenode.downtime_ns"},
+    {"nn downtime stddev (s)", Cell::kStddev, "namenode.downtime_ns"},
+    {"reads", Cell::kCounter, "read.reads"},
+    {"failed reads", Cell::kCounter, "read.failed_reads"},
+    {"read failovers", Cell::kCounter, "read.failovers"},
+    {"checksum mismatches", Cell::kCounter, "read.checksum_mismatches"},
+    {"bad replica reports", Cell::kCounter, "namenode.bad_replica_reports"},
+    {"hedged reads", Cell::kCounter, "read.hedges"},
+    {"hedge wins", Cell::kCounter, "read.hedge_wins"},
+    {"hedges denied", Cell::kCounter, "read.hedges_denied"},
+    {"hedge wasted bytes", Cell::kCounter, "read.hedge_wasted_bytes"},
+    {"slow evictions", Cell::kCounter, "write.slow_evictions"},
+    {"slow-node reports", Cell::kCounter, "namenode.slow_node_reports"},
+    {"hedge-cancelled serves", Cell::kCounter, "hedge.cancelled"},
+    {"bitrot flips", Cell::kCounter, "faults.bitrot_flips"},
+    {"replicas invalidated", Cell::kCounter, "datanode.replicas_invalidated"},
+    {"scrub rot detected", Cell::kCounter, "scanner.rot_detected"},
+    {"scrub bytes scanned", Cell::kCounter, "scanner.bytes_scanned"},
+    {"nn ops admitted", Cell::kCounter, "nn.rpc.admitted"},
+    {"nn ops shed", Cell::kCounter, "nn.rpc.shed"},
+    {"nn shed heartbeats", Cell::kCounter, "nn.rpc.shed_heartbeats"},
+    {"nn shed addBlocks", Cell::kCounter, "nn.rpc.shed_add_blocks"},
+    {"nn addBlock cap rejections", Cell::kCounter,
+     "nn.rpc.addblock_cap_rejections"},
+    {"nn heartbeat batches", Cell::kCounter, "nn.rpc.heartbeat_batches"},
+    {"nn heartbeats batched", Cell::kCounter, "nn.rpc.heartbeats_batched"},
+    {"overload retries", Cell::kCounter, "rpc.overload_retries"},
+};
 
-std::string render_fault_summary(const FaultSummary& summary) {
-  TextTable table({"metric", "value"});
-  table.add_row({"uploads", std::to_string(summary.uploads)});
-  table.add_row({"failed uploads", std::to_string(summary.failed_uploads)});
-  table.add_row({"recoveries", std::to_string(summary.recoveries)});
-  table.add_row(
-      {"recovery MTTR (s)", TextTable::num(summary.recovery_mttr_seconds())});
-  table.add_row(
-      {"quarantine events", std::to_string(summary.quarantine_events)});
-  table.add_row({"under-replication events",
-                 std::to_string(summary.under_replication_events)});
-  table.add_row({"rpc retries", std::to_string(summary.rpc_retries)});
-  table.add_row({"rpc give-ups", std::to_string(summary.rpc_give_ups)});
-  table.add_row(
-      {"rpc calls dropped", std::to_string(summary.rpc_calls_dropped)});
-  table.add_row(
-      {"rpc messages lost", std::to_string(summary.rpc_messages_lost)});
-  table.add_row(
-      {"rpc messages delayed", std::to_string(summary.rpc_messages_delayed)});
-  table.add_row({"datanode re-registrations",
-                 std::to_string(summary.datanode_reregistrations)});
-  table.add_row({"under-replicated blocks",
-                 std::to_string(summary.under_replicated_blocks)});
-  table.add_row(
-      {"faults injected", std::to_string(summary.faults_injected)});
-  table.add_row({"lease expiries", std::to_string(summary.lease_expiries)});
-  table.add_row({"UC blocks recovered",
-                 std::to_string(summary.uc_blocks_recovered)});
-  table.add_row({"bytes salvaged", std::to_string(summary.bytes_salvaged)});
-  table.add_row(
-      {"orphans abandoned", std::to_string(summary.orphans_abandoned)});
-  table.add_row({"nn crashes", std::to_string(summary.nn_crashes)});
-  table.add_row({"nn restarts", std::to_string(summary.nn_restarts)});
-  table.add_row({"nn failovers", std::to_string(summary.nn_failovers)});
-  table.add_row(
-      {"safe-mode entries", std::to_string(summary.safe_mode_entries)});
-  table.add_row({"safe-mode exits", std::to_string(summary.safe_mode_exits)});
-  table.add_row({"edit ops logged", std::to_string(summary.edit_ops_logged)});
-  table.add_row({"checkpoints", std::to_string(summary.checkpoints)});
-  if (summary.nn_downtime.count > 0) {
-    table.add_row({"nn downtime mean (s)",
-                   TextTable::num(summary.nn_downtime.mean_s())});
-    table.add_row({"nn downtime min/max (s)",
-                   TextTable::num(summary.nn_downtime.min_s) + " / " +
-                       TextTable::num(summary.nn_downtime.max_s)});
-    table.add_row({"nn downtime stddev (s)",
-                   TextTable::num(summary.nn_downtime.stddev_s())});
+double ns_to_seconds(double ns) { return ns / static_cast<double>(kSecond); }
+
+std::string render_cell(const Registry& registry, const Row& row) {
+  if (row.cell == Cell::kCounter) {
+    return std::to_string(registry.counter_value(row.metric));
   }
-  table.add_row({"reads", std::to_string(summary.reads)});
-  table.add_row({"failed reads", std::to_string(summary.failed_reads)});
-  table.add_row({"read failovers", std::to_string(summary.read_failovers)});
-  table.add_row(
-      {"checksum mismatches", std::to_string(summary.checksum_mismatches)});
-  table.add_row(
-      {"bad replica reports", std::to_string(summary.bad_replica_reports)});
-  table.add_row({"hedged reads", std::to_string(summary.hedged_reads)});
-  table.add_row({"hedge wins", std::to_string(summary.hedge_wins)});
-  table.add_row({"hedges denied", std::to_string(summary.hedges_denied)});
-  table.add_row(
-      {"hedge wasted bytes", std::to_string(summary.hedge_wasted_bytes)});
-  table.add_row({"slow evictions", std::to_string(summary.slow_evictions)});
-  table.add_row(
-      {"slow-node reports", std::to_string(summary.slow_node_reports)});
-  table.add_row({"hedge-cancelled serves",
-                 std::to_string(summary.hedge_cancelled_serves)});
-  table.add_row({"bitrot flips", std::to_string(summary.bitrot_flips)});
-  table.add_row(
-      {"replicas invalidated", std::to_string(summary.replicas_invalidated)});
-  table.add_row(
-      {"scrub rot detected", std::to_string(summary.scrub_rot_detected)});
-  table.add_row(
-      {"scrub bytes scanned", std::to_string(summary.scrub_bytes_scanned)});
-  table.add_row(
-      {"nn ops admitted", std::to_string(summary.nn_ops_admitted)});
-  table.add_row({"nn ops shed", std::to_string(summary.nn_ops_shed)});
-  table.add_row(
-      {"nn shed heartbeats", std::to_string(summary.nn_shed_heartbeats)});
-  table.add_row(
-      {"nn shed addBlocks", std::to_string(summary.nn_shed_add_blocks)});
-  table.add_row({"nn addBlock cap rejections",
-                 std::to_string(summary.nn_addblock_cap_rejections)});
-  table.add_row({"nn heartbeat batches",
-                 std::to_string(summary.nn_heartbeat_batches)});
-  table.add_row({"nn heartbeats batched",
-                 std::to_string(summary.nn_heartbeats_batched)});
-  table.add_row(
-      {"overload retries", std::to_string(summary.overload_retries)});
+  if (row.cell == Cell::kGauge) {
+    const Gauge* g = registry.find_gauge(row.metric);
+    return std::to_string(static_cast<std::int64_t>(g ? g->value() : 0.0));
+  }
+  if (row.cell == Cell::kPrefixSum) {
+    const std::string prefix = row.metric;
+    std::uint64_t sum = 0;
+    for (auto it = registry.counters().lower_bound(prefix);
+         it != registry.counters().end() && it->first.starts_with(prefix);
+         ++it) {
+      sum += it->second.value();
+    }
+    return std::to_string(sum);
+  }
+  const LatencyHistogram* h = registry.find_histogram(row.metric);
+  const SummaryStats stats = h != nullptr ? h->stats() : SummaryStats{};
+  switch (row.cell) {
+    case Cell::kMttr: {
+      const std::uint64_t recoveries =
+          registry.counter_value("write.recoveries");
+      return TextTable::num(
+          recoveries > 0 ? ns_to_seconds(stats.sum()) /
+                               static_cast<double>(recoveries)
+                         : 0.0);
+    }
+    case Cell::kMean:
+      return TextTable::num(ns_to_seconds(stats.sum()) /
+                            static_cast<double>(stats.count()));
+    case Cell::kMinMax:
+      return TextTable::num(ns_to_seconds(stats.min())) + " / " +
+             TextTable::num(ns_to_seconds(stats.max()));
+    default: {
+      // Population, not sample, stddev: one outage reads 0, never NaN.
+      const auto n = static_cast<double>(stats.count());
+      return TextTable::num(
+          ns_to_seconds(std::sqrt(stats.variance() * (n - 1.0) / n)));
+    }
+  }
+}
+
+bool is_duration_row(Cell cell) {
+  return cell == Cell::kMean || cell == Cell::kMinMax || cell == Cell::kStddev;
+}
+
+}  // namespace
+
+std::string render_fault_summary(const Registry& registry) {
+  TextTable table({"metric", "value"});
+  for (const Row& row : kRows) {
+    if (is_duration_row(row.cell)) {
+      const LatencyHistogram* h = registry.find_histogram(row.metric);
+      if (h == nullptr || h->count() == 0) continue;
+    }
+    table.add_row({row.label, render_cell(registry, row)});
+  }
   return table.to_string();
 }
 

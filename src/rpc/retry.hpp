@@ -35,12 +35,6 @@ struct RetryPolicy {
   double jitter = 0.2;
 };
 
-/// Aggregated per-client retry accounting, surfaced in the metrics report.
-struct RetryStats {
-  std::uint64_t retries = 0;   ///< attempts beyond the first, across calls
-  std::uint64_t give_ups = 0;  ///< calls abandoned after max_attempts
-};
-
 namespace detail {
 
 /// Backoff before the attempt after `attempt`, with multiplicative jitter.
@@ -62,11 +56,10 @@ inline SimDuration retry_backoff(const RetryPolicy& policy, int attempt,
 
 /// Issues `bus.call<Resp>(client, server, handler, ...)` with retries.
 /// `on_response` receives the first response to arrive; `on_give_up` runs if
-/// all attempts time out. `stats` (optional) must outlive the call chain —
-/// pass a shared_ptr owned by the initiating stream/client. `label` names
-/// the call in the metrics registry and trace ("rpc.<label>.retries"); every
-/// retry and give-up also lands in the global rpc.retries / rpc.give_ups
-/// counters, which mirror the summed RetryStats of all callers.
+/// all attempts time out. `label` names the call in the metrics registry and
+/// trace ("rpc.<label>.retries"); every retry and give-up also lands in the
+/// global rpc.retries / rpc.give_ups counters, the one place retries are
+/// counted.
 ///
 /// `options` / `shed_response` thread through to the bus (service-queue
 /// classification and typed shed rejections). `retry_on` (optional) makes a
@@ -82,7 +75,6 @@ void call_with_retry(RpcBus& bus, sim::Simulation& sim,
                      std::function<Resp()> handler,
                      std::function<void(Resp)> on_response,
                      std::function<void()> on_give_up,
-                     std::shared_ptr<RetryStats> stats = nullptr,
                      const char* label = "call", CallOptions options = {},
                      std::function<Resp()> shed_response = nullptr,
                      std::function<bool(const Resp&)> retry_on = nullptr) {
@@ -103,14 +95,13 @@ void call_with_retry(RpcBus& bus, sim::Simulation& sim,
   std::weak_ptr<std::function<void()>> weak_launch = launch;
   *launch = [&bus, &sim, policy, client, server, handler = std::move(handler),
              on_response = std::move(on_response),
-             on_give_up = std::move(on_give_up), stats, state, weak_launch,
+             on_give_up = std::move(on_give_up), state, weak_launch,
              label, options, shed_response = std::move(shed_response),
              retry_on = std::move(retry_on)]() {
     auto self = weak_launch.lock();  // alive: our caller holds a strong ref
     state->response_retry_pending = false;
     const int attempt = ++state->attempt;
     if (attempt > 1) {
-      if (stats) ++stats->retries;
       metrics::global_registry().counter("rpc.retries").add();
       metrics::global_registry()
           .counter(std::string("rpc.") + label + ".retries")
@@ -158,7 +149,7 @@ void call_with_retry(RpcBus& bus, sim::Simulation& sim,
         },
         options, shed_response);
     sim.schedule_after(policy.timeout, [&sim, policy, attempt, state, self,
-                                        on_give_up, stats, client, server,
+                                        on_give_up, client, server,
                                         label]() {
       if (state->settled || state->attempt != attempt ||
           state->response_retry_pending) {
@@ -166,7 +157,6 @@ void call_with_retry(RpcBus& bus, sim::Simulation& sim,
       }
       if (attempt >= policy.max_attempts) {
         state->settled = true;
-        if (stats) ++stats->give_ups;
         metrics::global_registry().counter("rpc.give_ups").add();
         if (trace::active()) {
           trace::recorder()->instant(

@@ -176,19 +176,17 @@ class RpcBus {
 
   std::uint64_t calls_started() const { return calls_started_; }
   std::uint64_t calls_completed() const { return calls_completed_; }
-  /// Calls abandoned because an endpoint was down at some stage (request
-  /// never sent, server died mid-call, response undeliverable).
-  std::uint64_t calls_dropped() const { return calls_dropped_; }
-  /// Control messages lost to chaos injection (distinct from host-down
-  /// drops: the hosts were healthy, the message itself vanished).
-  std::uint64_t messages_lost() const { return messages_lost_; }
-  std::uint64_t messages_delayed() const { return messages_delayed_; }
   const RpcConfig& config() const { return config_; }
 
  private:
+  /// Counts a call abandoned because an endpoint was down at some stage
+  /// (request never sent, server died mid-call, response undeliverable) in
+  /// rpc.calls_dropped.
   void record_dropped_call(NodeId client, NodeId server);
 
   /// Sends one control message, applying chaos loss/delay when configured.
+  /// Chaos losses (healthy hosts, the message itself vanished) count in
+  /// rpc.messages_lost, chaos delays in rpc.messages_delayed.
   void send_control(NodeId from, NodeId to, Bytes size,
                     std::function<void()> on_delivered);
 
@@ -199,9 +197,6 @@ class RpcBus {
   std::vector<ServiceQueue*> queues_;  // indexed by server NodeId
   std::uint64_t calls_started_ = 0;
   std::uint64_t calls_completed_ = 0;
-  std::uint64_t calls_dropped_ = 0;
-  std::uint64_t messages_lost_ = 0;
-  std::uint64_t messages_delayed_ = 0;
 };
 
 }  // namespace smarth::rpc

@@ -17,8 +17,9 @@
 //    bounded total depth, shedding + displacement, batching, tenant caps.
 //
 // Everything is deterministic: no RNG, service order depends only on arrival
-// order and class. Counters land in the metrics registry and are exposed as a
-// plain struct for FaultSummary folding.
+// order and class. Counters land in the metrics registry (nn.rpc.*), where
+// the robustness table reads them; counters() keeps a per-queue copy for
+// tests and benchmarks.
 #pragma once
 
 #include <cstdint>

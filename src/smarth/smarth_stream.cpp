@@ -339,6 +339,7 @@ void SmarthOutputStream::on_pipeline_error(ClientPipeline& pipeline,
   pipeline.failed = true;
   pipeline.watchdog.cancel();
   ++stats_.recoveries;
+  metrics::global_registry().counter("write.recoveries").add();
   note_recovery_start(pipeline.id);
   pipeline.pending.insert(pipeline.pending.begin(),
                           pipeline.ack_queue.begin(),
@@ -381,9 +382,10 @@ void SmarthOutputStream::recover_next_error_pipeline() {
           finish(true, result.error().to_string());
           return;
         }
-        stats_.quarantine_events += result.value().quarantined;
         if (result.value().under_replicated) {
-          ++stats_.under_replication_events;
+          metrics::global_registry()
+              .counter("write.under_replication_events")
+              .add();
         }
         resume_recovered_pipeline(id, result.value().targets,
                                   result.value().sync_offset);

@@ -46,6 +46,8 @@ class LatencyHistogram {
   explicit LatencyHistogram(std::vector<double> upper_bounds);
 
   void observe(double v);
+  /// Adds `other`'s buckets and summary; the bounds must match.
+  void merge(const LatencyHistogram& other);
   std::size_t count() const { return stats_.count(); }
   const SummaryStats& stats() const { return stats_; }
   double quantile(double q) const { return histogram_.quantile(q); }
@@ -74,6 +76,8 @@ class Registry {
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
   const LatencyHistogram* find_histogram(const std::string& name) const;
+  /// A counter's value, 0 when it was never bumped.
+  std::uint64_t counter_value(const std::string& name) const;
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
@@ -85,6 +89,11 @@ class Registry {
   /// that cache must re-resolve after a reset (smarthsim resets between
   /// protocol runs, before constructing the next cluster).
   void reset();
+
+  /// Folds `other` in: counters and gauges add, histograms add their bucket
+  /// counts and merge their summaries. Merging the per-seed snapshots of a
+  /// sweep gives the sweep's totals.
+  void merge(const Registry& other);
 
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,mean_ns,
   /// min_ns,max_ns,p50_ns,p95_ns,p99_ns}}}

@@ -132,12 +132,12 @@ OpenLoopResult OpenLoopWorkload::run(cluster::Cluster& cluster) {
     const SimTime arrive_at = start + a.at;
     cluster.sim().schedule_at(
         arrive_at, [&cluster, protocol = protocol_, path, a, arrive_at, result,
-                    pending, this] {
+                    pending] {
           metrics::global_registry().gauge("workload.jobs_in_flight").add(1.0);
           cluster.upload(
               path, a.size, protocol,
-              [&cluster, result, pending, arrive_at, size = a.size,
-               this](const hdfs::StreamStats& s) {
+              [&cluster, result, pending, arrive_at,
+               size = a.size](const hdfs::StreamStats& s) {
                 --*pending;
                 metrics::Registry& reg = metrics::global_registry();
                 reg.gauge("workload.jobs_in_flight").add(-1.0);
@@ -151,7 +151,6 @@ OpenLoopResult OpenLoopWorkload::run(cluster::Cluster& cluster) {
                   result->latencies_s.push_back(
                       to_seconds(cluster.sim().now() - arrive_at));
                 }
-                if (on_job_done_) on_job_done_(s);
               },
               a.client_index);
         });

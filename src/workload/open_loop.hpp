@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,12 +66,6 @@ class OpenLoopWorkload {
  public:
   OpenLoopWorkload(cluster::Protocol protocol, OpenLoopConfig config);
 
-  /// Optional observer invoked with each job's terminal StreamStats (for
-  /// FaultSummary folding by the CLI).
-  void set_job_observer(std::function<void(const hdfs::StreamStats&)> cb) {
-    on_job_done_ = std::move(cb);
-  }
-
   /// Adds the clients, schedules the precomputed arrival process, and drives
   /// the simulation until every job reports or the stuck deadline passes.
   /// May be called once per workload instance.
@@ -90,7 +83,6 @@ class OpenLoopWorkload {
 
   cluster::Protocol protocol_;
   OpenLoopConfig config_;
-  std::function<void(const hdfs::StreamStats&)> on_job_done_;
   bool ran_ = false;
 };
 

@@ -14,6 +14,7 @@
 #include "faults/fault_injector.hpp"
 #include "hdfs/datanode.hpp"
 #include "hdfs/namenode.hpp"
+#include "trace/metrics_registry.hpp"
 #include "workload/fault_plan.hpp"
 
 namespace smarth {
@@ -48,6 +49,7 @@ class BitrotTest : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(BitrotTest, ReadSurvivesRotReportsAndRereplicates) {
   const Bytes size = 8 * kMiB;
+  metrics::global_registry().reset();
   Cluster cluster(bitrot_spec());
   cluster.enable_rereplication(seconds(2));
   upload_and_settle(cluster, "/data/a.bin", size, GetParam());
@@ -81,8 +83,9 @@ TEST_P(BitrotTest, ReadSurvivesRotReportsAndRereplicates) {
   // the monitor time, then every rotted holder must have dropped its copy
   // and the file must be back at full replication on clean nodes.
   cluster.sim().run_until(cluster.sim().now() + seconds(60));
-  EXPECT_GE(cluster.namenode().bad_replica_reports(),
-            static_cast<std::uint64_t>(rotted.size()));
+  EXPECT_GE(
+      metrics::global_registry().counter_value("namenode.bad_replica_reports"),
+      static_cast<std::uint64_t>(rotted.size()));
   for (const auto& [block, victim] : rotted) {
     EXPECT_FALSE(cluster.datanode(victim).block_store().replica(block).ok())
         << block.to_string() << " still on datanode " << victim;
@@ -138,6 +141,7 @@ TEST_P(BitrotTest, AllReplicasRottedFailsCleanlyWithDistinctError) {
 TEST_P(BitrotTest, ScheduledPlanRotIsDetectedByScrub) {
   cluster::ClusterSpec spec = bitrot_spec();
   spec.hdfs.scanner_bytes_per_second = 64 * kMiB;
+  metrics::global_registry().reset();
   Cluster cluster(spec);
   cluster.enable_rereplication(seconds(2));
   faults::FaultInjector injector(cluster, /*chaos_seed=*/7);
@@ -157,13 +161,14 @@ TEST_P(BitrotTest, ScheduledPlanRotIsDetectedByScrub) {
   plan.apply(injector);
   cluster.sim().run_until(seconds(90));
 
-  EXPECT_EQ(injector.counts().bitrot_flips, 2u);
+  EXPECT_EQ(metrics::global_registry().counter_value("faults.bitrot_flips"), 2u);
   std::uint64_t detected = 0;
   for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
     detected += cluster.datanode(i).scanner().rot_detected();
   }
   EXPECT_GE(detected, 2u);
-  EXPECT_GE(cluster.namenode().bad_replica_reports(), 2u);
+  EXPECT_GE(
+      metrics::global_registry().counter_value("namenode.bad_replica_reports"), 2u);
   // Scrub-driven repair restores full replication without any read.
   EXPECT_TRUE(cluster.namenode().under_replicated_blocks().empty());
   EXPECT_TRUE(cluster.file_fully_replicated("/data/a.bin"));

@@ -14,6 +14,7 @@
 #include "faults/fault_injector.hpp"
 #include "hdfs/edit_log.hpp"
 #include "hdfs/fsimage.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth {
 namespace {
@@ -60,6 +61,7 @@ struct OutageRun {
 OutageRun upload_through_outage(std::uint64_t seed, Protocol protocol,
                                 hdfs::DataFidelity fidelity) {
   constexpr Bytes kSize = 64 * kMiB;
+  metrics::global_registry().reset();
   Cluster cluster(nn_spec(seed, fidelity));
   faults::FaultInjector injector(cluster, /*chaos_seed=*/3);
   injector.crash_and_restart_namenode(seconds(2), seconds(4));
@@ -69,7 +71,7 @@ OutageRun upload_through_outage(std::uint64_t seed, Protocol protocol,
   EXPECT_FALSE(stats.failed) << stats.failure_reason;
   EXPECT_FALSE(cluster.namenode_crashed());
   EXPECT_EQ(cluster.namenode().restarts(), 1u);
-  EXPECT_GE(cluster.namenode().safe_mode_entries(), 1u);
+  EXPECT_GE(metrics::global_registry().counter_value("namenode.safe_mode_entries"), 1u);
   EXPECT_FALSE(cluster.namenode().safe_mode());
 
   // Byte-exact: the namespace serves exactly the uploaded bytes and every

@@ -27,6 +27,15 @@ namespace {
 using cluster::Cluster;
 using cluster::Protocol;
 
+/// Sum of the injector's faults.<class> counters in the registry.
+std::uint64_t faults_injected() {
+  std::uint64_t total = 0;
+  for (const auto& [name, counter] : metrics::global_registry().counters()) {
+    if (name.starts_with("faults.")) total += counter.value();
+  }
+  return total;
+}
+
 faults::ChaosRates soak_rates() {
   faults::ChaosRates rates;
   rates.crash_per_minute = 1.0;
@@ -77,8 +86,8 @@ struct SoakResult {
   SimDuration elapsed = 0;
   std::uint64_t events = 0;
   int recoveries = 0;
-  int quarantine_events = 0;
-  int under_replication_events = 0;
+  std::uint64_t quarantine_events = 0;
+  std::uint64_t under_replication_events = 0;
   std::uint64_t rpc_retries = 0;
   bool failed = false;
   std::uint64_t faults = 0;
@@ -97,7 +106,7 @@ struct SoakResult {
   bool file_closed = false;
   // Gray-failure defense accounting (populated only when the soak runs with
   // the PR-8 defenses enabled).
-  int slow_evictions = 0;
+  std::uint64_t slow_evictions = 0;
   int hedges = 0;
   int hedge_wins = 0;
   std::uint64_t slow_node_reports = 0;
@@ -118,11 +127,11 @@ SoakResult soak_once(
     const faults::ChaosRates& rates = soak_rates(),
     bool gray_defenses = false) {
   cluster::ClusterSpec spec = soak_spec(seed, fidelity);
+  // The run's counts are read from the registry, which also feeds the hedge
+  // pace baseline and the in-flight gauge; reset before cluster construction
+  // (datanodes cache histogram pointers) so each run is self-contained.
+  metrics::global_registry().reset();
   if (gray_defenses) {
-    // The registry feeds the hedge pace baseline and the in-flight gauge;
-    // reset before cluster construction (datanodes cache histogram
-    // pointers) so each run's defense timeline is self-contained.
-    metrics::global_registry().reset();
     spec.hdfs.hedged_reads = true;
     spec.hdfs.slow_node_eviction = true;
   }
@@ -219,23 +228,26 @@ SoakResult soak_once(
 
   result.elapsed = stats->elapsed();
   result.events = cluster.sim().events_executed();
+  const metrics::Registry& reg = metrics::global_registry();
   result.recoveries = stats->recoveries;
-  result.quarantine_events = stats->quarantine_events;
-  result.under_replication_events = stats->under_replication_events;
-  result.rpc_retries = stats->rpc_retries;
+  result.quarantine_events = reg.counter_value("quarantine.events");
+  result.under_replication_events =
+      reg.counter_value("write.under_replication_events");
+  result.rpc_retries = reg.counter_value("rpc.retries");
   result.failed = stats->failed;
-  result.faults = injector.counts().total();
+  result.faults = faults_injected();
   result.lease_expiries = cluster.namenode().lease_expiries();
   result.uc_blocks_recovered = cluster.namenode().uc_blocks_recovered();
   result.bytes_salvaged = cluster.namenode().bytes_salvaged();
   result.orphans_abandoned = cluster.namenode().orphans_abandoned();
-  result.bitrot_flips = injector.counts().bitrot_flips;
-  result.bad_replica_reports = cluster.namenode().bad_replica_reports();
-  result.nn_crashes = injector.counts().nn_crashes;
-  result.nn_restarts = injector.counts().nn_restarts;
-  result.nn_failovers = injector.counts().nn_failovers;
-  result.safe_mode_entries = cluster.namenode().safe_mode_entries();
-  result.slow_evictions = stats->slow_evictions;
+  result.bitrot_flips = reg.counter_value("faults.bitrot_flips");
+  result.bad_replica_reports =
+      reg.counter_value("namenode.bad_replica_reports");
+  result.nn_crashes = reg.counter_value("faults.nn_crashes");
+  result.nn_restarts = reg.counter_value("faults.nn_restarts");
+  result.nn_failovers = reg.counter_value("faults.nn_failovers");
+  result.safe_mode_entries = reg.counter_value("namenode.safe_mode_entries");
+  result.slow_evictions = reg.counter_value("write.slow_evictions");
   result.slow_node_reports = cluster.namenode().slow_node_reports();
   if (read.has_value()) {
     result.hedges = read->hedged_reads;
@@ -466,7 +478,7 @@ TEST(ChaosSoak, FailSlowHeavyDefensesOnCompletesWithoutHedgeLeak) {
     if (HasFatalFailure()) return;
     total_faults += result.faults;
     total_hedges += static_cast<std::uint64_t>(result.hedges);
-    total_evictions += static_cast<std::uint64_t>(result.slow_evictions);
+    total_evictions += result.slow_evictions;
     // Pure fail-slow never kills an upload or a read: pace drops, liveness
     // does not.
     EXPECT_FALSE(result.failed);
@@ -498,8 +510,9 @@ TEST(ChaosSoak, FailSlowHeavyDefensesOnIdenticalTimelines) {
 // The issue's acceptance scenario: a crash-and-rejoin plus a fail-slow node
 // plus a checksum offender during one upload. The upload must complete and
 // the robustness evidence (recoveries, quarantine, retry accounting) must
-// surface through StreamStats into the metrics fault summary.
+// surface through the metrics registry into the fault summary.
 TEST(ChaosScenario, CrashRejoinFailSlowUploadCompletesWithEvidence) {
+  metrics::global_registry().reset();
   Cluster cluster(soak_spec(23));
   cluster.throttle_cross_rack(Bandwidth::mbps(60));
   faults::FaultInjector injector(cluster, /*chaos_seed=*/23);
@@ -519,24 +532,20 @@ TEST(ChaosScenario, CrashRejoinFailSlowUploadCompletesWithEvidence) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_FALSE(stats->failed);
   EXPECT_GE(stats->recoveries, 1);
-  EXPECT_GE(stats->quarantine_events, 1);
+  EXPECT_GE(metrics::global_registry().counter_value("quarantine.events"), 1u);
   // The upload can finish before the 12 s rejoin lands; run the cluster past
   // it so the reboot and its re-registration are observable.
   cluster.sim().run_until(std::max(cluster.sim().now(), seconds(12)) +
                           seconds(10));
 
-  metrics::FaultSummary summary;
-  summary.fold(*stats);
-  summary.rpc_calls_dropped = cluster.rpc().calls_dropped();
-  summary.datanode_reregistrations = cluster.namenode().reregistrations();
-  summary.faults_injected = injector.counts().total();
-  EXPECT_EQ(summary.uploads, 1);
-  EXPECT_EQ(summary.failed_uploads, 0);
-  EXPECT_GE(summary.quarantine_events, 1);
-  EXPECT_EQ(summary.datanode_reregistrations, 1u);
-  EXPECT_GE(summary.faults_injected, 3u);
+  const metrics::Registry& reg = metrics::global_registry();
+  EXPECT_EQ(reg.counter_value("write.uploads"), 1u);
+  EXPECT_EQ(reg.counter_value("write.failed_uploads"), 0u);
+  EXPECT_GE(reg.counter_value("quarantine.events"), 1u);
+  EXPECT_EQ(reg.counter_value("namenode.reregistrations"), 1u);
+  EXPECT_GE(faults_injected(), 3u);
   // The rendered table carries every robustness counter.
-  const std::string table = metrics::render_fault_summary(summary);
+  const std::string table = metrics::render_fault_summary(reg);
   EXPECT_NE(table.find("recovery MTTR"), std::string::npos);
   EXPECT_NE(table.find("quarantine events"), std::string::npos);
   EXPECT_NE(table.find("under-replication events"), std::string::npos);

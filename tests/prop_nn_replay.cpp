@@ -15,6 +15,7 @@
 #include "hdfs/edit_log.hpp"
 #include "hdfs/fsimage.hpp"
 #include "hdfs/namenode.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth {
 namespace {
@@ -118,6 +119,7 @@ TEST(NamenodeReplay, LeaseRecoveryHistoryReplaysBitForBit) {
 // a verified read must survive replay as a condemned entry.
 TEST(NamenodeReplay, QuarantineReplaysBitForBit) {
   cluster::ClusterSpec spec = replay_spec(21);
+  metrics::global_registry().reset();
   Cluster cluster(spec);
   faults::FaultInjector injector(cluster, /*chaos_seed=*/9);
   const hdfs::StreamStats up =
@@ -127,7 +129,7 @@ TEST(NamenodeReplay, QuarantineReplaysBitForBit) {
   cluster.sim().run_until(cluster.sim().now() + seconds(2));
   const hdfs::ReadStats read = cluster.run_download("/rot");
   ASSERT_FALSE(read.failed) << read.failure_reason;
-  ASSERT_GE(cluster.namenode().bad_replica_reports(), 1u);
+  ASSERT_GE(metrics::global_registry().counter_value("namenode.bad_replica_reports"), 1u);
   expect_replay_equivalent(cluster, hdfs::NamenodeImage{});
 }
 

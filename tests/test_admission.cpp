@@ -1,8 +1,7 @@
 // Namenode service-capacity model and overload defense: the ServiceQueue's
 // two modes (undefended FIFO vs admission control with priority bands,
 // bounded depth, heartbeat batching, tenant caps), the typed-rejection retry
-// path in call_with_retry, and the FaultSummary plumbing for the new
-// overload counters.
+// path in call_with_retry.
 #include "rpc/service_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/report.hpp"
 #include "net/network.hpp"
 #include "rpc/retry.hpp"
 #include "rpc/rpc_bus.hpp"
@@ -234,7 +232,7 @@ TEST_F(OverloadRetryTest, RetryOnRelaunchesAfterBackoffUntilSuccess) {
         response = v;
         responded_at = sim_.now();
       },
-      [] { FAIL() << "gave up"; }, nullptr, "test", {}, nullptr,
+      [] { FAIL() << "gave up"; }, "test", {}, nullptr,
       [](const int& v) { return v == 0; });
   sim_.run();
   EXPECT_EQ(handler_calls, 2);
@@ -257,7 +255,7 @@ TEST_F(OverloadRetryTest, FinalAttemptDeliversTheRetryableResponse) {
   call_with_retry<int>(
       bus_, sim_, policy, client_, server_, [] { return 0; },
       [&response](int v) { response = v; }, [&gave_up] { gave_up = true; },
-      nullptr, "test", {}, nullptr, [](const int& v) { return v == 0; });
+      "test", {}, nullptr, [](const int& v) { return v == 0; });
   sim_.run();
   // Attempts exhausted: the caller sees the overloaded answer and falls back
   // to its own budgeted wait instead of spinning forever.
@@ -290,61 +288,6 @@ TEST_F(OverloadRetryTest, ShedResponseShortCircuitsTheServiceQueue) {
   EXPECT_EQ(std::count(responses.begin(), responses.end(), -1), 1);
   EXPECT_EQ(std::count(responses.begin(), responses.end(), 1), 2);
   EXPECT_EQ(queue.counters().shed_total, 1u);
-}
-
-// --- FaultSummary plumbing --------------------------------------------------
-
-TEST(FaultSummaryOverload, MergeAddsOverloadCounters) {
-  metrics::FaultSummary a;
-  a.nn_ops_admitted = 10;
-  a.nn_ops_shed = 3;
-  a.nn_shed_heartbeats = 1;
-  a.nn_shed_add_blocks = 2;
-  a.nn_addblock_cap_rejections = 1;
-  a.nn_heartbeat_batches = 4;
-  a.nn_heartbeats_batched = 12;
-  a.overload_retries = 5;
-  metrics::FaultSummary b;
-  b.nn_ops_admitted = 7;
-  b.nn_ops_shed = 2;
-  b.nn_shed_heartbeats = 2;
-  b.nn_shed_add_blocks = 0;
-  b.nn_addblock_cap_rejections = 0;
-  b.nn_heartbeat_batches = 1;
-  b.nn_heartbeats_batched = 2;
-  b.overload_retries = 1;
-  a.merge(b);
-  EXPECT_EQ(a.nn_ops_admitted, 17u);
-  EXPECT_EQ(a.nn_ops_shed, 5u);
-  EXPECT_EQ(a.nn_shed_heartbeats, 3u);
-  EXPECT_EQ(a.nn_shed_add_blocks, 2u);
-  EXPECT_EQ(a.nn_addblock_cap_rejections, 1u);
-  EXPECT_EQ(a.nn_heartbeat_batches, 5u);
-  EXPECT_EQ(a.nn_heartbeats_batched, 14u);
-  EXPECT_EQ(a.overload_retries, 6u);
-}
-
-TEST(FaultSummaryOverload, FoldRegistryOverlaysOverloadCounters) {
-  metrics::global_registry().reset();
-  metrics::global_registry().counter("nn.rpc.admitted").add(20);
-  metrics::global_registry().counter("nn.rpc.shed").add(4);
-  metrics::global_registry().counter("nn.rpc.shed_heartbeats").add(1);
-  metrics::global_registry().counter("nn.rpc.heartbeat_batches").add(2);
-  metrics::global_registry().counter("nn.rpc.heartbeats_batched").add(6);
-  metrics::global_registry().counter("rpc.overload_retries").add(3);
-  metrics::FaultSummary summary;
-  summary.fold_registry(metrics::global_registry());
-  EXPECT_EQ(summary.nn_ops_admitted, 20u);
-  EXPECT_EQ(summary.nn_ops_shed, 4u);
-  EXPECT_EQ(summary.nn_shed_heartbeats, 1u);
-  EXPECT_EQ(summary.nn_heartbeat_batches, 2u);
-  EXPECT_EQ(summary.nn_heartbeats_batched, 6u);
-  EXPECT_EQ(summary.overload_retries, 3u);
-  // The render includes the new rows (smoke: no crash, mentions the series).
-  const std::string table = metrics::render_fault_summary(summary);
-  EXPECT_NE(table.find("nn ops shed"), std::string::npos);
-  EXPECT_NE(table.find("overload retries"), std::string::npos);
-  metrics::global_registry().reset();
 }
 
 }  // namespace

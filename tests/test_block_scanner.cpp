@@ -8,6 +8,7 @@
 #include "cluster/cluster_spec.hpp"
 #include "hdfs/datanode.hpp"
 #include "hdfs/namenode.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth {
 namespace {
@@ -96,6 +97,7 @@ TEST(BlockScanner, BudgetBoundsScrubRate) {
 }
 
 TEST(BlockScanner, DetectsReportsAndTriggersInvalidation) {
+  metrics::global_registry().reset();
   Cluster cluster(scanner_spec(/*scan_rate=*/64 * kMiB));
   upload_and_settle(cluster, "/data/a.bin", 8 * kMiB);
   const std::size_t dn = holder_index(cluster);
@@ -107,7 +109,7 @@ TEST(BlockScanner, DetectsReportsAndTriggersInvalidation) {
 
   cluster.sim().run_until(cluster.sim().now() + seconds(10));
   EXPECT_GE(cluster.datanode(dn).scanner().rot_detected(), 1u);
-  EXPECT_GE(cluster.namenode().bad_replica_reports(), 1u);
+  EXPECT_GE(metrics::global_registry().counter_value("namenode.bad_replica_reports"), 1u);
   EXPECT_GE(cluster.namenode().invalidations_issued(), 1u);
   // The invalidation executor dropped the rotted replica from the store.
   EXPECT_GE(cluster.datanode(dn).replicas_invalidated(), 1u);

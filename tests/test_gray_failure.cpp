@@ -178,6 +178,7 @@ TEST(HedgedReadTest, HealthyClusterFilesNoSuspicion) {
 // --- Write-pipeline slow-node eviction ---------------------------------------
 
 TEST(SlowNodeEvictionTest, EvictsStragglerAndBeatsUndefended) {
+  // The upload's stats and its write.slow_evictions count.
   const auto run = [](bool evict) {
     metrics::global_registry().reset();
     cluster::ClusterSpec spec = small_cluster(42);
@@ -186,14 +187,17 @@ TEST(SlowNodeEvictionTest, EvictsStragglerAndBeatsUndefended) {
     faults::FaultInjector injector(cluster, /*chaos_seed=*/42);
     injector.fail_slow(kSlowIndex, seconds(2), seconds(100'000),
                        /*disk_factor=*/8.0, /*nic_factor=*/8.0);
-    return cluster.run_upload("/f", 256 * kMiB, Protocol::kHdfs);
+    const hdfs::StreamStats stats =
+        cluster.run_upload("/f", 256 * kMiB, Protocol::kHdfs);
+    return std::make_pair(stats, metrics::global_registry().counter_value(
+                                     "write.slow_evictions"));
   };
-  const auto undefended = run(false);
-  const auto defended = run(true);
+  const auto [undefended, undefended_evictions] = run(false);
+  const auto [defended, defended_evictions] = run(true);
   ASSERT_FALSE(undefended.failed);
   ASSERT_FALSE(defended.failed);
-  EXPECT_EQ(undefended.slow_evictions, 0);
-  EXPECT_GE(defended.slow_evictions, 1);
+  EXPECT_EQ(undefended_evictions, 0u);
+  EXPECT_GE(defended_evictions, 1u);
   // Eviction pays one pipeline recovery to remove the straggler; the
   // remaining blocks at full speed must amortize that cost.
   EXPECT_LT(to_seconds(defended.elapsed()), to_seconds(undefended.elapsed()));
@@ -207,7 +211,8 @@ TEST(SlowNodeEvictionTest, CleanRunEvictsNothing) {
     Cluster cluster(spec);
     const auto stats = cluster.run_upload("/f", 256 * kMiB, protocol);
     ASSERT_FALSE(stats.failed);
-    EXPECT_EQ(stats.slow_evictions, 0)
+    EXPECT_EQ(metrics::global_registry().counter_value("write.slow_evictions"),
+              0u)
         << cluster::protocol_name(protocol) << " evicted on a healthy run";
     EXPECT_EQ(stats.recoveries, 0);
   }
@@ -217,7 +222,7 @@ TEST(SlowNodeEvictionTest, CleanRunEvictsNothing) {
 
 struct DefenseRun {
   SimDuration upload_elapsed = 0;
-  int evictions = 0;
+  std::uint64_t evictions = 0;
   int recoveries = 0;
   SimDuration read_elapsed = 0;
   int hedges = 0;
@@ -238,7 +243,8 @@ DefenseRun run_defended(Protocol protocol, hdfs::DataFidelity fidelity) {
   const auto up = cluster.run_upload("/f", 256 * kMiB, protocol);
   EXPECT_FALSE(up.failed);
   out.upload_elapsed = up.elapsed();
-  out.evictions = up.slow_evictions;
+  out.evictions =
+      metrics::global_registry().counter_value("write.slow_evictions");
   out.recoveries = up.recoveries;
   const auto read = cluster.run_download("/f");
   EXPECT_FALSE(read.failed);

@@ -14,6 +14,8 @@ namespace {
 class NamenodeTest : public ::testing::Test {
  protected:
   NamenodeTest() {
+    // Counters are read from the registry; start each test with it empty.
+    metrics::global_registry().reset();
     nn_node_ = topo_.add_host("nn", "/rack0");
     for (int i = 0; i < 6; ++i) {
       dns_.push_back(topo_.add_host("dn" + std::to_string(i),
@@ -235,7 +237,9 @@ TEST_F(NamenodeTest, ReregistrationIsIdempotent) {
   nn_->register_datanode(dn);
   nn_->register_datanode(dn);
   EXPECT_EQ(nn_->registered_datanode_count(), registered);
-  EXPECT_EQ(nn_->reregistrations(), 2u);
+  EXPECT_EQ(
+      metrics::global_registry().counter_value("namenode.reregistrations"),
+      2u);
   EXPECT_TRUE(nn_->is_alive(dn));
   EXPECT_EQ(nn_->block(block)->reported.count(dn), 0u);
   // The other replicas' claims are untouched.
@@ -246,7 +250,6 @@ TEST_F(NamenodeTest, ReregistrationIsIdempotent) {
 }
 
 TEST_F(NamenodeTest, SafeModeTimeoutExitIsCountedInRegistry) {
-  metrics::global_registry().reset();
   // Restarted with none of its six datanodes re-registered, the namenode
   // can only leave safe mode through the safe_mode_max_wait timeout.
   const NamenodeImage image = nn_->capture_image();
@@ -255,10 +258,9 @@ TEST_F(NamenodeTest, SafeModeTimeoutExitIsCountedInRegistry) {
   ASSERT_TRUE(nn_->safe_mode());
   sim_.run_until(sim_.now() + config_.safe_mode_max_wait + seconds(1));
   EXPECT_FALSE(nn_->safe_mode());
-  const metrics::Counter* exits =
-      metrics::global_registry().find_counter("namenode.safe_mode_exits");
-  ASSERT_NE(exits, nullptr);
-  EXPECT_EQ(exits->value(), 1u);
+  EXPECT_EQ(
+      metrics::global_registry().counter_value("namenode.safe_mode_exits"),
+      1u);
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 // straggler attribution naming a throttled datanode.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
+#include "metrics/report.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/metrics_registry.hpp"
 #include "trace/straggler.hpp"
@@ -311,10 +313,81 @@ TEST(MetricsRegistry, RpcRetryCountersCoverStreamStats) {
       metrics::global_registry().find_counter("rpc.retries");
   ASSERT_NE(retries, nullptr);
   EXPECT_GT(retries->value(), 0u);
-  // The registry sees every labeled call site (including ones that do not
-  // report into StreamStats), so it can only be >= the stream's count.
-  EXPECT_GE(retries->value(),
-            static_cast<std::uint64_t>(stats.rpc_retries));
+}
+
+TEST(MetricsRegistry, MergeAddsCountersGaugesAndHistograms) {
+  metrics::Registry a;
+  a.counter("x").add(2);
+  a.gauge("g").set(1.5);
+  a.histogram("h").observe(10.0);
+  a.histogram("h").observe(50.0);
+  metrics::Registry b;
+  b.counter("x").add(3);
+  b.counter("y").add(1);
+  b.gauge("g").set(2.0);
+  b.histogram("h").observe(1.0e6);
+  b.histogram("only_b").observe(5.0);
+
+  a.merge(b);
+  EXPECT_EQ(a.counter_value("x"), 5u);
+  EXPECT_EQ(a.counter_value("y"), 1u);
+  EXPECT_DOUBLE_EQ(a.find_gauge("g")->value(), 3.5);
+  const metrics::LatencyHistogram& h = *a.find_histogram("h");
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.histogram().total(), 3u);
+  std::uint64_t bucketed = 0;
+  for (std::size_t i = 0; i < h.histogram().bucket_count(); ++i) {
+    bucketed += h.histogram().bucket(i);
+  }
+  EXPECT_EQ(bucketed, 3u);
+  EXPECT_DOUBLE_EQ(h.stats().sum(), 1.0e6 + 60.0);
+  EXPECT_DOUBLE_EQ(h.stats().min(), 10.0);
+  EXPECT_DOUBLE_EQ(h.stats().max(), 1.0e6);
+  EXPECT_EQ(a.find_histogram("only_b")->count(), 1u);
+
+  // Merging an empty registry is the identity.
+  const std::string before = a.to_json();
+  a.merge(metrics::Registry{});
+  EXPECT_EQ(a.to_json(), before);
+
+  // Histograms with different bucket bounds cannot be added.
+  metrics::Registry other_bounds;
+  other_bounds.histogram("h", {1.0, 2.0}).observe(1.0);
+  EXPECT_THROW(a.merge(other_bounds), std::logic_error);
+}
+
+/// The value cell of `label`'s row in a rendered robustness table.
+std::string fault_row(const std::string& table, const std::string& label) {
+  const std::size_t at = table.find(label + "  ");
+  if (at == std::string::npos) return "<missing>";
+  const std::size_t value = table.find_first_not_of(' ', at + label.size());
+  const std::size_t end = table.find('\n', value);
+  return table.substr(value, table.find_last_not_of(' ', end - 1) - value + 1);
+}
+
+TEST(MetricsRegistry, RobustnessTableDerivesRowsFromTheRegistry) {
+  metrics::Registry reg;
+  EXPECT_EQ(fault_row(metrics::render_fault_summary(reg), "uploads"), "0");
+  EXPECT_EQ(metrics::render_fault_summary(reg).find("nn downtime"),
+            std::string::npos);
+
+  reg.counter("write.uploads").add(2);
+  reg.counter("write.recoveries").add(2);
+  reg.histogram("stream.recovery_ns").observe(1.0e9);
+  reg.histogram("stream.recovery_ns").observe(3.0e9);
+  reg.counter("faults.crashes").add(2);
+  reg.counter("faults.nn_crashes").add(1);
+  reg.histogram("namenode.downtime_ns").observe(2.0e9);
+  reg.histogram("namenode.downtime_ns").observe(4.0e9);
+  const std::string table = metrics::render_fault_summary(reg);
+  EXPECT_EQ(fault_row(table, "uploads"), "2");
+  EXPECT_EQ(fault_row(table, "recovery MTTR (s)"), "2.00");
+  EXPECT_EQ(fault_row(table, "faults injected"), "3");
+  EXPECT_EQ(fault_row(table, "nn crashes"), "1");
+  EXPECT_EQ(fault_row(table, "nn downtime mean (s)"), "3.00");
+  EXPECT_EQ(fault_row(table, "nn downtime min/max (s)"), "2.00 / 4.00");
+  // Population stddev of {2, 4}; the sample stddev would print 1.41.
+  EXPECT_EQ(fault_row(table, "nn downtime stddev (s)"), "1.00");
 }
 
 }  // namespace

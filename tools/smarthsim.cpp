@@ -89,7 +89,6 @@ struct RunOutcome {
   hdfs::StreamStats stats;
   std::optional<hdfs::ReadStats> read;
   metrics::Timeline concurrency{"pipeline concurrency"};
-  metrics::FaultSummary summary;
   std::uint64_t events = 0;
   std::string editlog_json;  ///< filled when --editlog-out is set
 };
@@ -313,46 +312,6 @@ workload::FaultPlan plan_from_flags(const FlagSet& flags) {
   return plan;
 }
 
-/// Folds the cluster-level robustness counters (RPC bus, namenode, datanode
-/// scanners, injector) into `summary` after a run finishes.
-void fold_cluster_counters(metrics::FaultSummary& summary,
-                           cluster::Cluster& cluster,
-                           const faults::FaultInjector& injector) {
-  summary.fold_registry(metrics::global_registry());
-  summary.rpc_calls_dropped = cluster.rpc().calls_dropped();
-  summary.rpc_messages_lost = cluster.rpc().messages_lost();
-  summary.rpc_messages_delayed = cluster.rpc().messages_delayed();
-  summary.datanode_reregistrations = cluster.namenode().reregistrations();
-  summary.under_replicated_blocks =
-      cluster.namenode().under_replicated_blocks().size();
-  summary.faults_injected = injector.counts().total();
-  summary.lease_expiries = cluster.namenode().lease_expiries();
-  summary.uc_blocks_recovered = cluster.namenode().uc_blocks_recovered();
-  summary.bytes_salvaged = cluster.namenode().bytes_salvaged();
-  summary.orphans_abandoned = cluster.namenode().orphans_abandoned();
-  // The namenode count supersedes the per-read fold: it also sees reports
-  // from block scanners and re-replication source verification.
-  summary.bad_replica_reports =
-      static_cast<int>(cluster.namenode().bad_replica_reports());
-  summary.bitrot_flips = injector.counts().bitrot_flips;
-  summary.nn_crashes = injector.counts().nn_crashes;
-  summary.nn_restarts = injector.counts().nn_restarts;
-  summary.nn_failovers = injector.counts().nn_failovers;
-  summary.safe_mode_entries = cluster.namenode().safe_mode_entries();
-  summary.safe_mode_exits = cluster.namenode().safe_mode_exits();
-  summary.edit_ops_logged = cluster.edit_log().appended();
-  summary.checkpoints = cluster.checkpointer().checkpoints();
-  for (const SimDuration downtime : cluster.namenode_downtimes()) {
-    summary.nn_downtime.add(to_seconds(downtime));
-  }
-  for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
-    const hdfs::Datanode& dn = cluster.datanode(i);
-    summary.replicas_invalidated += dn.replicas_invalidated();
-    summary.scrub_rot_detected += dn.scanner().rot_detected();
-    summary.scrub_bytes_scanned += dn.scanner().bytes_scanned();
-  }
-}
-
 /// Builds the open-loop workload config from flags. Values are validated in
 /// main() before any run; defaults here match OpenLoopConfig except the
 /// arrival rate, which scales with the tenant count when not given.
@@ -371,7 +330,6 @@ workload::OpenLoopConfig open_loop_config_from_flags(const FlagSet& flags) {
 
 struct OpenLoopOutcome {
   workload::OpenLoopResult result;
-  metrics::FaultSummary summary;
   std::uint64_t events = 0;
 };
 
@@ -436,12 +394,8 @@ OpenLoopOutcome run_open_loop_once(const FlagSet& flags,
 
   OpenLoopOutcome outcome;
   workload::OpenLoopWorkload wl(protocol, open_loop_config_from_flags(flags));
-  wl.set_job_observer([&outcome](const hdfs::StreamStats& s) {
-    outcome.summary.fold(s);
-  });
   outcome.result = wl.run(cluster);
   outcome.events = cluster.sim().events_executed();
-  fold_cluster_counters(outcome.summary, cluster, injector);
   // While the cluster is alive: quiescence monitors read the live registry
   // and a firing's dump wants the pending-event summary.
   if (metrics::flight_active()) {
@@ -635,9 +589,6 @@ RunOutcome run_once(const FlagSet& flags, cluster::Protocol protocol) {
     outcome.read = cluster.run_download("/data/cli.bin");
   }
   outcome.events = cluster.sim().events_executed();
-  outcome.summary.fold(outcome.stats);
-  if (outcome.read) outcome.summary.fold_read(*outcome.read);
-  fold_cluster_counters(outcome.summary, cluster, injector);
   if (flags.has("editlog-out")) {
     outcome.editlog_json = cluster.edit_log().to_json();
   }
@@ -655,8 +606,8 @@ RunOutcome run_once(const FlagSet& flags, cluster::Protocol protocol) {
 }
 
 /// --sweep-seeds mode: N independent worlds per protocol, one per seed,
-/// spread over --jobs worker threads. Share-nothing: each worker resets its
-/// thread-local metrics registry and builds its own cluster, so every
+/// spread over --jobs worker threads. Share-nothing: each seed runs on a
+/// fresh thread-local metrics registry and builds its own cluster, so every
 /// per-seed result is identical to running that seed alone and the merged
 /// report is independent of thread scheduling.
 int run_sweeps(const FlagSet& flags,
@@ -703,13 +654,12 @@ int run_sweeps(const FlagSet& flags,
             flight_install.emplace(&*flight);
           }
           if (open_loop) {
-            // Per-job stats fold through the observer; the synthetic
+            // Per-job outcomes land in the registry; the synthetic
             // run.stats carries the makespan and completed bytes so the
             // sweep's seconds/throughput statistics stay meaningful.
             OpenLoopOutcome out = run_open_loop_once(
                 flags, protocol, /*quiet=*/true, seed,
                 chaos_base + (seed - base_seed));
-            run.summary = std::move(out.summary);
             run.events = out.events;
             run.stats.started_at = out.result.started_at;
             run.stats.finished_at = out.result.finished_at;
@@ -721,7 +671,6 @@ int run_sweeps(const FlagSet& flags,
             }
             return;
           }
-          metrics::global_registry().reset();
           if (flight) {
             flight->begin_run(cluster::protocol_name(protocol), seed);
           }
@@ -750,8 +699,6 @@ int run_sweeps(const FlagSet& flags,
           }
           run.stats = cluster.run_upload("/data/sweep.bin", size, protocol);
           run.events = cluster.sim().events_executed();
-          run.summary.fold(run.stats);
-          fold_cluster_counters(run.summary, cluster, injector);
           if (flight) {
             flight->finish_run(cluster.sim().now());
             run.timeseries =
@@ -776,7 +723,10 @@ int run_sweeps(const FlagSet& flags,
     }
     mean_by_protocol.push_back(sweep.mean_seconds);
     if (sweep.errored > 0) exit_code = 1;
-    if (!faults_active && sweep.merged.failed_uploads > 0) exit_code = 1;
+    if (!faults_active &&
+        sweep.merged.counter_value("write.failed_uploads") > 0) {
+      exit_code = 1;
+    }
   }
   if (mean_by_protocol.size() == 2 && mean_by_protocol[1] > 0) {
     std::printf("mean improvement: %.1f%%\n",
@@ -1075,8 +1025,9 @@ int main(int argc, char** argv) {
                      TextTable::num(r.latency_quantile(0.99)),
                      std::to_string(outcome.events)});
       if (ol_summary) {
-        std::printf("%s robustness:\n%s", cluster::protocol_name(protocol),
-                    metrics::render_fault_summary(outcome.summary).c_str());
+        std::printf(
+            "%s robustness:\n%s", cluster::protocol_name(protocol),
+            metrics::render_fault_summary(metrics::global_registry()).c_str());
       }
       // Without faults or an overload model, every offered job must finish
       // cleanly; a stuck or failed job is a harness error, not a result.
@@ -1169,8 +1120,9 @@ int main(int argc, char** argv) {
       std::printf("%s\n", outcome.concurrency.render_ascii().c_str());
     }
     if (want_summary) {
-      std::printf("%s robustness:\n%s", cluster::protocol_name(protocol),
-                  metrics::render_fault_summary(outcome.summary).c_str());
+      std::printf(
+          "%s robustness:\n%s", cluster::protocol_name(protocol),
+          metrics::render_fault_summary(metrics::global_registry()).c_str());
     }
   }
   if (!straggler_text.empty()) std::printf("%s", straggler_text.c_str());
