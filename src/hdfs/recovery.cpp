@@ -315,7 +315,6 @@ void BlockRecovery::finish_success() {
   outcome.sync_offset = sync_offset_;
   outcome.under_replicated =
       static_cast<int>(outcome.targets.size()) < deps_.config.replication;
-  outcome.quarantined = quarantined_;
   Namenode& nn = deps_.namenode;
   deps_.rpc.notify(client_node_, nn.node_id(),
                    [&nn, block = block_, targets = outcome.targets] {
@@ -330,7 +329,6 @@ void BlockRecovery::finish_success() {
 }
 
 void BlockRecovery::quarantine_node(NodeId node, const std::string& reason) {
-  ++quarantined_;
   if (deps_.quarantine != nullptr) {
     deps_.quarantine->quarantine(node,
                                  reason + " during recovery of " +

@@ -26,8 +26,6 @@ struct RecoveryOutcome {
   /// (graceful degradation: the write continues; the namenode's
   /// re-replication monitor restores the count later).
   bool under_replicated = false;
-  /// Datanodes this recovery added to the client's quarantine list.
-  int quarantined = 0;
 };
 
 /// Probes a datanode's replica with a client-side timeout; the callback
@@ -87,7 +85,6 @@ class BlockRecovery {
   std::vector<NodeId> replacements_;
   Bytes sync_offset_ = 0;
   int attempts_ = 0;
-  int quarantined_ = 0;
   bool completed_ = false;
 };
 

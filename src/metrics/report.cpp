@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 
 namespace smarth::metrics {
 
@@ -123,52 +124,47 @@ constexpr Row kRows[] = {
 
 double ns_to_seconds(double ns) { return ns / static_cast<double>(kSecond); }
 
-std::string render_cell(const Registry& registry, const Row& row) {
-  if (row.cell == Cell::kCounter) {
-    return std::to_string(registry.counter_value(row.metric));
-  }
-  if (row.cell == Cell::kGauge) {
-    const Gauge* g = registry.find_gauge(row.metric);
-    return std::to_string(static_cast<std::int64_t>(g ? g->value() : 0.0));
-  }
-  if (row.cell == Cell::kPrefixSum) {
-    const std::string prefix = row.metric;
-    std::uint64_t sum = 0;
-    for (auto it = registry.counters().lower_bound(prefix);
-         it != registry.counters().end() && it->first.starts_with(prefix);
-         ++it) {
-      sum += it->second.value();
-    }
-    return std::to_string(sum);
-  }
+/// The row's cell; nothing for a downtime row when no outage was observed.
+std::optional<std::string> render_cell(const Registry& registry,
+                                       const Row& row) {
   const LatencyHistogram* h = registry.find_histogram(row.metric);
   const SummaryStats stats = h != nullptr ? h->stats() : SummaryStats{};
+  const auto n = static_cast<double>(stats.count());
   switch (row.cell) {
+    case Cell::kCounter:
+      return std::to_string(registry.counter_value(row.metric));
+    case Cell::kGauge: {
+      const Gauge* g = registry.find_gauge(row.metric);
+      return std::to_string(
+          static_cast<std::int64_t>(g != nullptr ? g->value() : 0.0));
+    }
+    case Cell::kPrefixSum: {
+      std::uint64_t sum = 0;
+      for (const auto& [name, counter] : registry.counters()) {
+        if (name.starts_with(row.metric)) sum += counter.value();
+      }
+      return std::to_string(sum);
+    }
     case Cell::kMttr: {
-      const std::uint64_t recoveries =
-          registry.counter_value("write.recoveries");
+      const auto recoveries =
+          static_cast<double>(registry.counter_value("write.recoveries"));
       return TextTable::num(
-          recoveries > 0 ? ns_to_seconds(stats.sum()) /
-                               static_cast<double>(recoveries)
-                         : 0.0);
+          recoveries > 0 ? ns_to_seconds(stats.sum()) / recoveries : 0.0);
     }
     case Cell::kMean:
-      return TextTable::num(ns_to_seconds(stats.sum()) /
-                            static_cast<double>(stats.count()));
+      if (n == 0) return std::nullopt;
+      return TextTable::num(ns_to_seconds(stats.sum()) / n);
     case Cell::kMinMax:
+      if (n == 0) return std::nullopt;
       return TextTable::num(ns_to_seconds(stats.min())) + " / " +
              TextTable::num(ns_to_seconds(stats.max()));
-    default: {
-      // Population, not sample, stddev: one outage reads 0, never NaN.
-      const auto n = static_cast<double>(stats.count());
+    case Cell::kStddev:
+      if (n == 0) return std::nullopt;
+      // Population, not sample, stddev: one outage reads 0.
       return TextTable::num(
           ns_to_seconds(std::sqrt(stats.variance() * (n - 1.0) / n)));
-    }
   }
-}
-
-bool is_duration_row(Cell cell) {
-  return cell == Cell::kMean || cell == Cell::kMinMax || cell == Cell::kStddev;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -176,11 +172,9 @@ bool is_duration_row(Cell cell) {
 std::string render_fault_summary(const Registry& registry) {
   TextTable table({"metric", "value"});
   for (const Row& row : kRows) {
-    if (is_duration_row(row.cell)) {
-      const LatencyHistogram* h = registry.find_histogram(row.metric);
-      if (h == nullptr || h->count() == 0) continue;
+    if (std::optional<std::string> cell = render_cell(registry, row)) {
+      table.add_row({row.label, std::move(*cell)});
     }
-    table.add_row({row.label, render_cell(registry, row)});
   }
   return table.to_string();
 }
