@@ -1,8 +1,9 @@
 // A general-purpose metrics registry: named counters, gauges and
 // histogram-backed latency distributions that instrumented components
-// register into, replacing ad-hoc per-subsystem counter structs
-// incrementally. Lives next to the tracer (and below every instrumented
-// library) so rpc/hdfs/faults can all link it without dependency cycles.
+// register into. It is the one place run-level counts are kept: the
+// robustness table and --metrics-out both read it. Lives next to the tracer
+// (and below every instrumented library) so rpc/hdfs/faults can all link it
+// without dependency cycles.
 //
 // Like the rest of the simulator the registry is single-threaded; names are
 // kept in a std::map so every dump is deterministically ordered.

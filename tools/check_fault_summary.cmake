@@ -4,10 +4,9 @@
 # for byte with a checked-in golden file. Any changed count fails the test.
 #
 # Expects -DSMARTHSIM=<path to the binary>, -DGOLDEN=<golden file> and
-# -DOUT_DIR=<writable dir>. With SMARTH_UPDATE_GOLDENS set in the environment
-# the golden file is rewritten instead of compared:
-#
-#   SMARTH_UPDATE_GOLDENS=1 ctest --test-dir build -R cli_golden_
+# -DOUT_DIR=<writable dir>. On a mismatch the actual tables are written to
+# OUT_DIR/<golden name>.actual; after an intended change, copy that file over
+# the golden.
 
 set(args "")
 set(after_dashes FALSE)
@@ -51,12 +50,6 @@ foreach(line IN LISTS lines)
 endforeach()
 if(kept STREQUAL "")
   message(FATAL_ERROR "smarthsim ${args} printed no robustness table")
-endif()
-
-if(DEFINED ENV{SMARTH_UPDATE_GOLDENS})
-  file(WRITE ${GOLDEN} "${kept}")
-  message(STATUS "rewrote ${GOLDEN}")
-  return()
 endif()
 
 file(READ ${GOLDEN} expected)
