@@ -138,13 +138,8 @@ std::optional<std::string> render_cell(const Registry& registry,
       return std::to_string(
           static_cast<std::int64_t>(g != nullptr ? g->value() : 0.0));
     }
-    case Cell::kPrefixSum: {
-      std::uint64_t sum = 0;
-      for (const auto& [name, counter] : registry.counters()) {
-        if (name.starts_with(row.metric)) sum += counter.value();
-      }
-      return std::to_string(sum);
-    }
+    case Cell::kPrefixSum:
+      return std::to_string(registry.counter_sum(row.metric));
     case Cell::kMttr: {
       const auto recoveries =
           static_cast<double>(registry.counter_value("write.recoveries"));

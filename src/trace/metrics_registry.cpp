@@ -77,6 +77,15 @@ std::uint64_t Registry::counter_value(const std::string& name) const {
   return c != nullptr ? c->value() : 0;
 }
 
+std::uint64_t Registry::counter_sum(const std::string& prefix) const {
+  std::uint64_t sum = 0;
+  for (auto it = counters_.lower_bound(prefix);
+       it != counters_.end() && it->first.starts_with(prefix); ++it) {
+    sum += it->second.value();
+  }
+  return sum;
+}
+
 void Registry::reset() {
   counters_.clear();
   gauges_.clear();

@@ -79,6 +79,8 @@ class Registry {
   const LatencyHistogram* find_histogram(const std::string& name) const;
   /// A counter's value, 0 when it was never bumped.
   std::uint64_t counter_value(const std::string& name) const;
+  /// The sum of every counter whose name starts with `prefix`.
+  std::uint64_t counter_sum(const std::string& prefix) const;
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }

@@ -27,15 +27,6 @@ namespace {
 using cluster::Cluster;
 using cluster::Protocol;
 
-/// Sum of the injector's faults.<class> counters in the registry.
-std::uint64_t faults_injected() {
-  std::uint64_t total = 0;
-  for (const auto& [name, counter] : metrics::global_registry().counters()) {
-    if (name.starts_with("faults.")) total += counter.value();
-  }
-  return total;
-}
-
 faults::ChaosRates soak_rates() {
   faults::ChaosRates rates;
   rates.crash_per_minute = 1.0;
@@ -235,7 +226,7 @@ SoakResult soak_once(
       reg.counter_value("write.under_replication_events");
   result.rpc_retries = reg.counter_value("rpc.retries");
   result.failed = stats->failed;
-  result.faults = faults_injected();
+  result.faults = reg.counter_sum("faults.");
   result.lease_expiries = cluster.namenode().lease_expiries();
   result.uc_blocks_recovered = cluster.namenode().uc_blocks_recovered();
   result.bytes_salvaged = cluster.namenode().bytes_salvaged();
@@ -543,7 +534,7 @@ TEST(ChaosScenario, CrashRejoinFailSlowUploadCompletesWithEvidence) {
   EXPECT_EQ(reg.counter_value("write.failed_uploads"), 0u);
   EXPECT_GE(reg.counter_value("quarantine.events"), 1u);
   EXPECT_EQ(reg.counter_value("namenode.reregistrations"), 1u);
-  EXPECT_GE(faults_injected(), 3u);
+  EXPECT_GE(reg.counter_sum("faults."), 3u);
   // The rendered table carries every robustness counter.
   const std::string table = metrics::render_fault_summary(reg);
   EXPECT_NE(table.find("recovery MTTR"), std::string::npos);
