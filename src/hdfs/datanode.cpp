@@ -225,6 +225,13 @@ void Datanode::deliver_setup(const PipelineSetup& setup) {
     ctx.downstream = setup.targets[static_cast<std::size_t>(ctx.my_index + 1)];
   }
   ctx.resume_start_seq = setup.resume_offset / config_.transfer_payload();
+  const Bytes block_bytes =
+      setup.block_bytes > 0 ? setup.block_bytes : config_.block_size;
+  const std::int64_t block_transfers =
+      (block_bytes + config_.transfer_payload() - 1) /
+      config_.transfer_payload();
+  ctx.packets.resize(static_cast<std::size_t>(
+      std::max<std::int64_t>(0, block_transfers - ctx.resume_start_seq)));
 
   if (!store_.has_replica(setup.block)) {
     SMARTH_CHECK(store_.create_replica(setup.block).ok());
@@ -244,6 +251,7 @@ void Datanode::deliver_setup(const PipelineSetup& setup) {
                          << (info.ok() ? info.value().bytes : -1) << " want "
                          << setup.resume_offset);
   }
+  store_.reserve(setup.block, block_bytes);
   pipelines_[setup.pipeline] = std::move(ctx);
 
   const PipelineCtx& stored = pipelines_[setup.pipeline];
@@ -313,7 +321,7 @@ void Datanode::process_packet(const WirePacket& packet, SimTime arrived_at) {
   }
 
   if (packet.last_in_block) ctx.last_seq = packet.seq;
-  PacketState& st = ctx.packets[packet.seq];
+  PacketState& st = packet_state(ctx, packet.seq);
   st.payload = packet.payload;
   st.arrived_at = arrived_at;
   staging_for(ctx.setup.client).reserve_forced(packet.payload);
@@ -333,6 +341,16 @@ void Datanode::process_packet(const WirePacket& packet, SimTime arrived_at) {
                });
 }
 
+Datanode::PacketState& Datanode::packet_state(PipelineCtx& ctx,
+                                              std::int64_t seq) {
+  const std::int64_t index = seq - ctx.resume_start_seq;
+  SMARTH_CHECK_MSG(
+      index >= 0 && index < static_cast<std::int64_t>(ctx.packets.size()),
+      "packet " << seq << " outside " << ctx.setup.block.to_string()
+                << " on " << self_.to_string());
+  return ctx.packets[static_cast<std::size_t>(index)];
+}
+
 void Datanode::release_packet_staging(PipelineCtx& ctx, PacketState& st) {
   if (st.staging_released) return;
   st.staging_released = true;
@@ -349,7 +367,7 @@ void Datanode::on_packet_written(PipelineId pipeline,
   PipelineCtx& ctx = it->second;
 
   SMARTH_CHECK(store_.append(packet.block, packet.payload).ok());
-  PacketState& st = ctx.packets[packet.seq];
+  PacketState& st = packet_state(ctx, packet.seq);
   st.written = true;
   ++ctx.written_count;
 
@@ -373,7 +391,7 @@ void Datanode::deliver_downstream_ack(const PipelineAck& ack) {
     send_ack_upstream(ctx, ack);
     return;
   }
-  PacketState& st = ctx.packets[ack.seq];
+  PacketState& st = packet_state(ctx, ack.seq);
   if (!st.downstream_acked) {
     st.downstream_acked = true;
     // The mirrored copy is confirmed downstream: the staging slot frees.
@@ -384,9 +402,7 @@ void Datanode::deliver_downstream_ack(const PipelineAck& ack) {
 }
 
 void Datanode::maybe_ack_upstream(PipelineCtx& ctx, std::int64_t seq) {
-  auto it = ctx.packets.find(seq);
-  if (it == ctx.packets.end()) return;
-  PacketState& st = it->second;
+  PacketState& st = packet_state(ctx, seq);
   if (st.ack_sent || !st.written) return;
   if (!ctx.is_last && !st.downstream_acked) return;
   st.ack_sent = true;
@@ -474,7 +490,7 @@ void Datanode::deliver_read_request(const ReadRequest& request) {
     return;
   }
   ++reads_served_;
-  serve_read_packet(request, /*seq=*/0, request.length);
+  serve_read_packet(request, /*seq=*/0);
 }
 
 void Datanode::cancel_read(ReadId read) {
@@ -482,16 +498,20 @@ void Datanode::cancel_read(ReadId read) {
   metrics::global_registry().counter("hedge.cancelled").add();
 }
 
-void Datanode::serve_read_packet(ReadRequest request, std::int64_t seq,
-                                 Bytes remaining) {
-  if (crashed_ || remaining <= 0) return;
-  const Bytes payload = std::min(remaining, config_.transfer_payload());
+void Datanode::serve_read_packet(const ReadRequest& request,
+                                 std::int64_t seq) {
+  const Bytes unsent = request.length - seq * config_.transfer_payload();
+  if (crashed_ || unsent <= 0) return;
+  const Bytes size = std::min(unsent, config_.transfer_payload());
   const auto read_ops =
-      static_cast<std::uint64_t>(config_.packets_in_transfer(payload));
+      static_cast<std::uint64_t>(config_.packets_in_transfer(size));
   const SimTime issued_at = sim_.now();
-  disk_->read(payload, read_ops, [this, request, seq, remaining, payload,
-                                  issued_at] {
+  // The capture (64 bytes) stays inline in the disk request record.
+  disk_->read(size, read_ops, [this, request, seq, issued_at] {
     if (crashed_) return;
+    const Bytes remaining =
+        request.length - seq * config_.transfer_payload();
+    const Bytes payload = std::min(remaining, config_.transfer_payload());
     const SimDuration served = sim_.now() - issued_at;
     const auto it = cancelled_reads_.find(request.read.value());
     if (it != cancelled_reads_.end()) {
@@ -545,7 +565,7 @@ void Datanode::serve_read_packet(ReadRequest request, std::int64_t seq,
     transport_.send_read_packet(self_, request.reader_node, packet);
     // Next disk read proceeds without waiting for the network send; the
     // egress link and disk FIFO each pace themselves.
-    serve_read_packet(request, seq + 1, remaining - payload);
+    serve_read_packet(request, seq + 1);
   });
 }
 

@@ -175,7 +175,9 @@ class Datanode : public PacketSink {
     NodeId downstream;  // next datanode; invalid when is_last
     std::int64_t resume_start_seq = 0;
     std::int64_t last_seq = -1;  ///< set once the last_in_block packet arrives
-    std::unordered_map<std::int64_t, PacketState> packets;
+    /// Indexed by seq - resume_start_seq; sized once at setup from the
+    /// block's length (PipelineSetup::block_bytes), so packets never grow it.
+    std::vector<PacketState> packets;
     std::int64_t written_count = 0;
     std::int64_t acked_count = 0;
     Bytes staging_held = 0;  ///< bytes this pipeline holds in staging
@@ -194,6 +196,8 @@ class Datanode : public PacketSink {
   void report_uc_sync(BlockId block, Bytes length,
                       std::vector<NodeId> holders);
 
+  /// The state of packet `seq` of `ctx`'s block (checked in range).
+  PacketState& packet_state(PipelineCtx& ctx, std::int64_t seq);
   void process_packet(const WirePacket& packet, SimTime arrived_at);
   void on_packet_written(PipelineId pipeline, const WirePacket& packet);
   void maybe_ack_upstream(PipelineCtx& ctx, std::int64_t seq);
@@ -202,10 +206,11 @@ class Datanode : public PacketSink {
   void maybe_finalize(PipelineId pipeline, PipelineCtx& ctx);
   void release_packet_staging(PipelineCtx& ctx, PacketState& st);
   storage::StagingBuffer& staging_for(ClientId client);
-  /// Streams one read packet (disk read then network send), then chains the
-  /// next one; the disk FIFO interleaves these with pipeline writes.
-  void serve_read_packet(ReadRequest request, std::int64_t seq,
-                         Bytes remaining);
+  /// Streams read packet `seq` (disk read then network send), then chains
+  /// the next one; the disk FIFO interleaves these with pipeline writes.
+  /// Every packet before the last carries a full transfer unit, so `seq`
+  /// alone locates the packet in the request.
+  void serve_read_packet(const ReadRequest& request, std::int64_t seq);
 
   sim::Simulation& sim_;
   Transport& transport_;

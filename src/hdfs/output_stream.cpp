@@ -276,6 +276,7 @@ ClientPipeline& OutputStreamBase::create_pipeline(std::int64_t block_index,
   setup.client = client_;
   setup.smarth_mode = smarth_mode;
   setup.resume_offset = resume_offset;
+  setup.block_bytes = it->second.block_bytes;
   SMARTH_CHECK_MSG(!located.targets.empty(), "pipeline with no targets");
   if (trace::active()) {
     std::string targets;

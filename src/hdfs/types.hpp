@@ -382,6 +382,9 @@ struct PipelineSetup {
   /// Byte offset the write resumes at (0 for fresh blocks; >0 after
   /// recovery, when a prefix is already durable on every target).
   Bytes resume_offset = 0;
+  /// Length the block will have once written; datanodes size their
+  /// per-packet state from it. 0 means unknown: assume a full block.
+  Bytes block_bytes = 0;
 };
 
 struct SetupAck {

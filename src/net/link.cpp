@@ -1,6 +1,7 @@
 #include "net/link.hpp"
 
 #include "common/check.hpp"
+#include "net/network.hpp"
 
 namespace smarth::net {
 
@@ -20,16 +21,51 @@ void Link::transmit(Bytes size, DeliveryCallback on_delivered,
                     LinkPriority priority, FlowKey flow) {
   SMARTH_CHECK_MSG(size >= 0, "negative message size on " << name_);
   SMARTH_CHECK(static_cast<bool>(on_delivered));
-  if (priority == LinkPriority::kControl) {
-    control_queue_.push_back(Pending{size, std::move(on_delivered)});
+  Message* msg = direct_pool_.acquire();
+  msg->size = size;
+  msg->priority = priority;
+  msg->flow = flow;
+  msg->network = nullptr;
+  msg->on_delivered = std::move(on_delivered);
+  enqueue(msg);
+}
+
+void Link::enqueue(Message* msg) {
+  msg->next = nullptr;
+  if (msg->priority == LinkPriority::kControl) {
+    if (control_tail_ != nullptr) {
+      control_tail_->next = msg;
+    } else {
+      control_head_ = msg;
+    }
+    control_tail_ = msg;
+    ++control_queued_;
   } else {
-    auto [it, inserted] = flow_queues_.try_emplace(flow);
-    if (it->second.empty()) active_flows_.push_back(flow);
-    it->second.push_back(Pending{size, std::move(on_delivered)});
+    // Active flows per link are few (one per pipeline or read crossing it),
+    // so a scan of the ring is cheaper than any keyed lookup.
+    Message* head = ring_head_;
+    while (head != nullptr && head->flow != msg->flow) head = head->next_flow;
+    if (head != nullptr) {
+      head->flow_tail->next = msg;
+      head->flow_tail = msg;
+    } else {
+      msg->flow_tail = msg;
+      join_ring(msg);
+    }
     ++bulk_queued_;
   }
-  queued_bytes_ += size;
+  queued_bytes_ += msg->size;
   try_start_next();
+}
+
+void Link::join_ring(Message* head) {
+  head->next_flow = nullptr;
+  if (ring_tail_ != nullptr) {
+    ring_tail_->next_flow = head;
+  } else {
+    ring_head_ = head;
+  }
+  ring_tail_ = head;
 }
 
 void Link::pause() { paused_ = true; }
@@ -40,58 +76,70 @@ void Link::resume() {
   try_start_next();
 }
 
-void Link::try_start_next() {
-  if (busy_ || paused_) return;
-  Pending next{0, nullptr};
-  if (!control_queue_.empty()) {
-    next = std::move(control_queue_.front());
-    control_queue_.pop_front();
-  } else if (!active_flows_.empty()) {
-    // Round-robin over flows with queued bulk messages.
-    const FlowKey flow = active_flows_.front();
-    active_flows_.pop_front();
-    auto it = flow_queues_.find(flow);
-    SMARTH_DCHECK(it != flow_queues_.end() && !it->second.empty());
-    next = std::move(it->second.front());
-    it->second.pop_front();
-    --bulk_queued_;
-    if (!it->second.empty()) {
-      active_flows_.push_back(flow);  // stays in the service ring
-    } else {
-      flow_queues_.erase(it);  // bound the map to live flows
-    }
-  } else {
-    return;
+Message* Link::pop_next() {
+  if (Message* msg = control_head_) {
+    control_head_ = msg->next;
+    if (control_head_ == nullptr) control_tail_ = nullptr;
+    --control_queued_;
+    return msg;
   }
-  queued_bytes_ -= next.size;
-  busy_ = true;
-  busy_since_ = sim_.now();
-  const SimDuration serialize = capacity_.transmit_time(next.size);
-  // Serialization completes after `serialize`; the message then propagates
-  // for `latency_` without occupying the link (cut-through for the wire).
-  sim_.post_after(
-      serialize, "link.serialize",
-      [this, size = next.size, cb = std::move(next.on_delivered)]() mutable {
-        finish_current(size, std::move(cb));
-      });
+  Message* msg = ring_head_;
+  if (msg == nullptr) return nullptr;
+  // Round-robin over flows with queued bulk messages: the front flow sends
+  // one message and, if it has more, goes to the back of the ring.
+  ring_head_ = msg->next_flow;
+  if (ring_head_ == nullptr) ring_tail_ = nullptr;
+  if (Message* successor = msg->next) {
+    successor->flow_tail = msg->flow_tail;
+    join_ring(successor);
+  }
+  --bulk_queued_;
+  return msg;
 }
 
-void Link::finish_current(Bytes size, DeliveryCallback cb) {
-  busy_ = false;
+void Link::try_start_next() {
+  if (current_ != nullptr || paused_) return;
+  Message* msg = pop_next();
+  if (msg == nullptr) return;
+  current_ = msg;
+  queued_bytes_ -= msg->size;
+  busy_since_ = sim_.now();
+  // Serialization completes after the transmit time; the message then
+  // propagates for `latency_` without occupying the link (cut-through for
+  // the wire).
+  sim_.post_after(capacity_.transmit_time(msg->size), "link.serialize",
+                  [this] { finish_current(); });
+}
+
+void Link::finish_current() {
+  Message* msg = current_;
+  current_ = nullptr;
   busy_accum_ += sim_.now() - busy_since_;
-  bytes_transmitted_ += size;
+  bytes_transmitted_ += msg->size;
   ++messages_transmitted_;
   if (latency_ > 0) {
-    sim_.post_after(latency_, "link.deliver", [cb = std::move(cb)] { cb(); });
+    sim_.post_after(latency_, "link.deliver", [this, msg] { deliver(msg); });
   } else {
-    sim_.post_now("link.deliver", [cb = std::move(cb)] { cb(); });
+    sim_.post_now("link.deliver", [this, msg] { deliver(msg); });
   }
   try_start_next();
 }
 
+void Link::deliver(Message* msg) {
+  if (msg->network != nullptr) {
+    msg->network->forward(msg);
+    return;
+  }
+  // A direct transmit: recycle the record before firing, so the callback may
+  // transmit again (or destroy this link) freely.
+  DeliveryCallback cb = std::move(msg->on_delivered);
+  direct_pool_.release(msg);
+  cb();
+}
+
 SimDuration Link::busy_time() const {
   SimDuration t = busy_accum_;
-  if (busy_) t += sim_.now() - busy_since_;
+  if (busy()) t += sim_.now() - busy_since_;
   return t;
 }
 

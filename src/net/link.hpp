@@ -5,14 +5,13 @@
 // the packet granularity we simulate.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
-#include <unordered_map>
 
 #include "common/units.hpp"
 #include "sim/simulation.hpp"
+#include "sim/slab_pool.hpp"
 
 namespace smarth::net {
 
@@ -29,12 +28,45 @@ enum class LinkPriority { kBulk, kControl };
 using FlowKey = std::uint64_t;
 inline constexpr FlowKey kDefaultFlow = 0;
 
+/// Fired once a message has arrived. Captures up to 64 bytes (a typed
+/// protocol message plus a couple of pointers) live inline in the message
+/// record, like event callbacks.
+using DeliveryCallback = sim::Simulation::Callback;
+
+/// Longest store-and-forward route: egress, cross-rack shaper, rack uplink,
+/// cross-rack shaper, ingress.
+inline constexpr std::size_t kMaxHops = 5;
+
+class Link;
+class Network;
+
+/// One message in flight: a pooled record owned by its sender (the Network,
+/// or a Link for its direct transmit()) from send to arrival. A message waits
+/// in at most one link queue at a time, so the record is its own queue node
+/// and no hop, queue or delivery allocates.
+struct Message {
+  Message* next = nullptr;       ///< link-queue successor; pool freelist link
+  Message* next_flow = nullptr;  ///< bulk ring: next active flow's head
+  Message* flow_tail = nullptr;  ///< bulk ring: last queued message of this
+                                 ///< flow (kept on the flow's head only)
+  Bytes size = 0;
+  FlowKey flow = kDefaultFlow;
+  LinkPriority priority = LinkPriority::kBulk;
+  std::uint8_t hop = 0;        ///< index into `route` of the current link
+  std::uint8_t hop_count = 0;
+  std::array<Link*, kMaxHops> route{};
+  SimDuration propagation = 0;    ///< paid once, after the last hop
+  Network* network = nullptr;     ///< null for a direct Link::transmit
+  DeliveryCallback on_delivered;
+};
+
 class Link {
  public:
-  using DeliveryCallback = std::function<void()>;
-
   Link(sim::Simulation& sim, std::string name, Bandwidth capacity,
        SimDuration latency);
+
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   const std::string& name() const { return name_; }
   Bandwidth capacity() const { return capacity_; }
@@ -59,10 +91,8 @@ class Link {
   bool paused() const { return paused_; }
 
   // --- Introspection / statistics ------------------------------------------
-  bool busy() const { return busy_; }
-  std::size_t queued_count() const {
-    return bulk_queued_ + control_queue_.size();
-  }
+  bool busy() const { return current_ != nullptr; }
+  std::size_t queued_count() const { return bulk_queued_ + control_queued_; }
   Bytes queued_bytes() const { return queued_bytes_; }
   Bytes bytes_transmitted() const { return bytes_transmitted_; }
   std::uint64_t messages_transmitted() const { return messages_transmitted_; }
@@ -70,28 +100,44 @@ class Link {
   SimDuration busy_time() const;
 
  private:
-  struct Pending {
-    Bytes size;
-    DeliveryCallback on_delivered;
-  };
+  friend class Network;
 
+  /// Queues `msg` (size, priority and flow set) and starts it if idle. When
+  /// it has serialized and propagated, the link hands it back to
+  /// msg->network, or, for a direct transmit, fires and recycles it.
+  void enqueue(Message* msg);
+  /// Appends a flow, represented by its head message, to the bulk ring.
+  void join_ring(Message* head);
+  /// Unlinks the next message to serve: control first, then the head of the
+  /// bulk ring's front flow. Null when both lanes are empty.
+  Message* pop_next();
   void try_start_next();
-  void finish_current(Bytes size, DeliveryCallback cb);
+  void finish_current();
+  void deliver(Message* msg);
 
   sim::Simulation& sim_;
   std::string name_;
   Bandwidth capacity_;
   SimDuration latency_;
 
-  /// Bulk lane: one FIFO per flow, serviced round-robin. active_flows_
-  /// holds the service order; a flow leaves the ring when its queue drains.
-  std::unordered_map<FlowKey, std::deque<Pending>> flow_queues_;
-  std::deque<FlowKey> active_flows_;
-  std::deque<Pending> control_queue_;  // control messages (bypass bulk)
+  /// The message being serialized; null when idle.
+  Message* current_ = nullptr;
+  /// Control lane: one FIFO (bypasses bulk).
+  Message* control_head_ = nullptr;
+  Message* control_tail_ = nullptr;
+  /// Bulk lane: one FIFO per flow, serviced round-robin. The ring links each
+  /// active flow's head message in service order; a flow leaves the ring when
+  /// its queue drains and rejoins at the back when a message arrives.
+  Message* ring_head_ = nullptr;
+  Message* ring_tail_ = nullptr;
+  std::size_t control_queued_ = 0;
   std::size_t bulk_queued_ = 0;
   Bytes queued_bytes_ = 0;
-  bool busy_ = false;
   bool paused_ = false;
+
+  /// Records for direct transmit() calls; messages routed by a Network come
+  /// from the Network's pool.
+  sim::SlabPool<Message, 16> direct_pool_;
 
   Bytes bytes_transmitted_ = 0;
   std::uint64_t messages_transmitted_ = 0;

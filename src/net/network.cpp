@@ -150,21 +150,10 @@ Bytes Network::bytes_received(NodeId node) const {
   return port(node).ingress->bytes_transmitted();
 }
 
-void Network::traverse(std::vector<Link*> chain, std::size_t index, Bytes size,
-                       LinkPriority priority, FlowKey flow,
-                       DeliveryCallback done) {
-  if (index == chain.size()) {
-    done();
-    return;
-  }
-  Link* hop = chain[index];
-  hop->transmit(size,
-                [this, chain = std::move(chain), index, size, priority, flow,
-                 done = std::move(done)]() mutable {
-                  traverse(std::move(chain), index + 1, size, priority, flow,
-                           std::move(done));
-                },
-                priority, flow);
+void Network::add_hop(Message& msg, Link* link) {
+  SMARTH_CHECK_MSG(msg.hop_count < kMaxHops,
+                   "route longer than " << kMaxHops << " hops");
+  msg.route[msg.hop_count++] = link;
 }
 
 void Network::send(NodeId src, NodeId dst, Bytes wire_size,
@@ -183,35 +172,52 @@ void Network::send(NodeId src, NodeId dst, Bytes wire_size,
     ++messages_dropped_;
     return;
   }
+  SMARTH_CHECK_MSG(wire_size >= 0, "negative message size");
   Port& sp = port(src);
   Port& dp = port(dst);
   const bool cross = !topology_.same_rack(src, dst);
 
-  std::vector<Link*> chain;
-  chain.reserve(5);
-  chain.push_back(sp.egress.get());
+  Message* msg = messages_.acquire();
+  msg->size = wire_size;
+  msg->priority = priority;
+  msg->flow = flow;
+  msg->network = this;
+  msg->hop = 0;
+  msg->hop_count = 0;
+  add_hop(*msg, sp.egress.get());
   if (cross) {
-    if (sp.cross_egress) chain.push_back(sp.cross_egress.get());
+    if (sp.cross_egress) add_hop(*msg, sp.cross_egress.get());
     if (Link* uplink = rack_uplink(topology_.rack_of(src))) {
-      chain.push_back(uplink);
+      add_hop(*msg, uplink);
     }
-    if (dp.cross_ingress) chain.push_back(dp.cross_ingress.get());
+    if (dp.cross_ingress) add_hop(*msg, dp.cross_ingress.get());
   }
-  chain.push_back(dp.ingress.get());
-
-  const SimDuration propagation =
-      cross ? config_.cross_rack_latency : config_.same_rack_latency;
+  add_hop(*msg, dp.ingress.get());
   // Propagation is paid once, after the full store-and-forward chain; it does
   // not occupy any link.
-  traverse(std::move(chain), 0, wire_size, priority, flow,
-           [this, propagation, cb = std::move(on_delivered)]() mutable {
-             ++messages_delivered_;
-             if (propagation > 0) {
-               sim_.schedule_after(propagation, std::move(cb));
-             } else {
-               cb();
-             }
-           });
+  msg->propagation =
+      cross ? config_.cross_rack_latency : config_.same_rack_latency;
+  msg->on_delivered = std::move(on_delivered);
+  msg->route[0]->enqueue(msg);
+}
+
+void Network::forward(Message* msg) {
+  if (++msg->hop < msg->hop_count) {
+    msg->route[msg->hop]->enqueue(msg);
+    return;
+  }
+  ++messages_delivered_;
+  if (msg->propagation > 0) {
+    sim_.post_after(msg->propagation, nullptr, [this, msg] { arrive(msg); });
+  } else {
+    arrive(msg);
+  }
+}
+
+void Network::arrive(Message* msg) {
+  msg->on_delivered();
+  msg->on_delivered = nullptr;
+  messages_.release(msg);
 }
 
 }  // namespace smarth::net

@@ -6,7 +6,6 @@
 // two hosts is FIFO.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -20,6 +19,7 @@
 #include "net/link.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
+#include "sim/slab_pool.hpp"
 
 namespace smarth::net {
 
@@ -34,9 +34,12 @@ struct NetworkConfig {
 
 class Network {
  public:
-  using DeliveryCallback = std::function<void()>;
+  using DeliveryCallback = net::DeliveryCallback;
 
   Network(sim::Simulation& sim, NetworkConfig config = {});
+
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Registers a host with a symmetric NIC of the given capacity.
   NodeId add_node(const std::string& name, const std::string& rack,
@@ -120,9 +123,15 @@ class Network {
   const Port& port(NodeId id) const;
   Link* rack_uplink(const std::string& rack);
 
-  /// Transmits through `chain[index..]`, then fires `done`.
-  void traverse(std::vector<Link*> chain, std::size_t index, Bytes size,
-                LinkPriority priority, FlowKey flow, DeliveryCallback done);
+  friend class Link;
+
+  /// Appends a hop to `msg`'s route.
+  static void add_hop(Message& msg, Link* link);
+  /// Called by a link once `msg` has crossed it: queues it on the next hop,
+  /// or, after the last, pays the propagation delay and arrives.
+  void forward(Message* msg);
+  /// Fires the delivery callback and recycles the record.
+  void arrive(Message* msg);
 
   sim::Simulation& sim_;
   NetworkConfig config_;
@@ -136,6 +145,8 @@ class Network {
   std::vector<bool> isolated_;
   std::uint64_t messages_delivered_ = 0;
   std::uint64_t messages_dropped_ = 0;
+  /// In-flight message records, from send() until arrival.
+  sim::SlabPool<Message, 512> messages_;
 };
 
 }  // namespace smarth::net

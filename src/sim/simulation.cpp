@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "sim/slab_pool.hpp"
 
 namespace smarth::sim {
 
@@ -21,32 +22,22 @@ struct EventRecord {
   std::uint64_t seq = 0;
   std::uint64_t gen = 0;
   const char* category = nullptr;
-  EventRecord* next_free = nullptr;
+  EventRecord* next = nullptr;  ///< freelist link while free
   State state = State::kFree;
   Simulation::Callback callback;
 };
 
-/// Slab allocator for EventRecords. Slabs never move or shrink, so record
-/// pointers stay valid for the pool's lifetime; the pool is shared between
-/// the Simulation and any outstanding EventHandles, so a handle can outlive
-/// the simulation safely. Pending-event and cancellation counters live here
-/// (not on the Simulation) for the same reason: EventHandle::cancel() must
-/// work without a Simulation back-pointer.
+/// EventRecords on a SlabPool, so record pointers stay valid for the pool's
+/// lifetime. The pool is shared between the Simulation and any outstanding
+/// EventHandles, so a handle can outlive the simulation safely. Pending-event
+/// and cancellation counters live here (not on the Simulation) for the same
+/// reason: EventHandle::cancel() must work without a Simulation back-pointer.
 class EventPool {
  public:
   static constexpr std::size_t kSlabRecords = 512;
 
   EventRecord* acquire() {
-    EventRecord* rec = free_head_;
-    if (rec != nullptr) {
-      free_head_ = rec->next_free;
-    } else {
-      if (bump_index_ == kSlabRecords || slabs_.empty()) {
-        slabs_.push_back(std::make_unique<EventRecord[]>(kSlabRecords));
-        bump_index_ = 0;
-      }
-      rec = &slabs_.back()[bump_index_++];
-    }
+    EventRecord* rec = records_.acquire();
     rec->state = EventRecord::State::kPending;
     return rec;
   }
@@ -57,8 +48,7 @@ class EventPool {
     rec->callback = nullptr;
     rec->state = EventRecord::State::kFree;
     ++rec->gen;
-    rec->next_free = free_head_;
-    free_head_ = rec;
+    records_.release(rec);
   }
 
   std::uint64_t live = 0;       ///< pending (scheduled, not fired/cancelled)
@@ -66,9 +56,7 @@ class EventPool {
   std::uint64_t refs = 0;       ///< PoolRef intrusive refcount
 
  private:
-  std::vector<std::unique_ptr<EventRecord[]>> slabs_;
-  EventRecord* free_head_ = nullptr;
-  std::size_t bump_index_ = kSlabRecords;
+  SlabPool<EventRecord, kSlabRecords> records_;
 };
 
 PoolRef::PoolRef(EventPool* pool) : pool_(pool) {
@@ -155,6 +143,7 @@ struct Simulation::Impl {
   std::size_t ladder_count = 0;  ///< records across all buckets
 
   std::vector<EventRecord*> overflow;  ///< events beyond the ladder span
+  std::vector<EventRecord*> rebuild_scratch;  ///< rebuild_ladder's work list
 
   void push(EventRecord* rec) {
     if (rec->time < active_end) {
@@ -236,10 +225,13 @@ struct Simulation::Impl {
       if (live_count == 0 || rec->time > max_t) max_t = rec->time;
       ++live_count;
     }
-    std::vector<EventRecord*> pending;
+    // Swap rather than move, so both vectors keep their capacity and later
+    // overflow pushes do not allocate.
+    std::vector<EventRecord*>& pending = rebuild_scratch;
     pending.swap(overflow);
     if (live_count == 0) {
       for (EventRecord* rec : pending) pool->release(rec);
+      pending.clear();
       return;
     }
     if (live_count <= 32 || min_t == max_t) {
@@ -255,6 +247,7 @@ struct Simulation::Impl {
         }
       }
       std::make_heap(active.begin(), active.end(), FiresLater{});
+      pending.clear();
       return;
     }
     ladder_base = min_t;
@@ -272,6 +265,7 @@ struct Simulation::Impl {
       buckets[idx].push_back(rec);
       ++ladder_count;
     }
+    pending.clear();
   }
 
   /// Pending category histogram, for the event-limit diagnostic.

@@ -1,12 +1,17 @@
-// A move-only callable with small-buffer storage, used for event callbacks.
+// A move-only callable with small-buffer storage, used for the callbacks of
+// pooled hot-path records (events, in-flight messages, disk requests).
 //
 // std::function costs a heap allocation for any capture larger than two
 // pointers, and the event core schedules tens of millions of callbacks per
 // simulated run. SmallFn keeps captures up to `Capacity` bytes inline in the
-// event record itself (falling back to the heap only for oversized or
-// throwing-move captures), so the common packet-delivery / timer-tick lambdas
-// never allocate. Move-only by design: an event callback has exactly one
-// owner (the queue) and most useful captures own moved-in state anyway.
+// pooled record that owns it, falling back to the heap only for oversized or
+// throwing-move captures. Event callbacks, network delivery callbacks and disk
+// completions are all SmallFn<64>: a packet's transport capture (56 bytes)
+// rides in its in-flight message record from send to arrival, and its disk
+// completion in the disk's request record (DESIGN.md §10 traces the record
+// lifecycle and the measured allocations per event). Move-only by design: a
+// callback has exactly one owner (its record) and most useful captures own
+// moved-in state anyway.
 #pragma once
 
 #include <cstddef>

@@ -43,6 +43,13 @@ Status BlockStore::create_replica(BlockId block) {
   return Status::ok_status();
 }
 
+void BlockStore::reserve(BlockId block, Bytes length) {
+  auto it = replicas_.find(block);
+  if (it == replicas_.end()) return;
+  it->second.chunks.reserve(
+      static_cast<std::size_t>((length + chunk_size_ - 1) / chunk_size_));
+}
+
 Status BlockStore::append(BlockId block, Bytes bytes) {
   auto it = replicas_.find(block);
   if (it == replicas_.end()) {

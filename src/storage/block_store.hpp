@@ -37,6 +37,10 @@ class BlockStore {
   /// Starts a replica in kBeingWritten state; fails if it already exists.
   Status create_replica(BlockId block);
 
+  /// Sizes `block`'s chunk table for a replica of `length` bytes, so appends
+  /// up to that length never reallocate it. No-op for an unknown block.
+  void reserve(BlockId block, Bytes length);
+
   /// Appends durably written bytes to an open replica.
   Status append(BlockId block, Bytes bytes);
 

@@ -53,44 +53,60 @@ void DiskDevice::enqueue(Bytes size, std::uint64_t ops, bool is_read,
   SMARTH_CHECK_MSG(size >= 0, "negative op size on " << name_);
   SMARTH_CHECK(ops >= 1);
   SMARTH_CHECK(static_cast<bool>(on_done));
-  queue_.push_back(Pending{size, ops, is_read, std::move(on_done)});
-  if (!busy_) start_next();
+  Request* req = requests_.acquire();
+  req->size = size;
+  req->ops = ops;
+  req->is_read = is_read;
+  req->on_done = std::move(on_done);
+  if (tail_ != nullptr) {
+    tail_->next = req;
+  } else {
+    head_ = req;
+  }
+  tail_ = req;
+  ++queued_;
+  if (!busy()) start_next();
 }
 
 void DiskDevice::start_next() {
-  if (queue_.empty()) {
-    busy_ = false;
-    return;
-  }
-  Pending op = std::move(queue_.front());
-  queue_.pop_front();
-  busy_ = true;
+  Request* req = head_;
+  if (req == nullptr) return;
+  head_ = req->next;
+  if (head_ == nullptr) tail_ = nullptr;
+  --queued_;
+  current_ = req;
   busy_since_ = sim_.now();
   // A coalesced request (ops > 1) pays the per-op overhead once per logical
   // operation so block-fidelity runs charge the same seek/syscall budget a
   // packet-granularity run would.
   const SimDuration per_op =
-      static_cast<SimDuration>(op.ops) * per_op_overhead_;
+      static_cast<SimDuration>(req->ops) * per_op_overhead_;
   const SimDuration service =
-      per_op + (op.is_read ? read_bandwidth() : write_bandwidth_)
-                   .transmit_time(op.size);
-  sim_.post_after(service, "disk.io", [this, op = std::move(op)]() mutable {
-    busy_accum_ += sim_.now() - busy_since_;
-    busy_ = false;
-    if (op.is_read) {
-      bytes_read_ += op.size;
-    } else {
-      bytes_written_ += op.size;
-    }
-    ops_completed_ += op.ops;
-    op.on_done();
-    if (!busy_) start_next();
-  });
+      per_op + (req->is_read ? read_bandwidth() : write_bandwidth_)
+                   .transmit_time(req->size);
+  sim_.post_after(service, "disk.io", [this] { finish_current(); });
+}
+
+void DiskDevice::finish_current() {
+  Request* req = current_;
+  current_ = nullptr;
+  busy_accum_ += sim_.now() - busy_since_;
+  if (req->is_read) {
+    bytes_read_ += req->size;
+  } else {
+    bytes_written_ += req->size;
+  }
+  ops_completed_ += req->ops;
+  // The callback may queue more I/O, which starts at once on the idle head.
+  req->on_done();
+  req->on_done = nullptr;
+  requests_.release(req);
+  if (!busy()) start_next();
 }
 
 SimDuration DiskDevice::busy_time() const {
   SimDuration t = busy_accum_;
-  if (busy_) t += sim_.now() - busy_since_;
+  if (busy()) t += sim_.now() - busy_since_;
   return t;
 }
 

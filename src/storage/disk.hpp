@@ -4,23 +4,26 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "common/units.hpp"
 #include "sim/simulation.hpp"
+#include "sim/slab_pool.hpp"
 
 namespace smarth::storage {
 
 class DiskDevice {
  public:
-  using WriteCallback = std::function<void()>;
+  /// Captures up to 64 bytes live inline in the pooled request record.
+  using WriteCallback = sim::Simulation::Callback;
 
   /// Reads default to `read_ratio * write_bandwidth` unless set explicitly
   /// (rotational media typically read somewhat faster than they write).
   DiskDevice(sim::Simulation& sim, std::string name, Bandwidth write_bandwidth,
              SimDuration per_op_overhead);
+
+  DiskDevice(const DiskDevice&) = delete;
+  DiskDevice& operator=(const DiskDevice&) = delete;
 
   const std::string& name() const { return name_; }
   Bandwidth write_bandwidth() const { return write_bandwidth_; }
@@ -47,24 +50,27 @@ class DiskDevice {
   SimDuration read_service_time(Bytes size) const;
 
   // --- Statistics -----------------------------------------------------------
-  bool busy() const { return busy_; }
-  std::size_t queue_depth() const { return queue_.size(); }
+  bool busy() const { return current_ != nullptr; }
+  std::size_t queue_depth() const { return queued_; }
   Bytes bytes_written() const { return bytes_written_; }
   Bytes bytes_read() const { return bytes_read_; }
   std::uint64_t ops_completed() const { return ops_completed_; }
   SimDuration busy_time() const;
 
  private:
-  struct Pending {
-    Bytes size;
-    std::uint64_t ops;
-    bool is_read;
+  /// One queued or in-service request, pooled; `next` links the FIFO.
+  struct Request {
+    Request* next = nullptr;
+    Bytes size = 0;
+    std::uint64_t ops = 1;
+    bool is_read = false;
     WriteCallback on_done;
   };
 
   void enqueue(Bytes size, std::uint64_t ops, bool is_read,
                WriteCallback on_done);
   void start_next();
+  void finish_current();
 
   sim::Simulation& sim_;
   std::string name_;
@@ -72,8 +78,12 @@ class DiskDevice {
   Bandwidth read_bandwidth_;  ///< unlimited sentinel => derived from write
   SimDuration per_op_overhead_;
 
-  std::deque<Pending> queue_;
-  bool busy_ = false;
+  /// Request records; an idle disk holds no slab.
+  sim::SlabPool<Request, 16> requests_;
+  Request* head_ = nullptr;  ///< FIFO of requests waiting for the head
+  Request* tail_ = nullptr;
+  std::size_t queued_ = 0;
+  Request* current_ = nullptr;  ///< the request being serviced
   Bytes bytes_written_ = 0;
   Bytes bytes_read_ = 0;
   std::uint64_t ops_completed_ = 0;

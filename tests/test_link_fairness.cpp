@@ -3,6 +3,8 @@
 // strict FIFO order, and control messages still preempt all bulk queues.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
@@ -122,6 +124,60 @@ TEST_F(LinkFairnessTest, ManyFlowsAllComplete) {
   }
   sim_.run();
   EXPECT_EQ(delivered, 128);
+}
+
+TEST(LinkServiceOrder, ExactSequenceAndTimes) {
+  // Pins the full service order: three flows with uneven backlogs share the
+  // link round-robin; flow 2 drains and later rejoins at the back of the
+  // ring; a control message jumps every bulk queue; pause() lets the message
+  // in service finish and starts nothing until resume().
+  sim::Simulation sim;
+  const Bandwidth rate = Bandwidth::mbps(8);
+  const SimDuration latency = microseconds(10);
+  Link link(sim, "l", rate, latency);
+  const Bytes bulk = 1000;
+  const Bytes control = 100;
+  const SimDuration u = rate.transmit_time(bulk);
+  const SimDuration c = rate.transmit_time(control);
+
+  std::vector<std::pair<std::string, SimTime>> log;
+  auto send = [&](const std::string& label, Bytes size, LinkPriority priority,
+                  FlowKey flow) {
+    link.transmit(
+        size, [&log, &sim, label] { log.emplace_back(label, sim.now()); },
+        priority, flow);
+  };
+  for (const char* label : {"A1", "A2", "A3", "A4"}) {
+    send(label, bulk, LinkPriority::kBulk, 1);
+  }
+  send("B1", bulk, LinkPriority::kBulk, 2);
+  for (const char* label : {"C1", "C2", "C3"}) {
+    send(label, bulk, LinkPriority::kBulk, 3);
+  }
+  sim.schedule_at(5 * u / 2,
+                  [&] { send("X", control, LinkPriority::kControl, 0); });
+  sim.schedule_at(7 * u / 2,
+                  [&] { send("B2", bulk, LinkPriority::kBulk, 2); });
+  sim.schedule_at(11 * u / 2, [&] { link.pause(); });
+  sim.schedule_at(7 * u, [&] { link.resume(); });
+  sim.run();
+
+  const std::vector<std::pair<std::string, SimTime>> expected = {
+      {"A1", u + latency},
+      {"A2", 2 * u + latency},
+      {"B1", 3 * u + latency},
+      {"X", 3 * u + c + latency},
+      {"C1", 4 * u + c + latency},
+      {"A3", 5 * u + c + latency},
+      {"C2", 6 * u + c + latency},
+      {"B2", 8 * u + latency},
+      {"A4", 9 * u + latency},
+      {"C3", 10 * u + latency},
+  };
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(link.messages_transmitted(), 10u);
+  EXPECT_EQ(link.queued_count(), 0u);
+  EXPECT_EQ(link.busy_time(), 9 * u + c);
 }
 
 }  // namespace
