@@ -37,15 +37,17 @@ int main() {
         // Show what the namenode learned about this client on the last run.
         if (throttle_mbps == 50.0) {
           std::printf("\nnamenode speed board after the 50 Mbps run:\n");
-          for (const auto& record : cluster.namenode()
-                                        .speed_board()
-                                        .records_for(cluster.client().id())) {
-            std::printf("  %-8s -> %s\n",
-                        cluster.network()
-                            .topology()
-                            .network_location(record.datanode)
-                            .c_str(),
-                        format_bandwidth(record.speed).c_str());
+          const auto* records =
+              cluster.namenode().speed_board().records(cluster.client().id());
+          if (records != nullptr) {
+            for (const auto& [dn, record] : *records) {
+              std::printf("  %-8s -> %s\n",
+                          cluster.network()
+                              .topology()
+                              .network_location(dn)
+                              .c_str(),
+                          format_bandwidth(record.speed).c_str());
+            }
           }
           std::printf("\n");
         }

@@ -88,6 +88,11 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
     dn->set_peer_resolver(
         [this](NodeId peer) { return resolve_datanode(peer); });
     dn->start();
+    const auto slot = static_cast<std::size_t>(node.value());
+    if (datanode_by_node_.size() <= slot) {
+      datanode_by_node_.resize(slot + 1, nullptr);
+    }
+    datanode_by_node_[slot] = dn.get();
     datanode_ids_.push_back(node);
     datanodes_.push_back(std::move(dn));
   }
@@ -211,10 +216,10 @@ core::SpeedTracker& Cluster::speed_tracker(std::size_t client_index) {
 }
 
 hdfs::Datanode* Cluster::resolve_datanode(NodeId node) {
-  for (std::size_t i = 0; i < datanode_ids_.size(); ++i) {
-    if (datanode_ids_[i] == node) return datanodes_[i].get();
-  }
-  return nullptr;
+  const auto slot = static_cast<std::size_t>(node.value());
+  return node.valid() && slot < datanode_by_node_.size()
+             ? datanode_by_node_[slot]
+             : nullptr;
 }
 
 hdfs::AckSink* Cluster::resolve_ack_sink(NodeId node, PipelineId pipeline) {

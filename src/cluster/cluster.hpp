@@ -209,6 +209,8 @@ class Cluster {
   SimDuration last_nn_downtime_ = -1;
   std::vector<std::unique_ptr<hdfs::Datanode>> datanodes_;
   std::vector<NodeId> datanode_ids_;
+  /// Datanode by NodeId value; null for hosts that are not datanodes.
+  std::vector<hdfs::Datanode*> datanode_by_node_;
   std::vector<ClientRuntime> clients_;
   std::vector<std::unique_ptr<hdfs::OutputStreamBase>> streams_;
   std::vector<std::unique_ptr<hdfs::DfsInputStream>> readers_;

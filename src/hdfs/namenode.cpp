@@ -46,13 +46,10 @@ std::optional<Bandwidth> SpeedBoard::speed(ClientId client,
   return jt->second.speed;
 }
 
-std::vector<SpeedRecord> SpeedBoard::records_for(ClientId client) const {
-  std::vector<SpeedRecord> out;
+const std::unordered_map<NodeId, SpeedRecord>* SpeedBoard::records(
+    ClientId client) const {
   auto it = boards_.find(client);
-  if (it == boards_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [dn, rec] : it->second) out.push_back(rec);
-  return out;
+  return it == boards_.end() ? nullptr : &it->second;
 }
 
 Namenode::Namenode(sim::Simulation& sim, const net::Topology& topology,
@@ -74,8 +71,8 @@ void Namenode::register_datanode(NodeId dn) {
   // Idempotent: a crashed datanode that restarts re-registers (real HDFS
   // treats it as a fresh registration of a known storage id); the heartbeat
   // clock restarts so the node counts as alive again immediately.
-  if (std::find(datanodes_.begin(), datanodes_.end(), dn) !=
-      datanodes_.end()) {
+  SMARTH_CHECK(dn.valid());
+  if (registered(dn)) {
     metrics::global_registry().counter("namenode.reregistrations").add();
     // A re-registration announces a fresh process: whatever replica state its
     // previous incarnation reported is stale until the block report that
@@ -88,45 +85,59 @@ void Namenode::register_datanode(NodeId dn) {
     SMARTH_INFO("namenode") << "datanode " << dn.value() << " re-registered";
   } else {
     datanodes_.push_back(dn);
+    const auto slot = static_cast<std::size_t>(dn.value());
+    if (last_heartbeat_.size() <= slot) {
+      last_heartbeat_.resize(slot + 1, kUnregistered);
+    }
   }
-  last_heartbeat_[dn] = sim_.now();
+  last_heartbeat_[static_cast<std::size_t>(dn.value())] = sim_.now();
+  alive_stale_ = true;
   // A returning datanode may be the one safe mode was waiting on.
   maybe_exit_safe_mode();
 }
 
 bool Namenode::handle_heartbeat(NodeId dn) {
-  auto it = last_heartbeat_.find(dn);
-  if (it == last_heartbeat_.end()) {
+  if (!registered(dn)) {
     // Unknown node — typically this namenode restarted and lost its
     // registration table. The datanode re-registers on seeing `false`.
     SMARTH_DEBUG("namenode") << "heartbeat from unregistered datanode "
                              << dn.value() << "; requesting re-registration";
     return false;
   }
-  it->second = sim_.now();
+  SimTime& last = last_heartbeat_[static_cast<std::size_t>(dn.value())];
+  // A node back from expiry rejoins the alive index.
+  if (sim_.now() - last > config_.datanode_dead_interval) alive_stale_ = true;
+  last = sim_.now();
   ++heartbeats_;
   return true;
 }
 
 bool Namenode::is_alive(NodeId dn) const {
-  auto it = last_heartbeat_.find(dn);
-  if (it == last_heartbeat_.end()) return false;
-  return sim_.now() - it->second <= config_.datanode_dead_interval;
+  if (!registered(dn)) return false;
+  return sim_.now() - last_heartbeat_[static_cast<std::size_t>(dn.value())] <=
+         config_.datanode_dead_interval;
 }
 
-std::vector<NodeId> Namenode::alive_datanodes() const {
-  std::vector<NodeId> out;
-  out.reserve(datanodes_.size());
+const AliveIndex& Namenode::alive_index() const {
+  if (!alive_stale_ && sim_.now() <= alive_valid_until_) return alive_;
+  alive_scratch_.clear();
+  alive_valid_until_ = std::numeric_limits<SimTime>::max();
   for (NodeId dn : datanodes_) {
-    if (is_alive(dn)) out.push_back(dn);
+    if (!is_alive(dn)) continue;
+    alive_scratch_.push_back(dn);
+    alive_valid_until_ = std::min(
+        alive_valid_until_,
+        last_heartbeat_[static_cast<std::size_t>(dn.value())] +
+            config_.datanode_dead_interval);
   }
-  return out;
+  alive_.assign(topology_, alive_scratch_);
+  alive_stale_ = false;
+  return alive_;
 }
 
 PlacementContext Namenode::make_context(
     Rng& rng, const std::vector<NodeId>* deprioritized) const {
-  alive_scratch_ = alive_datanodes();
-  PlacementContext ctx{topology_, alive_scratch_, rng, &speeds_};
+  PlacementContext ctx{topology_, alive_index(), rng, &speeds_};
   if (deprioritized != nullptr && !deprioritized->empty()) {
     ctx.deprioritized = deprioritized;
   }
@@ -312,7 +323,7 @@ Result<std::vector<NodeId>> Namenode::get_additional_datanodes(
   const PlacementContext ctx =
       make_context(sim_.rng(), &request.deprioritized);
   for (int i = 0; i < count; ++i) {
-    NodeId pick = pick_random_node(ctx, chosen, request.excluded, nullptr);
+    NodeId pick = pick_random_node(ctx, chosen, request.excluded);
     if (!pick.valid()) break;
     chosen.push_back(pick);
   }
@@ -522,7 +533,7 @@ void Namenode::report_client_speeds(ClientId client,
   for (const SpeedRecord& r : records) {
     if (suspicion_.score(r.datanode, sim_.now()) <= 0.0) continue;
     Bandwidth best = r.speed;
-    for (const SpeedRecord& board : speeds_.records_for(client)) {
+    for (const auto& [dn, board] : *speeds_.records(client)) {
       if (board.speed.bytes_per_second() > best.bytes_per_second()) {
         best = board.speed;
       }
@@ -942,7 +953,7 @@ void Namenode::scan_for_under_replication() {
     if (!source.valid()) continue;  // nothing to copy from; data loss
 
     const PlacementContext ctx = make_context(sim_.rng());
-    const NodeId target = pick_random_node(ctx, {}, holders, nullptr);
+    const NodeId target = pick_random_node(ctx, {}, holders);
     if (!target.valid()) continue;  // cluster too small right now
 
     rereplication_pending_[id] = sim_.now() + seconds(60);
@@ -1178,6 +1189,7 @@ std::size_t Namenode::restart(const NamenodeImage& image,
   // back with empty `reported`), speed observations, in-flight copy ledger.
   datanodes_.clear();
   last_heartbeat_.clear();
+  alive_stale_ = true;
   speeds_ = SpeedBoard{};
   suspicion_ = SuspicionList(config_.suspicion_half_life,
                              config_.suspicion_threshold);

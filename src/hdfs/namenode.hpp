@@ -4,6 +4,7 @@
 // through rpc::RpcBus so they pay the control-plane cost Tn.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -37,8 +38,10 @@ class SpeedBoard {
   void update(ClientId client, const SpeedRecord& record);
   bool has_records(ClientId client) const;
   std::optional<Bandwidth> speed(ClientId client, NodeId datanode) const;
-  /// Latest record per datanode for this client, unordered.
-  std::vector<SpeedRecord> records_for(ClientId client) const;
+  /// Latest record per datanode for this client (unordered); nullptr when
+  /// the client has reported nothing.
+  const std::unordered_map<NodeId, SpeedRecord>* records(
+      ClientId client) const;
   std::size_t client_count() const { return boards_.size(); }
 
  private:
@@ -139,7 +142,11 @@ class Namenode {
   /// heartbeat loop does by resending registration + a full block report.
   bool handle_heartbeat(NodeId dn);
   bool is_alive(NodeId dn) const;
-  std::vector<NodeId> alive_datanodes() const;
+  /// Registered datanodes heard from within datanode_dead_interval, in
+  /// registration order (read from the alive index).
+  const std::vector<NodeId>& alive_datanodes() const {
+    return alive_index().nodes();
+  }
   std::size_t registered_datanode_count() const { return datanodes_.size(); }
 
   // --- ClientProtocol --------------------------------------------------------
@@ -310,6 +317,15 @@ class Namenode {
     std::map<BlockId, UcBlockPending> pending;  ///< blocks awaiting commit
   };
 
+  bool registered(NodeId dn) const {
+    return dn.valid() &&
+           static_cast<std::size_t>(dn.value()) < last_heartbeat_.size() &&
+           last_heartbeat_[static_cast<std::size_t>(dn.value())] !=
+               kUnregistered;
+  }
+  /// The alive index, rebuilt first if liveness may have changed since the
+  /// last build (see alive_stale_ / alive_valid_until_).
+  const AliveIndex& alive_index() const;
   PlacementContext make_context(Rng& rng,
                                 const std::vector<NodeId>* deprioritized =
                                     nullptr) const;
@@ -355,8 +371,12 @@ class Namenode {
   /// (e.g. a block whose every replica is gone for good).
   sim::EventHandle safe_mode_timeout_;
 
+  /// Registered datanodes, in registration order.
   std::vector<NodeId> datanodes_;
-  std::unordered_map<NodeId, SimTime> last_heartbeat_;
+  /// Last heartbeat (or registration) time by NodeId value; kUnregistered
+  /// for hosts that are not registered datanodes.
+  static constexpr SimTime kUnregistered = std::numeric_limits<SimTime>::min();
+  std::vector<SimTime> last_heartbeat_;
 
   IdGenerator<FileId> file_ids_;
   IdGenerator<BlockId> block_ids_;
@@ -398,9 +418,15 @@ class Namenode {
   std::uint64_t rereplications_scheduled_ = 0;
   std::uint64_t rereplications_completed_ = 0;
 
-  // Reused scratch vector for alive-datanode snapshots.
-  mutable std::vector<NodeId> alive_scratch_;
-  // Same idiom for the suspicion snapshot handed to placement contexts.
+  // Cached alive index. It is exact until the earliest heartbeat deadline
+  // among its nodes passes (alive_valid_until_), or until a registration, a
+  // restart or a heartbeat from an expired node marks it stale.
+  mutable AliveIndex alive_;
+  mutable bool alive_stale_ = true;
+  mutable SimTime alive_valid_until_ = 0;
+  mutable std::vector<NodeId> alive_scratch_;  // rebuild buffer
+  // Reused scratch vector for the suspicion snapshot handed to placement
+  // contexts.
   mutable std::vector<NodeId> suspect_scratch_;
 };
 

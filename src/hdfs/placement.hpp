@@ -4,6 +4,7 @@
 // drop-in PlacementPolicy implemented in src/smarth/global_optimizer.*.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -15,11 +16,46 @@ namespace smarth::hdfs {
 
 class SpeedBoard;  // defined in namenode.hpp
 
+/// The alive datanodes, in registration order, indexed so a placement draw
+/// costs as much as its excluded/chosen/suspect lists, not the cluster size:
+/// each node's position in that order, and the ascending positions on each
+/// rack. The namenode keeps one and rebuilds it only when liveness may have
+/// changed.
+class AliveIndex {
+ public:
+  AliveIndex() = default;
+  AliveIndex(const net::Topology& topology, const std::vector<NodeId>& alive) {
+    assign(topology, alive);
+  }
+
+  /// Re-indexes `alive` (distinct nodes, registration order), reusing the
+  /// buffers of the previous contents.
+  void assign(const net::Topology& topology, const std::vector<NodeId>& alive);
+
+  const std::vector<NodeId>& nodes() const { return nodes_; }
+  std::size_t size() const { return nodes_.size(); }
+  /// Position of `node` in nodes(), or -1 when it is not alive.
+  std::int32_t position(NodeId node) const {
+    if (!node.valid()) return -1;
+    const auto v = static_cast<std::size_t>(node.value());
+    return v < position_.size() ? position_[v] : -1;
+  }
+  bool contains(NodeId node) const { return position(node) >= 0; }
+  /// Ascending positions of the alive nodes on `rack` (a Topology rack
+  /// index); empty for a rack with none.
+  const std::vector<std::int32_t>& rack_positions(std::int32_t rack) const;
+
+ private:
+  std::vector<NodeId> nodes_;
+  std::vector<std::int32_t> position_;  // by NodeId value; -1 = not alive
+  std::vector<std::vector<std::int32_t>> rack_positions_;  // by rack index
+};
+
 /// Everything a policy may consult when choosing targets.
 struct PlacementContext {
   const net::Topology& topology;
   /// Datanodes currently alive (heartbeating), in registration order.
-  const std::vector<NodeId>& alive;
+  const AliveIndex& alive;
   Rng& rng;
   /// Per-client speed records (SMARTH); nullptr under the default policy.
   const SpeedBoard* speeds = nullptr;
@@ -66,12 +102,28 @@ class DefaultPlacementPolicy : public PlacementPolicy {
 bool placement_unusable(NodeId node, const std::vector<NodeId>& chosen,
                         const std::vector<NodeId>& excluded);
 
-/// Uniformly random usable node, optionally constrained by a rack predicate;
-/// returns an invalid id when no candidate exists.
+/// True if `list` is non-null and holds `node`.
+bool listed(const std::vector<NodeId>* list, NodeId node);
+
+/// Which racks a random pick may draw from, relative to one node.
+struct RackFilter {
+  enum class Kind { kAny, kSameAs, kOtherThan };
+  Kind kind = Kind::kAny;
+  NodeId node;  ///< reference node for kSameAs / kOtherThan
+
+  static RackFilter any() { return {}; }
+  static RackFilter same_as(NodeId n) { return {Kind::kSameAs, n}; }
+  static RackFilter other_than(NodeId n) { return {Kind::kOtherThan, n}; }
+};
+
+/// Uniformly random usable alive node on the racks `filter` admits; returns
+/// an invalid id when no candidate exists. Clean nodes first, then suspects,
+/// then deprioritized nodes; one `rng.index(tier size)` draw over the tier in
+/// alive order.
 NodeId pick_random_node(const PlacementContext& ctx,
                         const std::vector<NodeId>& chosen,
                         const std::vector<NodeId>& excluded,
-                        const std::function<bool(NodeId)>& rack_ok);
+                        RackFilter filter = RackFilter::any());
 
 /// Remote-rack pick with graceful fallback to any usable node (single-rack
 /// clusters must still be writable, as in HDFS).

@@ -9,11 +9,15 @@ NodeId Topology::add_host(const std::string& name, const std::string& rack) {
   SMARTH_CHECK_MSG(by_name_.find(name) == by_name_.end(),
                    "duplicate host name: " << name);
   const NodeId id{static_cast<std::int64_t>(hosts_.size())};
-  hosts_.push_back(HostInfo{name, rack});
+  auto [it, inserted] = rack_by_name_.try_emplace(
+      rack, static_cast<std::int32_t>(rack_order_.size()));
+  if (inserted) {
+    rack_order_.push_back(rack);
+    rack_hosts_.emplace_back();
+  }
+  hosts_.push_back(HostInfo{name, it->second});
   by_name_.emplace(name, id);
-  auto [it, inserted] = racks_.try_emplace(rack);
-  if (inserted) rack_order_.push_back(rack);
-  it->second.push_back(id);
+  rack_hosts_[static_cast<std::size_t>(it->second)].push_back(id);
   return id;
 }
 
@@ -28,11 +32,14 @@ const std::string& Topology::host_name(NodeId id) const {
   return info(id).name;
 }
 
-const std::string& Topology::rack_of(NodeId id) const { return info(id).rack; }
+const std::string& Topology::rack_of(NodeId id) const {
+  return rack_order_[static_cast<std::size_t>(info(id).rack)];
+}
+
+std::int32_t Topology::rack_index(NodeId id) const { return info(id).rack; }
 
 std::string Topology::network_location(NodeId id) const {
-  const auto& h = info(id);
-  return h.rack + "/" + h.name;
+  return rack_of(id) + "/" + host_name(id);
 }
 
 bool Topology::same_rack(NodeId a, NodeId b) const {
@@ -46,9 +53,9 @@ int Topology::distance(NodeId a, NodeId b) const {
 
 const std::vector<NodeId>& Topology::hosts_on_rack(
     const std::string& rack) const {
-  auto it = racks_.find(rack);
-  SMARTH_CHECK_MSG(it != racks_.end(), "unknown rack: " << rack);
-  return it->second;
+  auto it = rack_by_name_.find(rack);
+  SMARTH_CHECK_MSG(it != rack_by_name_.end(), "unknown rack: " << rack);
+  return rack_hosts_[static_cast<std::size_t>(it->second)];
 }
 
 std::vector<NodeId> Topology::all_hosts() const {

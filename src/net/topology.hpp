@@ -3,6 +3,7 @@
 // placement and the tc-style cross-rack shapers both consult this structure.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,10 +20,12 @@ class Topology {
   NodeId add_host(const std::string& name, const std::string& rack);
 
   std::size_t host_count() const { return hosts_.size(); }
-  std::size_t rack_count() const { return racks_.size(); }
+  std::size_t rack_count() const { return rack_order_.size(); }
 
   const std::string& host_name(NodeId id) const;
   const std::string& rack_of(NodeId id) const;
+  /// Dense rack number of `id`: the rack's position in racks().
+  std::int32_t rack_index(NodeId id) const;
   /// Full network path, HDFS style: "/rack0/dn3".
   std::string network_location(NodeId id) const;
 
@@ -43,12 +46,13 @@ class Topology {
  private:
   struct HostInfo {
     std::string name;
-    std::string rack;
+    std::int32_t rack;  ///< index into rack_order_ / rack_hosts_
   };
   std::vector<HostInfo> hosts_;  // indexed by NodeId value
   std::unordered_map<std::string, NodeId> by_name_;
-  std::unordered_map<std::string, std::vector<NodeId>> racks_;
-  std::vector<std::string> rack_order_;
+  std::unordered_map<std::string, std::int32_t> rack_by_name_;
+  std::vector<std::string> rack_order_;           // indexed by rack
+  std::vector<std::vector<NodeId>> rack_hosts_;   // indexed by rack
 
   const HostInfo& info(NodeId id) const;
 };

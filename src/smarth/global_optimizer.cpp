@@ -11,29 +11,44 @@ std::vector<NodeId> GlobalOptimizerPolicy::top_n_for_client(
     const hdfs::PlacementRequest& request, const hdfs::PlacementContext& ctx,
     std::size_t n) {
   SMARTH_CHECK(ctx.speeds != nullptr);
-  struct Scored {
-    NodeId node;
+  struct Measured {
     double speed;
-    bool measured;
+    std::int32_t pos;  // alive position: registration-order tie-break
   };
-  std::vector<Scored> scored;
-  scored.reserve(ctx.alive.size());
-  for (NodeId node : ctx.alive) {
-    const auto s = ctx.speeds->speed(request.client, node);
-    scored.push_back(Scored{node, s ? s->bits_per_second() : 0.0,
-                            s.has_value()});
+  std::vector<Measured> measured;
+  if (const auto* records = ctx.speeds->records(request.client)) {
+    measured.reserve(records->size());
+    for (const auto& [node, record] : *records) {
+      const std::int32_t pos = ctx.alive.position(node);
+      if (pos >= 0) measured.push_back({record.speed.bits_per_second(), pos});
+    }
   }
   // Measured nodes first (by speed, descending); unmeasured nodes keep their
   // registration order after them.
-  std::stable_sort(scored.begin(), scored.end(), [](const Scored& a,
-                                                    const Scored& b) {
-    if (a.measured != b.measured) return a.measured;
-    return a.speed > b.speed;
-  });
+  std::sort(measured.begin(), measured.end(),
+            [](const Measured& a, const Measured& b) {
+              if (a.speed != b.speed) return a.speed > b.speed;
+              return a.pos < b.pos;
+            });
   std::vector<NodeId> top;
-  for (const Scored& s : scored) {
-    if (top.size() >= n) break;
-    top.push_back(s.node);
+  top.reserve(std::min(n, ctx.alive.size()));
+  const auto& nodes = ctx.alive.nodes();
+  for (const Measured& m : measured) {
+    if (top.size() >= n) return top;
+    top.push_back(nodes[static_cast<std::size_t>(m.pos)]);
+  }
+  // Fill with unmeasured nodes in alive order, stepping over the measured
+  // positions in ascending order.
+  std::sort(measured.begin(), measured.end(),
+            [](const Measured& a, const Measured& b) { return a.pos < b.pos; });
+  auto next_measured = measured.begin();
+  for (std::int32_t pos = 0;
+       top.size() < n && static_cast<std::size_t>(pos) < nodes.size(); ++pos) {
+    if (next_measured != measured.end() && next_measured->pos == pos) {
+      ++next_measured;
+      continue;
+    }
+    top.push_back(nodes[static_cast<std::size_t>(pos)]);
   }
   return top;
 }
@@ -62,15 +77,11 @@ std::vector<NodeId> GlobalOptimizerPolicy::choose_targets(
   std::vector<NodeId> quarantined_top;
   for (NodeId node : top) {
     if (hdfs::placement_unusable(node, targets, request.excluded)) continue;
-    if (ctx.deprioritized != nullptr &&
-        std::find(ctx.deprioritized->begin(), ctx.deprioritized->end(),
-                  node) != ctx.deprioritized->end()) {
+    if (hdfs::listed(ctx.deprioritized, node)) {
       quarantined_top.push_back(node);  // last resort: fast but suspect
       continue;
     }
-    if (ctx.suspects != nullptr &&
-        std::find(ctx.suspects->begin(), ctx.suspects->end(), node) !=
-            ctx.suspects->end()) {
+    if (hdfs::listed(ctx.suspects, node)) {
       // Suspicion outranks a stale speed record: the board still remembers
       // the node's healthy throughput, but eviction/hedge evidence says it
       // has gone gray since. Use it only when no clean top node remains.
@@ -86,7 +97,7 @@ std::vector<NodeId> GlobalOptimizerPolicy::choose_targets(
     first = usable_top[ctx.rng.index(usable_top.size())];
   } else {
     // Every top node is excluded (all in active pipelines): any usable node.
-    first = hdfs::pick_random_node(ctx, targets, request.excluded, nullptr);
+    first = hdfs::pick_random_node(ctx, targets, request.excluded);
   }
   if (!first.valid()) return targets;
   targets.push_back(first);
@@ -101,7 +112,7 @@ std::vector<NodeId> GlobalOptimizerPolicy::choose_targets(
       next = hdfs::pick_same_rack_node(ctx, targets[1], targets,
                                        request.excluded);
     } else {
-      next = hdfs::pick_random_node(ctx, targets, request.excluded, nullptr);
+      next = hdfs::pick_random_node(ctx, targets, request.excluded);
     }
     if (!next.valid()) break;
     targets.push_back(next);

@@ -20,9 +20,10 @@ class GlobalOptimizerPolicy : public hdfs::PlacementPolicy {
   const char* name() const override { return "smarth-global"; }
 
   /// Top-n selection used by choose_targets; exposed for tests. Measured
-  /// datanodes sort by speed descending; if fewer than n are measured the
-  /// remainder is filled with unmeasured alive nodes (so a cold cluster is
-  /// still fully explorable).
+  /// alive datanodes sort by speed descending, ties in registration order;
+  /// if fewer than n are measured the remainder is filled with unmeasured
+  /// alive nodes in registration order (so a cold cluster is still fully
+  /// explorable).
   static std::vector<NodeId> top_n_for_client(
       const hdfs::PlacementRequest& request, const hdfs::PlacementContext& ctx,
       std::size_t n);

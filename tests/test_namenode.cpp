@@ -160,6 +160,105 @@ TEST_F(NamenodeTest, HeartbeatLiveness) {
   EXPECT_EQ(nn_->alive_datanodes().size(), 1u);
 }
 
+// Brute-force liveness: registration order and last contact per node, kept
+// by the test itself, recomputed in full at every check.
+class LivenessModel {
+ public:
+  void contact(NodeId dn, SimTime now) {
+    if (last_.count(dn) == 0) order_.push_back(dn);
+    last_[dn] = now;
+  }
+  void heartbeat(NodeId dn, SimTime now) {
+    if (last_.count(dn) > 0) last_[dn] = now;
+  }
+  void forget_all() {
+    order_.clear();
+    last_.clear();
+  }
+  std::vector<NodeId> alive(SimTime now, SimDuration dead_interval) const {
+    std::vector<NodeId> out;
+    for (NodeId dn : order_) {
+      if (now - last_.at(dn) <= dead_interval) out.push_back(dn);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<NodeId> order_;
+  std::unordered_map<NodeId, SimTime> last_;
+};
+
+TEST_F(NamenodeTest, AliveIndexMatchesBruteForceAcrossTransitions) {
+  LivenessModel model;
+  for (NodeId dn : dns_) model.contact(dn, 0);
+  const SimDuration dead = config_.datanode_dead_interval;
+  const auto check = [&](const char* step) {
+    const std::vector<NodeId> expected = model.alive(sim_.now(), dead);
+    EXPECT_EQ(nn_->alive_datanodes(), expected) << step;
+    for (NodeId dn : dns_) {
+      const bool listed = std::find(expected.begin(), expected.end(), dn) !=
+                          expected.end();
+      EXPECT_EQ(nn_->is_alive(dn), listed) << step << " dn " << dn.value();
+    }
+  };
+  const auto advance_to = [&](SimTime t) { sim_.run_until(t); };
+  const auto heartbeat = [&](NodeId dn) {
+    nn_->handle_heartbeat(dn);
+    model.heartbeat(dn, sim_.now());
+  };
+  check("registered");
+
+  // dns_[5] goes silent; the others heartbeat at 5 s.
+  advance_to(seconds(5));
+  for (std::size_t i = 0; i < 5; ++i) heartbeat(dns_[i]);
+  check("heartbeats at 5 s");
+  advance_to(dead);
+  check("silent node at its deadline");
+  advance_to(dead + 1);
+  check("silent node just past its deadline");
+  ASSERT_EQ(nn_->alive_datanodes().size(), 5u);
+
+  // It comes back with a heartbeat and keeps its registration position.
+  advance_to(seconds(17));
+  heartbeat(dns_[5]);
+  check("expired node heartbeats again");
+  ASSERT_EQ(nn_->alive_datanodes().back(), dns_[5]);
+
+  // The 5 s heartbeaters expire; dns_[2] re-registers.
+  advance_to(seconds(5) + dead + 1);
+  check("5 s heartbeaters expired");
+  advance_to(seconds(22));
+  nn_->register_datanode(dns_[2]);
+  model.contact(dns_[2], sim_.now());
+  check("re-registration");
+
+  // A namenode crash, everything expires during the outage, then a late
+  // heartbeat reaches the crashed process.
+  advance_to(seconds(23));
+  nn_->crash();
+  advance_to(seconds(40));
+  check("expired during the outage");
+  heartbeat(dns_[3]);
+  check("late heartbeat to the crashed namenode");
+
+  // Restart drops every registration: heartbeats are refused until the
+  // datanodes re-register, in a new order.
+  const NamenodeImage image = nn_->capture_image();
+  advance_to(seconds(41));
+  nn_->restart(image, {});
+  model.forget_all();
+  check("restart");
+  EXPECT_FALSE(nn_->handle_heartbeat(dns_[0]));
+  check("heartbeat from an unregistered node");
+  for (NodeId dn : {dns_[4], dns_[1], dns_[0]}) {
+    nn_->register_datanode(dn);
+    model.contact(dn, sim_.now());
+  }
+  check("re-registered after restart");
+  EXPECT_EQ(nn_->alive_datanodes(),
+            (std::vector<NodeId>{dns_[4], dns_[1], dns_[0]}));
+}
+
 TEST_F(NamenodeTest, DeadNodesNotPlaced) {
   sim_.run_until(config_.datanode_dead_interval + seconds(1));
   for (int i = 0; i < 3; ++i) nn_->handle_heartbeat(dns_[static_cast<size_t>(i)]);

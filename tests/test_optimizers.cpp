@@ -132,7 +132,8 @@ class GlobalOptTest : public ::testing::Test {
   }
 
   hdfs::PlacementContext ctx() {
-    return hdfs::PlacementContext{topo_, alive_, rng_, &board_};
+    index_.assign(topo_, alive_);
+    return hdfs::PlacementContext{topo_, index_, rng_, &board_};
   }
 
   hdfs::PlacementRequest request() {
@@ -149,6 +150,7 @@ class GlobalOptTest : public ::testing::Test {
 
   net::Topology topo_;
   std::vector<NodeId> alive_;
+  hdfs::AliveIndex index_;
   Rng rng_{42};
   hdfs::SpeedBoard board_;
   ClientId client_{0};
@@ -229,7 +231,8 @@ TEST_F(GlobalOptTest, TopNOrdersBySpeed) {
 TEST_F(GlobalOptTest, DeadFastNodeNotChosen) {
   report(alive_[0], 500);
   // Node 0 has records but is no longer in the alive set.
-  std::vector<NodeId> alive_subset(alive_.begin() + 1, alive_.end());
+  const hdfs::AliveIndex alive_subset(topo_,
+                                      {alive_.begin() + 1, alive_.end()});
   hdfs::PlacementContext c{topo_, alive_subset, rng_, &board_};
   for (int trial = 0; trial < 20; ++trial) {
     const auto targets = policy_.choose_targets(request(), c);

@@ -20,7 +20,10 @@ class PlacementTest : public ::testing::Test {
     client_node_ = topo_.add_host("client", "/rack0");
   }
 
-  PlacementContext ctx() { return PlacementContext{topo_, alive_, rng_, nullptr}; }
+  PlacementContext ctx() {
+    index_.assign(topo_, alive_);
+    return PlacementContext{topo_, index_, rng_, nullptr};
+  }
 
   PlacementRequest request(int replication = 3) {
     PlacementRequest r;
@@ -32,6 +35,7 @@ class PlacementTest : public ::testing::Test {
 
   net::Topology topo_;
   std::vector<NodeId> alive_;
+  AliveIndex index_;
   Rng rng_{42};
   NodeId client_node_;
   DefaultPlacementPolicy policy_;
@@ -80,7 +84,7 @@ TEST_F(PlacementTest, ExclusionsRespected) {
 
 TEST_F(PlacementTest, SingleRackFallback) {
   // Only rack0 nodes alive: the remote-rack rule must degrade gracefully.
-  std::vector<NodeId> rack0(alive_.begin(), alive_.begin() + 4);
+  const AliveIndex rack0(topo_, {alive_.begin(), alive_.begin() + 4});
   PlacementContext c{topo_, rack0, rng_, nullptr};
   const auto targets = policy_.choose_targets(request(), c);
   ASSERT_EQ(targets.size(), 3u);
@@ -88,7 +92,7 @@ TEST_F(PlacementTest, SingleRackFallback) {
 }
 
 TEST_F(PlacementTest, InsufficientNodesReturnsPartial) {
-  std::vector<NodeId> two(alive_.begin(), alive_.begin() + 2);
+  const AliveIndex two(topo_, {alive_.begin(), alive_.begin() + 2});
   PlacementContext c{topo_, two, rng_, nullptr};
   const auto targets = policy_.choose_targets(request(), c);
   EXPECT_EQ(targets.size(), 2u);
@@ -120,9 +124,8 @@ TEST_F(PlacementTest, FirstReplicaSpreadsAcrossNodes) {
 TEST_F(PlacementTest, HelperPickRandomHonoursPredicate) {
   auto c = ctx();
   for (int trial = 0; trial < 20; ++trial) {
-    const NodeId pick = pick_random_node(c, {}, {}, [&](NodeId n) {
-      return topo_.rack_of(n) == "/rack1";
-    });
+    const NodeId pick =
+        pick_random_node(c, {}, {}, RackFilter::same_as(alive_[4]));
     ASSERT_TRUE(pick.valid());
     EXPECT_EQ(topo_.rack_of(pick), "/rack1");
   }
@@ -131,7 +134,7 @@ TEST_F(PlacementTest, HelperPickRandomHonoursPredicate) {
 TEST_F(PlacementTest, HelperReturnsInvalidWhenNoCandidate) {
   auto c = ctx();
   const NodeId pick =
-      pick_random_node(c, {}, alive_, nullptr);  // everything excluded
+      pick_random_node(c, {}, alive_);  // everything excluded
   EXPECT_FALSE(pick.valid());
 }
 
