@@ -114,8 +114,9 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
 
   // Corrupt-replica invalidation is likewise always on: when a bad replica
   // is reported the namenode commands the owner to drop it. The notify to a
-  // crashed host is dropped by the bus; the heartbeat's incremental block
-  // report then re-surfaces the replica and the namenode re-invalidates.
+  // crashed host is dropped by the bus; the heartbeat's block report then
+  // re-surfaces the replica (a quarantined entry keeps that datanode's
+  // reports applied in full) and the namenode re-invalidates.
   namenode_->set_invalidation_executor([this](NodeId node, BlockId block) {
     hdfs::Datanode* dn = resolve_datanode(node);
     if (dn == nullptr) return;

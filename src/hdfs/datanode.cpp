@@ -49,30 +49,24 @@ void Datanode::start() {
   heartbeat_ = std::make_unique<sim::PeriodicTask>(
       sim_, config_.heartbeat_interval, [this] {
         if (crashed_) return;
-        // Each heartbeat carries an incremental block report (finalized
-        // replicas). blockReceived notifications are fire-and-forget and can
-        // be lost to RPC chaos or partitions; the periodic report makes the
-        // namenode's replica map self-healing (block_received is idempotent).
-        std::vector<std::pair<BlockId, Bytes>> report;
-        for (const auto& replica : store_.all_replicas()) {
-          if (replica.state == storage::ReplicaState::kFinalized) {
-            report.emplace_back(replica.block, replica.bytes);
-          }
-        }
+        // Each heartbeat carries a block report: every finalized replica,
+        // plus the ones finalized since the previous heartbeat.
+        // blockReceived notifications are fire-and-forget and can be lost to
+        // RPC chaos or partitions; the full list makes the namenode's replica
+        // map self-healing, and the namenode applies only the delta when that
+        // is provably the same (Namenode::block_report).
         // A heartbeat shed by namenode admission control never reaches this
         // handler at all — overload can delay liveness bookkeeping but never
         // mistake a healthy node for a stale or slow one.
         rpc_.notify(self_, namenode_.node_id(),
-                    [this, report = std::move(report)] {
+                    [this, report = reporter_.next()] {
                       if (!namenode_.handle_heartbeat(self_)) {
                         // The namenode restarted and lost our registration:
                         // re-register, then let the full report below stand
                         // in for the post-registration block report.
                         namenode_.register_datanode(self_);
                       }
-                      for (const auto& [block, bytes] : report) {
-                        namenode_.block_received(self_, block, bytes);
-                      }
+                      namenode_.block_report(self_, report);
                     },
                     {rpc::ServiceClass::kHeartbeat});
       });
@@ -455,7 +449,7 @@ void Datanode::maybe_finalize(PipelineId pipeline, PipelineCtx& ctx) {
   const std::int64_t expected = ctx.last_seq - ctx.resume_start_seq + 1;
   if (ctx.acked_count < expected) return;
   ctx.finalized = true;
-  const auto len = store_.finalize(ctx.setup.block);
+  const auto len = finalize_replica(ctx.setup.block);
   SMARTH_CHECK(len.ok());
   if (trace::active()) {
     trace::recorder()->instant(
@@ -473,6 +467,12 @@ void Datanode::maybe_finalize(PipelineId pipeline, PipelineCtx& ctx) {
               },
               {rpc::ServiceClass::kHeartbeat});
   pipelines_.erase(pipeline);
+}
+
+Result<Bytes> Datanode::finalize_replica(BlockId block) {
+  auto len = store_.finalize(block);
+  if (len.ok()) reporter_.finalized(block);
+  return len;
 }
 
 void Datanode::deliver_read_request(const ReadRequest& request) {
@@ -641,11 +641,11 @@ Result<Bytes> Datanode::commit_replica(BlockId block, Bytes length) {
     const Status st = store_.truncate(block, length);
     if (!st.ok()) return st.error();
   }
-  const auto fin = store_.finalize(block);
+  const auto fin = finalize_replica(block);
   if (!fin.ok()) return fin.error();
   // No blockReceived notify here: the namenode learns the holder set from
-  // commitBlockSynchronization itself, and the heartbeat's incremental
-  // report re-asserts the finalized replica should that commit get lost.
+  // commitBlockSynchronization itself, and the heartbeat's block report
+  // re-asserts the finalized replica should that commit get lost.
   return length;
 }
 
@@ -877,7 +877,7 @@ void Datanode::receive_replica_prefix(BlockId block, Bytes length,
                         done = std::move(done)] {
     SMARTH_CHECK(store_.append(block, length).ok());
     if (finalize) {
-      SMARTH_CHECK(store_.finalize(block).ok());
+      SMARTH_CHECK(finalize_replica(block).ok());
       rpc_.notify(self_, namenode_.node_id(),
                   [this, block, length] {
                     namenode_.block_received(self_, block, length);

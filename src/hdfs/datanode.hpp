@@ -18,6 +18,7 @@
 
 #include "common/ids.hpp"
 #include "common/units.hpp"
+#include "hdfs/block_report.hpp"
 #include "hdfs/block_scanner.hpp"
 #include "hdfs/namenode.hpp"
 #include "hdfs/transport.hpp"
@@ -204,6 +205,9 @@ class Datanode : public PacketSink {
   void send_ack_upstream(PipelineCtx& ctx, PipelineAck ack);
   void maybe_emit_fnfa(PipelineCtx& ctx);
   void maybe_finalize(PipelineId pipeline, PipelineCtx& ctx);
+  /// BlockStore::finalize plus the delta entry for the next block report;
+  /// the only way this node finalizes a replica.
+  Result<Bytes> finalize_replica(BlockId block);
   void release_packet_staging(PipelineCtx& ctx, PacketState& st);
   storage::StagingBuffer& staging_for(ClientId client);
   /// Streams read packet `seq` (disk read then network send), then chains
@@ -223,6 +227,7 @@ class Datanode : public PacketSink {
 
   std::unique_ptr<storage::DiskDevice> disk_;
   storage::BlockStore store_;
+  BlockReporter reporter_{store_};
   std::unordered_map<ClientId, std::unique_ptr<storage::StagingBuffer>>
       staging_;
   std::unordered_map<PipelineId, PipelineCtx> pipelines_;

@@ -82,6 +82,7 @@ void Namenode::register_datanode(NodeId dn) {
     // restart. Quarantine entries stay: a condemned replica remains condemned
     // across its node's restarts.
     for (auto& [id, record] : blocks_) record.reported.erase(dn);
+    ++replica_epoch_;
     SMARTH_INFO("namenode") << "datanode " << dn.value() << " re-registered";
   } else {
     datanodes_.push_back(dn);
@@ -448,11 +449,55 @@ Result<std::vector<LocatedBlock>> Namenode::get_block_locations(
 }
 
 void Namenode::block_received(NodeId dn, BlockId block, Bytes length) {
+  apply_replica(dn, block, length);
+}
+
+void Namenode::block_report(NodeId dn, const BlockReport& report) {
+  const auto slot = static_cast<std::size_t>(dn.value());
+  if (report_cursors_.size() <= slot) report_cursors_.resize(slot + 1);
+  ReportCursor& cursor = report_cursors_[slot];
+  // Applying only the delta is exact when replaying every full-report entry
+  // outside it would be a no-op. Each such entry was already in report
+  // seq - 1 (see BlockReport::delta), which was applied as plain inserts,
+  // and no epoch trigger has touched replica state since. The delta entries
+  // must be plain inserts too; they name distinct blocks, so their order
+  // does not matter, and outside safe mode no insert can trigger an exit.
+  bool incremental = !safe_mode_ && cursor.clean &&
+                     report.seq == cursor.seq + 1 &&
+                     cursor.epoch == replica_epoch_;
+  for (std::size_t i = 0; incremental && i < report.delta.size(); ++i) {
+    const auto it = blocks_.find(report.delta[i].first);
+    incremental = it != blocks_.end() &&
+                  it->second.corrupt_replicas.count(dn) == 0;
+  }
+  const std::vector<BlockReport::Entry>& entries =
+      incremental ? report.delta : *report.full;
+  bool clean = true;
+  for (const auto& [block, length] : entries) {
+    clean = apply_replica(dn, block, length) && clean;
+  }
+  cursor = ReportCursor{report.seq, replica_epoch_, clean};
+
+  if (report_entries_counter_ == nullptr) {
+    report_entries_counter_ =
+        &metrics::global_registry().counter("nn.block_report.entries");
+  }
+  report_entries_counter_->add(entries.size());
+  if (!incremental) {
+    if (report_full_counter_ == nullptr) {
+      report_full_counter_ =
+          &metrics::global_registry().counter("nn.block_report.full");
+    }
+    report_full_counter_->add();
+  }
+}
+
+bool Namenode::apply_replica(NodeId dn, BlockId block, Bytes length) {
   auto it = blocks_.find(block);
   if (it == blocks_.end()) {
     SMARTH_WARN("namenode") << "blockReceived for unknown block "
                             << block.to_string();
-    return;
+    return false;
   }
   if (it->second.corrupt_replicas.count(dn) > 0) {
     // The quarantine outlives the report that caused it: an in-flight or
@@ -467,10 +512,16 @@ void Namenode::block_received(NodeId dn, BlockId block, Bytes length) {
       ++invalidations_issued_;
       invalidation_executor_(dn, block);
     }
-    return;
+    return false;
   }
-  it->second.reported[dn] = length;
+  auto [rt, inserted] = it->second.reported.try_emplace(dn, length);
+  if (!inserted && rt->second != length) {
+    // A replayed report would set the old length back.
+    rt->second = length;
+    ++replica_epoch_;
+  }
   maybe_exit_safe_mode();
+  return true;
 }
 
 void Namenode::report_bad_replica(BlockId block, NodeId node) {
@@ -480,8 +531,8 @@ void Namenode::report_bad_replica(BlockId block, NodeId node) {
   auto it = blocks_.find(block);
   if (it == blocks_.end()) return;  // stale report on a deleted block
   BlockRecord& record = it->second;
-  const bool fresh = record.corrupt_replicas.insert(node).second;
-  record.reported.erase(node);
+  const bool fresh = record.corrupt_replicas.count(node) == 0;
+  quarantine_replica(record, node);
   if (fresh) {
     EditOp op;
     op.type = EditOpType::kQuarantine;
@@ -504,6 +555,12 @@ void Namenode::report_bad_replica(BlockId block, NodeId node) {
     ++invalidations_issued_;
     invalidation_executor_(node, block);
   }
+}
+
+void Namenode::quarantine_replica(BlockRecord& record, NodeId node) {
+  record.corrupt_replicas.insert(node);
+  record.reported.erase(node);
+  ++replica_epoch_;
 }
 
 std::size_t Namenode::corrupt_replica_count() const {
@@ -764,6 +821,7 @@ void Namenode::commit_block_synchronization(BlockId block, Bytes length,
     return;
   }
   record.reported.clear();
+  ++replica_epoch_;
   for (NodeId dn : holders) {
     if (record.corrupt_replicas.count(dn) > 0) continue;
     record.reported[dn] = length;
@@ -815,8 +873,7 @@ void Namenode::truncate_file_blocks(FileId file, std::size_t first_removed) {
   auto rt = lease_recoveries_.find(file);
   for (std::size_t i = first_removed; i < entry.blocks.size(); ++i) {
     const BlockId block = entry.blocks[i];
-    blocks_.erase(block);
-    rereplication_pending_.erase(block);
+    erase_block(block);
     if (rt != lease_recoveries_.end()) rt->second.pending.erase(block);
     ++orphans_abandoned_;
     if (!replaying_) {
@@ -868,14 +925,18 @@ void Namenode::erase_file(FileId file) {
     journal(std::move(op));
   }
   FileEntry& entry = it->second;
-  for (BlockId block : entry.blocks) {
-    blocks_.erase(block);
-    rereplication_pending_.erase(block);
-  }
+  for (BlockId block : entry.blocks) erase_block(block);
   leases_.release(entry.lease_holder, entry.id);
   lease_recoveries_.erase(entry.id);
   files_by_path_.erase(entry.path);
   files_.erase(it);
+}
+
+void Namenode::erase_block(BlockId block) {
+  blocks_.erase(block);
+  rereplication_pending_.erase(block);
+  // A replayed report entry for the block now logs it as unknown.
+  ++replica_epoch_;
 }
 
 int Namenode::live_replica_count(const BlockRecord& record) const {
@@ -1042,6 +1103,7 @@ void Namenode::restore_image(const NamenodeImage& image) {
   files_.clear();
   files_by_path_.clear();
   blocks_.clear();
+  ++replica_epoch_;
   lease_recoveries_.clear();
   for (const FileEntry& entry : image.files) {
     files_by_path_.emplace(entry.path, entry.id);
@@ -1153,8 +1215,7 @@ void Namenode::apply_edit(const EditOp& op) {
       break;
     case EditOpType::kQuarantine:
       if (auto it = blocks_.find(op.block); it != blocks_.end()) {
-        it->second.corrupt_replicas.insert(op.node);
-        it->second.reported.erase(op.node);
+        quarantine_replica(it->second, op.node);
       }
       break;
   }

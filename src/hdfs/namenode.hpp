@@ -17,6 +17,7 @@
 #include "common/ids.hpp"
 #include "common/result.hpp"
 #include "common/units.hpp"
+#include "hdfs/block_report.hpp"
 #include "hdfs/lease_manager.hpp"
 #include "hdfs/placement.hpp"
 #include "hdfs/suspicion.hpp"
@@ -24,6 +25,7 @@
 #include "net/topology.hpp"
 #include "sim/periodic_task.hpp"
 #include "sim/simulation.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::hdfs {
 
@@ -292,6 +294,12 @@ class Namenode {
   /// A datanode finished (finalized) a replica of `block`.
   void block_received(NodeId dn, BlockId block, Bytes length);
 
+  /// A heartbeat's block report from `dn`. The result is always that of
+  /// calling block_received on every entry of `report.full` in order; when
+  /// the report cursor proves all but the delta would be no-op re-inserts,
+  /// only the delta is applied (DESIGN.md §13).
+  void block_report(NodeId dn, const BlockReport& report);
+
   // --- SMARTH extension ------------------------------------------------------
   /// Clients report observed first-datanode transfer speeds with their
   /// heartbeats.
@@ -316,6 +324,23 @@ class Namenode {
     SimTime started_at = 0;
     std::map<BlockId, UcBlockPending> pending;  ///< blocks awaiting commit
   };
+
+  /// Where `dn`'s heartbeat reports stand: the last one applied, the replica
+  /// epoch after it, and whether its every entry was a plain insert (so
+  /// replaying any of them now would be a no-op).
+  struct ReportCursor {
+    std::uint64_t seq = 0;
+    std::uint64_t epoch = 0;
+    bool clean = false;
+  };
+
+  /// The body of block_received; returns whether the entry took the plain
+  /// insert branch (known block, replica not quarantined).
+  bool apply_replica(NodeId dn, BlockId block, Bytes length);
+  /// Removes a block from the block map (file erase or truncation).
+  void erase_block(BlockId block);
+  /// Quarantines `node`'s replica of `record` (shared with replay).
+  void quarantine_replica(BlockRecord& record, NodeId node);
 
   bool registered(NodeId dn) const {
     return dn.valid() &&
@@ -386,6 +411,16 @@ class Namenode {
 
   SpeedBoard speeds_;
   std::uint64_t heartbeats_ = 0;
+
+  /// Heartbeat report cursors, by NodeId value.
+  std::vector<ReportCursor> report_cursors_;
+  /// Moves on every change to replica state that is not a datanode's own
+  /// report (the epoch triggers, DESIGN.md §13). A cursor from an older
+  /// epoch makes that datanode's next report apply in full.
+  std::uint64_t replica_epoch_ = 0;
+  /// nn.block_report.entries / .full, resolved on first use.
+  metrics::Counter* report_entries_counter_ = nullptr;
+  metrics::Counter* report_full_counter_ = nullptr;
 
   LeaseManager leases_;
   /// Reserved holder expired writers' files are reassigned to while the

@@ -1,9 +1,7 @@
 #include "rpc/service_queue.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -13,15 +11,25 @@ namespace smarth::rpc {
 
 namespace {
 
-metrics::Counter& reg_counter(const char* name) {
-  return metrics::global_registry().counter(name);
+metrics::Counter& reg_counter(metrics::Counter*& handle, const char* name) {
+  if (handle == nullptr) handle = &metrics::global_registry().counter(name);
+  return *handle;
+}
+
+metrics::LatencyHistogram& reg_histogram(metrics::LatencyHistogram*& handle,
+                                         const char* name) {
+  if (handle == nullptr) handle = &metrics::global_registry().histogram(name);
+  return *handle;
 }
 
 }  // namespace
 
 void ServiceQueue::update_depth_gauge() {
-  metrics::global_registry().gauge("nn.rpc.queue_depth").set(
-      static_cast<double>(depth()));
+  if (metrics_.queue_depth == nullptr) {
+    metrics_.queue_depth = &metrics::global_registry().gauge(
+        "nn.rpc.queue_depth");
+  }
+  metrics_.queue_depth->set(static_cast<double>(depth()));
 }
 
 ServiceQueue::ServiceQueue(sim::Simulation& sim, Config config)
@@ -67,24 +75,26 @@ std::size_t ServiceQueue::depth() const {
 
 void ServiceQueue::shed_op(Op op, bool cap_rejection) {
   ++counters_.shed_total;
-  reg_counter("nn.rpc.shed").add();
+  reg_counter(metrics_.shed, "nn.rpc.shed").add();
   if (op.cls == ServiceClass::kHeartbeat) {
     ++counters_.shed_heartbeats;
-    reg_counter("nn.rpc.shed_heartbeats").add();
+    reg_counter(metrics_.shed_heartbeats, "nn.rpc.shed_heartbeats").add();
   } else if (op.cls == ServiceClass::kAddBlock) {
     ++counters_.shed_add_blocks;
-    reg_counter("nn.rpc.shed_add_blocks").add();
+    reg_counter(metrics_.shed_add_blocks, "nn.rpc.shed_add_blocks").add();
   }
   if (cap_rejection) {
     ++counters_.addblock_cap_rejections;
-    reg_counter("nn.rpc.addblock_cap_rejections").add();
+    reg_counter(metrics_.addblock_cap_rejections,
+                "nn.rpc.addblock_cap_rejections")
+        .add();
   }
   if (op.shed) op.shed();
 }
 
 void ServiceQueue::enqueue(Op op) {
   ++counters_.admitted;
-  reg_counter("nn.rpc.admitted").add();
+  reg_counter(metrics_.admitted, "nn.rpc.admitted").add();
   if (config_.admission_control && op.cls == ServiceClass::kAddBlock &&
       op.tenant >= 0) {
     ++tenant_add_blocks_[op.tenant];
@@ -144,13 +154,12 @@ void ServiceQueue::submit(ServiceClass cls, std::int64_t tenant,
 
 void ServiceQueue::maybe_serve() {
   if (busy_) return;
-  auto batch = std::make_shared<std::vector<Op>>();
   SimDuration cost = 0;
   if (!config_.admission_control) {
     if (fifo_.empty()) return;
-    batch->push_back(std::move(fifo_.front()));
+    batch_.push_back(std::move(fifo_.front()));
     fifo_.pop_front();
-    cost = cost_of(batch->front().cls);
+    cost = cost_of(batch_.front().cls);
   } else {
     int band = -1;
     for (int b = 2; b >= 0; --b) {
@@ -168,7 +177,7 @@ void ServiceQueue::maybe_serve() {
                                 static_cast<std::size_t>(
                                     config_.heartbeat_batch_max)));
       for (int i = 0; i < n; ++i) {
-        batch->push_back(std::move(bands_[band].front()));
+        batch_.push_back(std::move(bands_[band].front()));
         bands_[band].pop_front();
       }
       cost = config_.cost_heartbeat +
@@ -178,40 +187,45 @@ void ServiceQueue::maybe_serve() {
       if (n > 1) {
         ++counters_.heartbeat_batches;
         counters_.heartbeats_batched += static_cast<std::uint64_t>(n);
-        reg_counter("nn.rpc.heartbeat_batches").add();
-        reg_counter("nn.rpc.heartbeats_batched").add(
-            static_cast<std::uint64_t>(n));
+        reg_counter(metrics_.heartbeat_batches, "nn.rpc.heartbeat_batches")
+            .add();
+        reg_counter(metrics_.heartbeats_batched, "nn.rpc.heartbeats_batched")
+            .add(static_cast<std::uint64_t>(n));
       }
     } else {
-      batch->push_back(std::move(bands_[band].front()));
+      batch_.push_back(std::move(bands_[band].front()));
       bands_[band].pop_front();
-      cost = cost_of(batch->front().cls);
+      cost = cost_of(batch_.front().cls);
     }
   }
   busy_ = true;
   update_depth_gauge();
   const SimTime start = sim_.now();
-  auto& wait_hist = metrics::global_registry().histogram("nn.rpc.queue_wait_ns");
-  for (const Op& op : *batch) {
+  auto& wait_hist = reg_histogram(metrics_.queue_wait, "nn.rpc.queue_wait_ns");
+  for (const Op& op : batch_) {
     wait_hist.observe(static_cast<double>(start - op.enqueued_at));
   }
-  sim_.schedule_after(cost, "rpc.service", [this, batch]() {
-    auto& sojourn_hist =
-        metrics::global_registry().histogram("nn.rpc.sojourn_ns");
-    const SimTime done = sim_.now();
-    for (Op& op : *batch) {
-      sojourn_hist.observe(static_cast<double>(done - op.enqueued_at));
-      if (config_.admission_control && op.cls == ServiceClass::kAddBlock &&
-          op.tenant >= 0) {
-        auto it = tenant_add_blocks_.find(op.tenant);
-        if (it != tenant_add_blocks_.end() && it->second > 0) --it->second;
-      }
-      ++counters_.served;
-      if (op.serve) op.serve();
+  sim_.schedule_after(cost, "rpc.service", [this] { finish_batch(); });
+}
+
+void ServiceQueue::finish_batch() {
+  auto& sojourn_hist = reg_histogram(metrics_.sojourn, "nn.rpc.sojourn_ns");
+  const SimTime done = sim_.now();
+  // Handlers may submit more ops; busy_ keeps them queued until the batch
+  // is cleared.
+  for (Op& op : batch_) {
+    sojourn_hist.observe(static_cast<double>(done - op.enqueued_at));
+    if (config_.admission_control && op.cls == ServiceClass::kAddBlock &&
+        op.tenant >= 0) {
+      auto it = tenant_add_blocks_.find(op.tenant);
+      if (it != tenant_add_blocks_.end() && it->second > 0) --it->second;
     }
-    busy_ = false;
-    maybe_serve();
-  });
+    ++counters_.served;
+    if (op.serve) op.serve();
+  }
+  batch_.clear();
+  busy_ = false;
+  maybe_serve();
 }
 
 }  // namespace smarth::rpc

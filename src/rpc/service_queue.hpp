@@ -26,9 +26,11 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/units.hpp"
 #include "sim/simulation.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::rpc {
 
@@ -105,17 +107,38 @@ class ServiceQueue {
   void shed_op(Op op, bool cap_rejection);
   void enqueue(Op op);
   void maybe_serve();
+  /// Runs the batch in service once its cost has elapsed.
+  void finish_batch();
 
   sim::Simulation& sim_;
   Config config_;
   Counters counters_;
   bool busy_ = false;
+  /// The ops in service; reused across slots (busy_ rules out a second one).
+  std::vector<Op> batch_;
   /// Undefended mode: strict arrival-order FIFO across classes.
   std::deque<Op> fifo_;
   /// Admission mode: one band per priority level (index = priority).
   std::deque<Op> bands_[3];
   /// Queued + in-service addBlock ops per tenant.
   std::unordered_map<std::int64_t, int> tenant_add_blocks_;
+
+  /// Registry handles, each resolved on first use so a metric appears only
+  /// once something records into it. Like every cached handle they assume
+  /// the registry is not reset while this queue records.
+  struct Handles {
+    metrics::Counter* admitted = nullptr;
+    metrics::Counter* shed = nullptr;
+    metrics::Counter* shed_heartbeats = nullptr;
+    metrics::Counter* shed_add_blocks = nullptr;
+    metrics::Counter* addblock_cap_rejections = nullptr;
+    metrics::Counter* heartbeat_batches = nullptr;
+    metrics::Counter* heartbeats_batched = nullptr;
+    metrics::Gauge* queue_depth = nullptr;
+    metrics::LatencyHistogram* queue_wait = nullptr;
+    metrics::LatencyHistogram* sojourn = nullptr;
+  };
+  Handles metrics_;
 };
 
 }  // namespace smarth::rpc

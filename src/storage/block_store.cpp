@@ -40,6 +40,7 @@ Status BlockStore::create_replica(BlockId block) {
                       "replica already present: " + block.to_string());
   }
   it->second.info.block = block;
+  ++version_;
   return Status::ok_status();
 }
 
@@ -73,6 +74,7 @@ Result<Bytes> BlockStore::finalize(BlockId block) {
     return Error{"replica_missing", "no replica " + block.to_string()};
   }
   it->second.info.state = ReplicaState::kFinalized;
+  ++version_;
   return it->second.info.bytes;
 }
 
@@ -80,6 +82,7 @@ Status BlockStore::remove(BlockId block) {
   if (replicas_.erase(block) == 0) {
     return make_error("replica_missing", "no replica " + block.to_string());
   }
+  ++version_;
   return Status::ok_status();
 }
 
@@ -88,15 +91,16 @@ Status BlockStore::truncate(BlockId block, Bytes length) {
   if (it == replicas_.end()) {
     return make_error("replica_missing", "no replica " + block.to_string());
   }
-  // Pipeline recovery may reopen a replica a fast node already finalized;
-  // it returns to the being-written state until the rebuilt pipeline
-  // finalizes it again (HDFS block recovery does the same).
-  it->second.info.state = ReplicaState::kBeingWritten;
   if (length < 0 || length > it->second.info.bytes) {
     return make_error("bad_length",
                       "truncate length outside [0, current] for " +
                           block.to_string());
   }
+  // Pipeline recovery may reopen a replica a fast node already finalized;
+  // it returns to the being-written state until the rebuilt pipeline
+  // finalizes it again (HDFS block recovery does the same).
+  it->second.info.state = ReplicaState::kBeingWritten;
+  ++version_;
   it->second.info.bytes = length;
   // Drop chunks past the new tail and rewrite the (now partial) tail chunk:
   // recovery re-syncs from a good source, so the tail comes back clean even

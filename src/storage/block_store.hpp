@@ -50,8 +50,9 @@ class BlockStore {
   /// Drops a replica (recovery discards partial replicas on failed nodes).
   Status remove(BlockId block);
 
-  /// Truncates an open replica to `length` (pipeline recovery syncs all
-  /// survivors to the minimum acked length).
+  /// Truncates a replica to `length` (pipeline recovery syncs all survivors
+  /// to the minimum acked length) and reopens it if it was finalized. A
+  /// length outside [0, current] fails and leaves the replica untouched.
   Status truncate(BlockId block, Bytes length);
 
   bool has_replica(BlockId block) const;
@@ -61,6 +62,12 @@ class BlockStore {
   std::size_t finalized_count() const;
   Bytes total_bytes() const;
   std::vector<ReplicaInfo> all_replicas() const;
+
+  /// Bumped by every change that may alter the finalized replicas, their
+  /// lengths or all_replicas()' order: create, remove, finalize, truncate.
+  /// A caller holding a list derived from all_replicas() may reuse it while
+  /// the version is unchanged.
+  std::uint64_t version() const { return version_; }
 
   // --- chunk-level integrity -----------------------------------------------
 
@@ -111,6 +118,7 @@ class BlockStore {
 
   Bytes chunk_size_;
   std::uint64_t chunks_rotted_ = 0;
+  std::uint64_t version_ = 0;
   std::unordered_map<BlockId, ReplicaEntry> replicas_;
 };
 

@@ -114,6 +114,43 @@ TEST_F(ServiceQueueTest, AdmissionBatchesQueuedHeartbeats) {
   EXPECT_EQ(batch_done, microseconds(150) + batch_cost);
 }
 
+TEST_F(ServiceQueueTest, OpsSubmittedDuringServiceWaitForTheNextSlot) {
+  ServiceQueue::Config config;
+  config.admission_control = true;
+  ServiceQueue queue(sim_, config);
+  std::vector<std::string> order;
+  std::vector<SimTime> done_at;
+  const auto record = [&](std::string name) {
+    order.push_back(std::move(name));
+    done_at.push_back(sim_.now());
+  };
+  // Each heartbeat's handler submits a meta op from inside the batch in
+  // service; it must queue behind the batch, not join it.
+  for (int i = 0; i < 3; ++i) {
+    queue.submit(ServiceClass::kHeartbeat, -1,
+                 [&, i] {
+                   record("hb" + std::to_string(i));
+                   queue.submit(ServiceClass::kMeta, -1,
+                                [&, i] { record("meta" + std::to_string(i)); },
+                                nullptr);
+                 },
+                 nullptr);
+  }
+  sim_.run();
+  ASSERT_EQ(order, (std::vector<std::string>{"hb0", "hb1", "hb2", "meta0",
+                                             "meta1", "meta2"}));
+  // hb0 alone, then hb1 + hb2 as one batch (30 us + 25% marginal), then the
+  // metas one slot each.
+  const SimTime batch_done = microseconds(30) + microseconds(30) * 5 / 4;
+  EXPECT_EQ(done_at, (std::vector<SimTime>{
+                         microseconds(30), batch_done, batch_done,
+                         batch_done + microseconds(150),
+                         batch_done + microseconds(300),
+                         batch_done + microseconds(450)}));
+  EXPECT_EQ(queue.counters().served, 6u);
+  EXPECT_EQ(queue.depth(), 0u);
+}
+
 TEST_F(ServiceQueueTest, AdmissionShedsArrivalWithNoLowerBandToDisplace) {
   ServiceQueue::Config config;
   config.admission_control = true;

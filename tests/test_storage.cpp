@@ -136,6 +136,48 @@ TEST(BlockStore, TruncateReopensFinalizedReplica) {
   ASSERT_TRUE(store.append(b, 500).ok());  // writable again
 }
 
+TEST(BlockStore, TruncateWithBadLengthLeavesReplicaUntouched) {
+  BlockStore store;
+  const BlockId b{1};
+  ASSERT_TRUE(store.create_replica(b).ok());
+  ASSERT_TRUE(store.append(b, 1000).ok());
+  ASSERT_TRUE(store.finalize(b).ok());
+  const std::uint64_t version = store.version();
+  EXPECT_FALSE(store.truncate(b, 1500).ok());
+  EXPECT_FALSE(store.truncate(b, -1).ok());
+  // Still finalized at its full length: a failed truncate reopens nothing.
+  EXPECT_EQ(store.replica(b).value().state, ReplicaState::kFinalized);
+  EXPECT_EQ(store.replica(b).value().bytes, 1000);
+  EXPECT_EQ(store.version(), version);
+}
+
+TEST(BlockStore, VersionMovesWithTheFinalizedList) {
+  BlockStore store;
+  const BlockId b{1};
+  std::uint64_t version = store.version();
+  const auto moved = [&] {
+    const bool changed = store.version() != version;
+    version = store.version();
+    return changed;
+  };
+  ASSERT_TRUE(store.create_replica(b).ok());
+  EXPECT_TRUE(moved());
+  ASSERT_TRUE(store.append(b, 1000).ok());
+  EXPECT_FALSE(moved());  // open replicas are not in the list
+  ASSERT_TRUE(store.finalize(b).ok());
+  EXPECT_TRUE(moved());
+  ASSERT_TRUE(store.rot_chunk(b, 0).ok());
+  EXPECT_FALSE(moved());
+  EXPECT_FALSE(store.create_replica(b).ok());
+  EXPECT_FALSE(moved());
+  ASSERT_TRUE(store.truncate(b, 500).ok());
+  EXPECT_TRUE(moved());
+  ASSERT_TRUE(store.remove(b).ok());
+  EXPECT_TRUE(moved());
+  EXPECT_FALSE(store.remove(b).ok());
+  EXPECT_FALSE(moved());
+}
+
 TEST(BlockStore, RemoveReplica) {
   BlockStore store;
   const BlockId b{1};
