@@ -35,7 +35,8 @@ double run(double threshold, bool dynamic, Bytes file_size) {
       cluster.throttle_datanode((2 * round) % n, slow);
       cluster.throttle_datanode((2 * round + 1) % n, slow);
       cluster.sim().schedule_after(
-          seconds(20), [rotate, round] { (*rotate)(round + 1); });
+          seconds(20), "bench.rotate_slow",
+          [rotate, round] { (*rotate)(round + 1); });
     };
     (*rotate)(0);
   }

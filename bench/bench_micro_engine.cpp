@@ -22,7 +22,7 @@ void BM_EventScheduleDispatch(benchmark::State& state) {
     sim::Simulation sim;
     std::int64_t counter = 0;
     for (int i = 0; i < 10'000; ++i) {
-      sim.schedule_at(i, [&counter] { ++counter; });
+      sim.schedule_at(i, "bench", [&counter] { ++counter; });
     }
     sim.run();
     benchmark::DoNotOptimize(counter);
@@ -37,7 +37,7 @@ void BM_EventCancellation(benchmark::State& state) {
     std::vector<sim::EventHandle> handles;
     handles.reserve(10'000);
     for (int i = 0; i < 10'000; ++i) {
-      handles.push_back(sim.schedule_at(i, [] {}));
+      handles.push_back(sim.schedule_at(i, "bench", [] {}));
     }
     for (auto& h : handles) h.cancel();
     sim.run();

@@ -133,7 +133,7 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
     rec->set_pending_summary_provider(
         [this] { return sim_->pending_category_summary(); });
     flight_sampler_ = std::make_unique<sim::PeriodicTask>(
-        *sim_, rec->sample_interval(), [this, rec] {
+        *sim_, rec->sample_interval(), "trace.flight_sample", [this, rec] {
           update_flight_gauges();
           rec->sample(sim_->now());
         });
@@ -251,12 +251,12 @@ void Cluster::throttle_datanode(std::size_t index, Bandwidth bw) {
 
 void Cluster::crash_datanode_at(std::size_t index, SimTime at) {
   hdfs::Datanode* dn = &datanode(index);
-  sim_->schedule_at(at, [dn] { dn->crash(); });
+  sim_->schedule_at(at, "fault.dn_crash", [dn] { dn->crash(); });
 }
 
 void Cluster::restart_datanode_at(std::size_t index, SimTime at) {
   hdfs::Datanode* dn = &datanode(index);
-  sim_->schedule_at(at, [dn] { dn->restart(); });
+  sim_->schedule_at(at, "fault.dn_restart", [dn] { dn->restart(); });
 }
 
 void Cluster::crash_client(std::size_t index) {
@@ -297,12 +297,14 @@ void Cluster::restart_client(std::size_t index) {
 
 void Cluster::crash_client_at(std::size_t index, SimTime at) {
   SMARTH_CHECK(index < clients_.size());
-  sim_->schedule_at(at, [this, index] { crash_client(index); });
+  sim_->schedule_at(at, "fault.client_crash",
+                    [this, index] { crash_client(index); });
 }
 
 void Cluster::restart_client_at(std::size_t index, SimTime at) {
   SMARTH_CHECK(index < clients_.size());
-  sim_->schedule_at(at, [this, index] { restart_client(index); });
+  sim_->schedule_at(at, "fault.client_restart",
+                    [this, index] { restart_client(index); });
 }
 
 bool Cluster::client_crashed(std::size_t index) const {
@@ -385,15 +387,15 @@ void Cluster::complete_namenode_recovery(const hdfs::NamenodeImage& image,
 }
 
 void Cluster::crash_namenode_at(SimTime at) {
-  sim_->schedule_at(at, [this] { crash_namenode(); });
+  sim_->schedule_at(at, "fault.nn_crash", [this] { crash_namenode(); });
 }
 
 void Cluster::restart_namenode_at(SimTime at) {
-  sim_->schedule_at(at, [this] { restart_namenode(); });
+  sim_->schedule_at(at, "fault.nn_restart", [this] { restart_namenode(); });
 }
 
 void Cluster::failover_namenode_at(SimTime at) {
-  sim_->schedule_at(at, [this] { failover_namenode(); });
+  sim_->schedule_at(at, "fault.nn_failover", [this] { failover_namenode(); });
 }
 
 void Cluster::enable_standby() {

@@ -42,7 +42,7 @@ FaultInjector::FaultInjector(cluster::Cluster& cluster,
 
 void FaultInjector::crash(std::size_t datanode_index, SimTime at) {
   hdfs::Datanode* dn = &cluster_.datanode(datanode_index);
-  cluster_.sim().schedule_at(at, [this, dn, datanode_index] {
+  cluster_.sim().schedule_at(at, "fault.dn_crash", [this, dn, datanode_index] {
     if (dn->crashed()) return;
     SMARTH_KV(LogLevel::kInfo, "faults", "crash").kv("dn", datanode_index);
     trace_fault("crash", {{"dn", idx_str(datanode_index)}});
@@ -56,13 +56,14 @@ void FaultInjector::crash_and_rejoin(std::size_t datanode_index, SimTime at,
   SMARTH_CHECK_MSG(rejoin_at > at, "rejoin must come after the crash");
   crash(datanode_index, at);
   hdfs::Datanode* dn = &cluster_.datanode(datanode_index);
-  cluster_.sim().schedule_at(rejoin_at, [this, dn, datanode_index] {
-    if (!dn->crashed()) return;
-    SMARTH_KV(LogLevel::kInfo, "faults", "rejoin").kv("dn", datanode_index);
-    trace_fault("rejoin", {{"dn", idx_str(datanode_index)}});
-    dn->restart();
-    count_fault("restarts");
-  });
+  cluster_.sim().schedule_at(
+      rejoin_at, "fault.dn_rejoin", [this, dn, datanode_index] {
+        if (!dn->crashed()) return;
+        SMARTH_KV(LogLevel::kInfo, "faults", "rejoin").kv("dn", datanode_index);
+        trace_fault("rejoin", {{"dn", idx_str(datanode_index)}});
+        dn->restart();
+        count_fault("restarts");
+      });
   mark_busy(datanode_index, rejoin_at);
 }
 
@@ -74,39 +75,40 @@ void FaultInjector::fail_slow(std::size_t datanode_index, SimTime from,
   const NodeId node = cluster_.datanode_id(datanode_index);
   net::Network* net = &cluster_.network();
 
-  cluster_.sim().schedule_at(from, [this, dn, net, node, datanode_index, until,
-                                    disk_factor, nic_factor] {
-    const Bandwidth disk_before = dn->disk().write_bandwidth();
-    const Bandwidth nic_before = net->node_nic(node);
-    if (disk_factor > 1.0 && !disk_before.is_unlimited()) {
-      dn->disk().set_write_bandwidth(Bandwidth::bits_per_second(
-          disk_before.bits_per_second() / disk_factor));
-    }
-    if (nic_factor > 1.0 && !nic_before.is_unlimited()) {
-      net->set_node_nic(node, Bandwidth::bits_per_second(
-                                  nic_before.bits_per_second() / nic_factor));
-    }
-    count_fault("fail_slows");
-    SMARTH_KV(LogLevel::kInfo, "faults", "fail-slow")
-        .kv("dn", datanode_index)
-        .kv("disk_factor", disk_factor)
-        .kv("nic_factor", nic_factor)
-        .kv("until", format_duration(until));
-    trace_fault("fail-slow start", {{"dn", idx_str(datanode_index)},
-                                    {"disk_factor", std::to_string(disk_factor)},
-                                    {"nic_factor", std::to_string(nic_factor)}});
-    cluster_.sim().schedule_at(until,
-                               [dn, net, node, disk_before, nic_before,
-                                datanode_index] {
-                                 dn->disk().set_write_bandwidth(disk_before);
-                                 net->set_node_nic(node, nic_before);
-                                 SMARTH_KV(LogLevel::kInfo, "faults",
-                                           "fail-slow-over")
-                                     .kv("dn", datanode_index);
-                                 trace_fault("fail-slow end",
-                                             {{"dn", idx_str(datanode_index)}});
-                               });
-  });
+  cluster_.sim().schedule_at(
+      from, "fault.fail_slow", [this, dn, net, node, datanode_index, until,
+                                disk_factor, nic_factor] {
+        const Bandwidth disk_before = dn->disk().write_bandwidth();
+        const Bandwidth nic_before = net->node_nic(node);
+        if (disk_factor > 1.0 && !disk_before.is_unlimited()) {
+          dn->disk().set_write_bandwidth(Bandwidth::bits_per_second(
+              disk_before.bits_per_second() / disk_factor));
+        }
+        if (nic_factor > 1.0 && !nic_before.is_unlimited()) {
+          net->set_node_nic(node,
+                            Bandwidth::bits_per_second(
+                                nic_before.bits_per_second() / nic_factor));
+        }
+        count_fault("fail_slows");
+        SMARTH_KV(LogLevel::kInfo, "faults", "fail-slow")
+            .kv("dn", datanode_index)
+            .kv("disk_factor", disk_factor)
+            .kv("nic_factor", nic_factor)
+            .kv("until", format_duration(until));
+        trace_fault("fail-slow start",
+                    {{"dn", idx_str(datanode_index)},
+                     {"disk_factor", std::to_string(disk_factor)},
+                     {"nic_factor", std::to_string(nic_factor)}});
+        cluster_.sim().schedule_at(
+            until, "fault.fail_slow_end",
+            [dn, net, node, disk_before, nic_before, datanode_index] {
+              dn->disk().set_write_bandwidth(disk_before);
+              net->set_node_nic(node, nic_before);
+              SMARTH_KV(LogLevel::kInfo, "faults", "fail-slow-over")
+                  .kv("dn", datanode_index);
+              trace_fault("fail-slow end", {{"dn", idx_str(datanode_index)}});
+            });
+      });
   mark_busy(datanode_index, until);
 }
 
@@ -115,17 +117,21 @@ void FaultInjector::flap_node(std::size_t datanode_index, SimTime down_at,
   SMARTH_CHECK_MSG(up_at > down_at, "flap window must have positive length");
   const NodeId node = cluster_.datanode_id(datanode_index);
   net::Network* net = &cluster_.network();
-  cluster_.sim().schedule_at(down_at, [this, net, node, datanode_index] {
-    SMARTH_KV(LogLevel::kInfo, "faults", "flap-down").kv("dn", datanode_index);
-    trace_fault("flap down", {{"dn", idx_str(datanode_index)}});
-    net->set_node_isolated(node, true);
-    count_fault("flaps");
-  });
-  cluster_.sim().schedule_at(up_at, [net, node, datanode_index] {
-    SMARTH_KV(LogLevel::kInfo, "faults", "flap-up").kv("dn", datanode_index);
-    trace_fault("flap up", {{"dn", idx_str(datanode_index)}});
-    net->set_node_isolated(node, false);
-  });
+  cluster_.sim().schedule_at(
+      down_at, "fault.flap_down", [this, net, node, datanode_index] {
+        SMARTH_KV(LogLevel::kInfo, "faults", "flap-down")
+            .kv("dn", datanode_index);
+        trace_fault("flap down", {{"dn", idx_str(datanode_index)}});
+        net->set_node_isolated(node, true);
+        count_fault("flaps");
+      });
+  cluster_.sim().schedule_at(
+      up_at, "fault.flap_up", [net, node, datanode_index] {
+        SMARTH_KV(LogLevel::kInfo, "faults", "flap-up")
+            .kv("dn", datanode_index);
+        trace_fault("flap up", {{"dn", idx_str(datanode_index)}});
+        net->set_node_isolated(node, false);
+      });
   mark_busy(datanode_index, up_at);
 }
 
@@ -135,21 +141,24 @@ void FaultInjector::partition_racks(const std::string& rack_a,
   SMARTH_CHECK_MSG(heal_at > sever_at,
                    "partition window must have positive length");
   net::Network* net = &cluster_.network();
-  cluster_.sim().schedule_at(sever_at, [this, net, rack_a, rack_b] {
-    SMARTH_KV(LogLevel::kInfo, "faults", "partition")
-        .kv("rack_a", rack_a)
-        .kv("rack_b", rack_b);
-    trace_fault("partition", {{"rack_a", rack_a}, {"rack_b", rack_b}});
-    net->set_rack_partition(rack_a, rack_b, true);
-    count_fault("partitions");
-  });
-  cluster_.sim().schedule_at(heal_at, [net, rack_a, rack_b] {
-    SMARTH_KV(LogLevel::kInfo, "faults", "partition-healed")
-        .kv("rack_a", rack_a)
-        .kv("rack_b", rack_b);
-    trace_fault("partition healed", {{"rack_a", rack_a}, {"rack_b", rack_b}});
-    net->set_rack_partition(rack_a, rack_b, false);
-  });
+  cluster_.sim().schedule_at(
+      sever_at, "fault.partition", [this, net, rack_a, rack_b] {
+        SMARTH_KV(LogLevel::kInfo, "faults", "partition")
+            .kv("rack_a", rack_a)
+            .kv("rack_b", rack_b);
+        trace_fault("partition", {{"rack_a", rack_a}, {"rack_b", rack_b}});
+        net->set_rack_partition(rack_a, rack_b, true);
+        count_fault("partitions");
+      });
+  cluster_.sim().schedule_at(
+      heal_at, "fault.partition_heal", [net, rack_a, rack_b] {
+        SMARTH_KV(LogLevel::kInfo, "faults", "partition-healed")
+            .kv("rack_a", rack_a)
+            .kv("rack_b", rack_b);
+        trace_fault("partition healed",
+                    {{"rack_a", rack_a}, {"rack_b", rack_b}});
+        net->set_rack_partition(rack_a, rack_b, false);
+      });
 }
 
 void FaultInjector::corrupt_nth_packet(std::size_t datanode_index,
@@ -170,17 +179,19 @@ std::uint64_t FaultInjector::one_shot_salt(std::size_t datanode_index,
 void FaultInjector::bitrot(std::size_t datanode_index, SimTime at) {
   hdfs::Datanode* dn = &cluster_.datanode(datanode_index);
   const std::uint64_t salt = one_shot_salt(datanode_index, at);
-  cluster_.sim().schedule_at(at, [this, dn, datanode_index, salt] {
-    if (dn->rot_random_finalized_chunk(salt)) {
-      SMARTH_KV(LogLevel::kInfo, "faults", "bitrot").kv("dn", datanode_index);
-      trace_fault("bitrot", {{"dn", idx_str(datanode_index)}});
-      count_fault("bitrot_flips");
-    }
-  });
+  cluster_.sim().schedule_at(
+      at, "fault.bitrot", [this, dn, datanode_index, salt] {
+        if (dn->rot_random_finalized_chunk(salt)) {
+          SMARTH_KV(LogLevel::kInfo, "faults", "bitrot")
+              .kv("dn", datanode_index);
+          trace_fault("bitrot", {{"dn", idx_str(datanode_index)}});
+          count_fault("bitrot_flips");
+        }
+      });
 }
 
 void FaultInjector::crash_client(std::size_t client_index, SimTime at) {
-  cluster_.sim().schedule_at(at, [this, client_index] {
+  cluster_.sim().schedule_at(at, "fault.client_crash", [this, client_index] {
     if (cluster_.client_crashed(client_index)) return;
     SMARTH_KV(LogLevel::kInfo, "faults", "client-crash")
         .kv("client", client_index);
@@ -194,19 +205,20 @@ void FaultInjector::crash_and_rejoin_client(std::size_t client_index,
                                             SimTime at, SimTime rejoin_at) {
   SMARTH_CHECK_MSG(rejoin_at > at, "rejoin must come after the crash");
   crash_client(client_index, at);
-  cluster_.sim().schedule_at(rejoin_at, [this, client_index] {
-    if (!cluster_.client_crashed(client_index)) return;
-    SMARTH_KV(LogLevel::kInfo, "faults", "client-rejoin")
-        .kv("client", client_index);
-    trace_fault("client rejoin", {{"client", idx_str(client_index)}});
-    cluster_.restart_client(client_index);
-    count_fault("client_restarts");
-  });
+  cluster_.sim().schedule_at(
+      rejoin_at, "fault.client_rejoin", [this, client_index] {
+        if (!cluster_.client_crashed(client_index)) return;
+        SMARTH_KV(LogLevel::kInfo, "faults", "client-rejoin")
+            .kv("client", client_index);
+        trace_fault("client rejoin", {{"client", idx_str(client_index)}});
+        cluster_.restart_client(client_index);
+        count_fault("client_restarts");
+      });
   mark_client_busy(client_index, rejoin_at);
 }
 
 void FaultInjector::crash_namenode(SimTime at) {
-  cluster_.sim().schedule_at(at, [this] {
+  cluster_.sim().schedule_at(at, "fault.nn_crash", [this] {
     if (cluster_.namenode_crashed()) return;
     SMARTH_KV(LogLevel::kWarn, "faults", "nn-crash");
     trace_fault("nn crash", {});
@@ -218,7 +230,7 @@ void FaultInjector::crash_namenode(SimTime at) {
 void FaultInjector::crash_and_restart_namenode(SimTime at, SimTime restart_at) {
   SMARTH_CHECK_MSG(restart_at > at, "restart must come after the crash");
   crash_namenode(at);
-  cluster_.sim().schedule_at(restart_at, [this] {
+  cluster_.sim().schedule_at(restart_at, "fault.nn_restart", [this] {
     if (!cluster_.namenode_crashed()) return;
     SMARTH_KV(LogLevel::kInfo, "faults", "nn-restart");
     trace_fault("nn restart", {});
@@ -232,7 +244,7 @@ void FaultInjector::crash_and_failover_namenode(SimTime at,
                                                 SimTime failover_at) {
   SMARTH_CHECK_MSG(failover_at > at, "failover must come after the crash");
   crash_namenode(at);
-  cluster_.sim().schedule_at(failover_at, [this] {
+  cluster_.sim().schedule_at(failover_at, "fault.nn_failover", [this] {
     if (!cluster_.namenode_crashed()) return;
     SMARTH_KV(LogLevel::kInfo, "faults", "nn-failover");
     trace_fault("nn failover", {});
@@ -264,8 +276,8 @@ void FaultInjector::start_chaos(const ChaosRates& rates, SimDuration tick) {
       rates_.nn_crash_per_minute <= 0.0) {
     return;  // only RPC chaos requested; no sampling loop needed
   }
-  chaos_task_ = std::make_unique<sim::PeriodicTask>(cluster_.sim(), tick_,
-                                                    [this] { chaos_tick(); });
+  chaos_task_ = std::make_unique<sim::PeriodicTask>(
+      cluster_.sim(), tick_, "fault.chaos_tick", [this] { chaos_tick(); });
   chaos_task_->start();
 }
 

@@ -20,8 +20,8 @@ void BlockScanner::start() {
   if (config_.scanner_bytes_per_second <= 0 || running_) return;
   running_ = true;
   if (!task_) {
-    task_ = std::make_unique<sim::PeriodicTask>(sim_, config_.scanner_interval,
-                                                [this] { tick(); });
+    task_ = std::make_unique<sim::PeriodicTask>(
+        sim_, config_.scanner_interval, "dn.block_scan", [this] { tick(); });
   }
   task_->start_with_delay(config_.scanner_interval);
 }

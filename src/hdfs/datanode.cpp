@@ -47,7 +47,7 @@ Datanode::~Datanode() = default;
 void Datanode::start() {
   namenode_.register_datanode(self_);
   heartbeat_ = std::make_unique<sim::PeriodicTask>(
-      sim_, config_.heartbeat_interval, [this] {
+      sim_, config_.heartbeat_interval, "dn.heartbeat", [this] {
         if (crashed_) return;
         // Each heartbeat carries a block report: every finalized replica,
         // plus the ones finalized since the previous heartbeat.
@@ -696,7 +696,7 @@ void Datanode::recover_uc_block(const UcRecoveryCommand& cmd) {
           },
           [settle](ReplicaProbeResult result) { settle(result); });
     }
-    sim_.schedule_after(config_.probe_timeout,
+    sim_.schedule_after(config_.probe_timeout, "dn.probe_timeout",
                         [settle] { settle(ReplicaProbeResult{}); });
   }
 }
@@ -784,7 +784,8 @@ void Datanode::apply_uc_sync(const std::shared_ptr<UcSync>& sync) {
           },
           [once](bool ok) { once(ok); });
     }
-    sim_.schedule_after(config_.probe_timeout, [once] { once(false); });
+    sim_.schedule_after(config_.probe_timeout, "dn.probe_timeout",
+                        [once] { once(false); });
   }
 }
 

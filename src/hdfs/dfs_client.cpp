@@ -56,7 +56,8 @@ void DfsClient::create_file_attempt(const std::string& path,
           const SimDuration waited = sim_.now() - started_at;
           if (budget > 0 && waited < budget) {
             sim_.schedule_after(
-                interval, [this, path, shared_cb, overwrite, started_at] {
+                interval, "client.create_retry",
+                [this, path, shared_cb, overwrite, started_at] {
                   create_file_attempt(
                       path,
                       [shared_cb](Result<FileId> r) {
@@ -89,7 +90,7 @@ void DfsClient::start_heartbeat(
   speed_source_ = std::move(speed_source);
   if (heartbeat_) return;
   heartbeat_ = std::make_unique<sim::PeriodicTask>(
-      sim_, config_.heartbeat_interval, [this] {
+      sim_, config_.heartbeat_interval, "client.heartbeat", [this] {
         ++heartbeats_sent_;
         std::vector<SpeedRecord> records;
         if (speed_source_) records = speed_source_();

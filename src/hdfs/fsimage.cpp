@@ -114,8 +114,8 @@ FsImageCheckpointer::FsImageCheckpointer(sim::Simulation& sim,
 void FsImageCheckpointer::start() {
   if (interval_ <= 0) return;
   if (task_ == nullptr) {
-    task_ = std::make_unique<sim::PeriodicTask>(sim_, interval_,
-                                                [this] { checkpoint_now(); });
+    task_ = std::make_unique<sim::PeriodicTask>(
+        sim_, interval_, "nn.checkpoint", [this] { checkpoint_now(); });
   }
   if (!task_->running()) task_->start();
 }

@@ -143,8 +143,8 @@ void DfsInputStream::arm_cold_start_deadline() {
   if (gaps != nullptr && gaps->count() >= deps_.config.hedge_min_samples) {
     return;  // warm: the pace trigger owns slowness detection now
   }
-  cold_start_deadline_ =
-      deps_.sim.schedule_after(deps_.config.hedge_static_threshold, [this] {
+  cold_start_deadline_ = deps_.sim.schedule_after(
+      deps_.config.hedge_static_threshold, "read.cold_start_hedge", [this] {
         if (finished_) return;
         launch_hedge("cold start");
       });
@@ -181,7 +181,7 @@ void DfsInputStream::arm_hedge_timer() {
   hedge_timer_.cancel();
   if (finished_ || !deps_.config.hedged_reads || hedge_.active()) return;
   hedge_timer_ = deps_.sim.schedule_after(hedge_threshold(primary_.replica),
-                                          [this] {
+                                          "read.hedge_timer", [this] {
                                             if (finished_) return;
                                             on_hedge_timer();
                                           });
@@ -457,16 +457,18 @@ void DfsInputStream::on_attempt_failed(ReadAttempt& attempt,
 void DfsInputStream::arm_watchdog() {
   watchdog_.cancel();
   if (finished_) return;
-  watchdog_ = deps_.sim.schedule_after(deps_.config.ack_timeout, [this] {
-    if (finished_) return;
-    // No byte from either attempt within the timeout: fail the primary. If a
-    // hedge is racing it gets promoted and inherits a fresh watchdog.
-    if (primary_.active()) {
-      on_attempt_failed(primary_, "read timed out");
-    } else if (hedge_.active()) {
-      on_attempt_failed(hedge_, "read timed out");
-    }
-  });
+  watchdog_ = deps_.sim.schedule_after(
+      deps_.config.ack_timeout, "read.watchdog", [this] {
+        if (finished_) return;
+        // No byte from either attempt within the timeout: fail the primary.
+        // If a hedge is racing it gets promoted and inherits a fresh
+        // watchdog.
+        if (primary_.active()) {
+          on_attempt_failed(primary_, "read timed out");
+        } else if (hedge_.active()) {
+          on_attempt_failed(hedge_, "read timed out");
+        }
+      });
 }
 
 void DfsInputStream::finish(bool failed, const std::string& reason) {

@@ -622,7 +622,7 @@ void Namenode::enable_lease_recovery(UcRecoveryExecutor executor,
   uc_recovery_executor_ = std::move(executor);
   if (scan_interval <= 0) scan_interval = config_.lease_monitor_interval;
   lease_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, scan_interval, [this] { lease_scan(); });
+      sim_, scan_interval, "nn.lease_scan", [this] { lease_scan(); });
   lease_task_->start();
 }
 
@@ -963,7 +963,8 @@ void Namenode::enable_rereplication(ReplicationExecutor executor,
   SMARTH_CHECK(static_cast<bool>(executor));
   replication_executor_ = std::move(executor);
   rereplication_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, scan_interval, [this] { scan_for_under_replication(); });
+      sim_, scan_interval, "nn.rereplication_scan",
+      [this] { scan_for_under_replication(); });
   rereplication_task_->start();
 }
 
@@ -1278,8 +1279,8 @@ std::size_t Namenode::restart(const NamenodeImage& image,
   maybe_exit_safe_mode();  // an empty namespace has nothing to wait for
   if (safe_mode_) {
     safe_mode_timeout_.cancel();
-    safe_mode_timeout_ =
-        sim_.schedule_after(config_.safe_mode_max_wait, [this] {
+    safe_mode_timeout_ = sim_.schedule_after(
+        config_.safe_mode_max_wait, "nn.safe_mode_timeout", [this] {
           if (crashed_ || !safe_mode_ || !safe_mode_auto_) return;
           SMARTH_WARN("namenode")
               << "safe mode timed out at " << safe_blocks_fraction()

@@ -344,7 +344,7 @@ void OutputStreamBase::complete_file() {
             // overload budget rather than abandoning a fully-written file.
             complete_retry_ = deps_.sim.schedule_after(
                 deps_.config.overload_retry_interval,
-                [this] { complete_file(); });
+                "client.overload_retry", [this] { complete_file(); });
             return;
           }
           finish(true, result.error().to_string());
@@ -356,8 +356,9 @@ void OutputStreamBase::complete_file() {
         }
         // Not all blocks reported yet (blockReceived still in flight):
         // retry, as the Hadoop client does.
-        complete_retry_ = deps_.sim.schedule_after(
-            milliseconds(300), [this] { complete_file(); });
+        complete_retry_ =
+            deps_.sim.schedule_after(milliseconds(300), "client.complete_retry",
+                                     [this] { complete_file(); });
       },
       [this, alive = alive_] {
         if (!*alive || finished_) return;

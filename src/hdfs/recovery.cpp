@@ -13,8 +13,9 @@ void probe_replica_with_timeout(StreamDeps& deps, NodeId client_node,
                                 std::function<void(ReplicaProbeResult)> cb) {
   Datanode* dn = deps.datanode_resolver(datanode);
   if (dn == nullptr) {
-    deps.sim.schedule_now(
-        [cb = std::move(cb)] { cb(ReplicaProbeResult{}); });
+    deps.sim.schedule_now("recovery.probe_reply", [cb = std::move(cb)] {
+      cb(ReplicaProbeResult{});
+    });
     return;
   }
   struct State {
@@ -32,11 +33,12 @@ void probe_replica_with_timeout(StreamDeps& deps, NodeId client_node,
         state->settled = true;
         state->cb(result);
       });
-  deps.sim.schedule_after(deps.config.probe_timeout, [state] {
-    if (state->settled) return;
-    state->settled = true;
-    state->cb(ReplicaProbeResult{});  // alive=false
-  });
+  deps.sim.schedule_after(
+      deps.config.probe_timeout, "recovery.probe_timeout", [state] {
+        if (state->settled) return;
+        state->settled = true;
+        state->cb(ReplicaProbeResult{});  // alive=false
+      });
 }
 
 BlockRecovery::BlockRecovery(StreamDeps& deps, ClientId client,
@@ -169,7 +171,9 @@ void BlockRecovery::truncate_survivors() {
   for (NodeId node : alive_) {
     Datanode* dn = deps_.datanode_resolver(node);
     if (dn == nullptr) {
-      deps_.sim.schedule_now([node, step_done] { step_done(node, false); });
+      deps_.sim.schedule_now("recovery.truncate_skip", [node, step_done] {
+        step_done(node, false);
+      });
       continue;
     }
     struct CallState {
@@ -187,6 +191,7 @@ void BlockRecovery::truncate_survivors() {
           step_done(node, ok);
         });
     deps_.sim.schedule_after(deps_.config.probe_timeout,
+                             "recovery.truncate_timeout",
                              [call_state, node, step_done] {
                                if (call_state->settled) return;
                                call_state->settled = true;
@@ -302,6 +307,7 @@ void BlockRecovery::transfer_prefix(std::size_t replacement_index) {
       },
       [settle](bool ok) { settle(ok); });
   deps_.sim.schedule_after(deps_.config.replacement_transfer_timeout,
+                           "recovery.transfer_timeout",
                            [settle] { settle(false); });
 }
 

@@ -13,8 +13,8 @@ StandbyNamenode::StandbyNamenode(sim::Simulation& sim,
     : nn_(sim, topology, config, node),
       log_(log),
       tail_interval_(config.standby_tail_interval),
-      task_(std::make_unique<sim::PeriodicTask>(sim, tail_interval_,
-                                                [this] { catch_up(); })) {}
+      task_(std::make_unique<sim::PeriodicTask>(
+          sim, tail_interval_, "nn.standby_tail", [this] { catch_up(); })) {}
 
 void StandbyNamenode::bootstrap(const NamenodeImage& image,
                                 std::int64_t applied_txid) {

@@ -25,8 +25,8 @@ void CrossTraffic::send_one() {
   network_.send(src_, dst_, config_.message_size, [this] {
     if (!running_) return;
     if (config_.think_time > 0) {
-      network_.simulation().schedule_after(config_.think_time,
-                                           [this] { send_one(); });
+      network_.simulation().schedule_after(
+          config_.think_time, "net.cross_traffic", [this] { send_one(); });
     } else {
       send_one();
     }

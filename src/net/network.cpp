@@ -162,7 +162,8 @@ void Network::send(NodeId src, NodeId dst, Bytes wire_size,
   SMARTH_CHECK(static_cast<bool>(on_delivered));
   if (src == dst) {
     ++messages_delivered_;
-    sim_.schedule_after(config_.loopback_latency, std::move(on_delivered));
+    sim_.schedule_after(config_.loopback_latency, "net.loopback",
+                        std::move(on_delivered));
     return;
   }
   if (partitioned(src, dst) || node_isolated(src) || node_isolated(dst)) {
@@ -208,7 +209,8 @@ void Network::forward(Message* msg) {
   }
   ++messages_delivered_;
   if (msg->propagation > 0) {
-    sim_.post_after(msg->propagation, nullptr, [this, msg] { arrive(msg); });
+    sim_.post_after(msg->propagation, "net.propagate",
+                    [this, msg] { arrive(msg); });
   } else {
     arrive(msg);
   }

@@ -129,7 +129,7 @@ void call_with_retry(RpcBus& bus, sim::Simulation& sim,
                 .add();
             const SimDuration backoff =
                 detail::retry_backoff(policy, attempt, sim);
-            sim.schedule_after(backoff, [state, self]() {
+            sim.schedule_after(backoff, "rpc.retry_backoff", [state, self]() {
               if (state->settled) return;
               (*self)();
             });
@@ -148,9 +148,9 @@ void call_with_retry(RpcBus& bus, sim::Simulation& sim,
           on_response(std::move(resp));
         },
         options, shed_response);
-    sim.schedule_after(policy.timeout, [&sim, policy, attempt, state, self,
-                                        on_give_up, client, server,
-                                        label]() {
+    sim.schedule_after(policy.timeout, "rpc.timeout",
+                       [&sim, policy, attempt, state, self, on_give_up,
+                        client, server, label]() {
       if (state->settled || state->attempt != attempt ||
           state->response_retry_pending) {
         return;
@@ -177,7 +177,7 @@ void call_with_retry(RpcBus& bus, sim::Simulation& sim,
              {"client", client.to_string()},
              {"server", server.to_string()}});
       }
-      sim.schedule_after(backoff, [self]() { (*self)(); });
+      sim.schedule_after(backoff, "rpc.retry_backoff", [self]() { (*self)(); });
     });
   };
   (*launch)();

@@ -65,7 +65,8 @@ void RpcBus::send_control(NodeId from, NodeId to, Bytes size,
                   net::LinkPriority::kControl);
   };
   if (extra > 0) {
-    network_.simulation().schedule_after(extra, std::move(transmit));
+    network_.simulation().schedule_after(extra, "rpc.delay",
+                                         std::move(transmit));
   } else {
     transmit();
   }
@@ -87,8 +88,8 @@ void RpcBus::notify(NodeId sender, NodeId receiver,
         }
         ServiceQueue* queue = service_queue(receiver);
         if (queue == nullptr) {
-          network_.simulation().schedule_after(config_.service_time,
-                                               std::move(handler));
+          network_.simulation().schedule_after(
+              config_.service_time, "rpc.service", std::move(handler));
           return;
         }
         auto guarded = [this, sender, receiver,

@@ -136,8 +136,8 @@ class RpcBus {
           };
           ServiceQueue* queue = service_queue(server);
           if (queue == nullptr) {
-            network_.simulation().schedule_after(config_.service_time,
-                                                 std::move(serve));
+            network_.simulation().schedule_after(
+                config_.service_time, "rpc.service", std::move(serve));
             return;
           }
           std::function<void()> shed;

@@ -12,7 +12,9 @@ class PeriodicTask {
  public:
   using Callback = std::function<void()>;
 
-  PeriodicTask(Simulation& sim, SimDuration period, Callback cb);
+  /// `category` labels every fire event (see Simulation::schedule_at).
+  PeriodicTask(Simulation& sim, SimDuration period, const char* category,
+               Callback cb);
   ~PeriodicTask();
 
   PeriodicTask(const PeriodicTask&) = delete;
@@ -33,6 +35,7 @@ class PeriodicTask {
 
   Simulation& sim_;
   SimDuration period_;
+  const char* category_;
   Callback callback_;
   EventHandle next_;
   bool running_ = false;

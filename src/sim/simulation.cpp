@@ -1,8 +1,12 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -11,21 +15,6 @@
 namespace smarth::sim {
 
 namespace detail {
-
-/// One pooled event. Records live in slabs owned by the EventPool and are
-/// recycled through a freelist; `gen` is bumped on every recycle so stale
-/// EventHandles read as not-pending instead of aliasing the new occupant.
-struct EventRecord {
-  enum class State : std::uint8_t { kFree, kPending, kCancelled };
-
-  SimTime time = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t gen = 0;
-  const char* category = nullptr;
-  EventRecord* next = nullptr;  ///< freelist link while free
-  State state = State::kFree;
-  Simulation::Callback callback;
-};
 
 /// EventRecords on a SlabPool, so record pointers stay valid for the pool's
 /// lifetime. The pool is shared between the Simulation and any outstanding
@@ -42,8 +31,9 @@ class EventPool {
     return rec;
   }
 
-  /// Recycles a record (fired, or swept tombstone). Destroys any remaining
-  /// callback state and invalidates outstanding handles via the generation.
+  /// Recycles a record (fired, discarded, or swept tombstone). Destroys any
+  /// remaining callback state and invalidates outstanding handles via the
+  /// generation.
   void release(EventRecord* rec) {
     rec->callback = nullptr;
     rec->state = EventRecord::State::kFree;
@@ -121,51 +111,86 @@ struct FiresLater {
 
 }  // namespace
 
-/// Two-tier calendar ("ladder") queue. The near future — events with
-/// time < active_end — sits in a small binary heap; the farther future is
-/// bucketed by time into kBuckets unsorted vectors (O(1) insertion, no
-/// comparisons), and everything beyond the ladder span lands in an unsorted
-/// overflow list. Buckets are heapified only when the active heap drains, so
-/// the heap stays small and pop order is still a strict total (time, seq)
-/// order: a bucket is only activated once every earlier event has fired.
+/// Multi-rung ladder queue, after Tang, Goh & Thng's Ladder Queue (ACM
+/// TOMACS 2005). Three tiers, every event in exactly one:
+///
+///  - `active`, a binary min-heap holding every event with
+///    time < active_end: the bucket being drained;
+///  - rungs of kBuckets buckets each, coarsest first. A bucket is an
+///    unsorted intrusive list through EventRecord::next, so inserting costs
+///    O(1) and no comparison. Each deeper rung covers exactly one bucket of
+///    the rung above it (the one being drained) at a finer width;
+///  - `overflow`, an unsorted list of the events at or beyond the end of
+///    rung 0, spread into a new rung 0 once every rung has drained.
+///
+/// A new event goes to the heap if it is due before active_end, else into
+/// the finest rung whose range contains it, else into overflow. When the
+/// heap drains, the finest rung's next non-empty bucket is taken: with more
+/// than kSplitThreshold live events at more than one time it becomes a new,
+/// finer rung over exactly its range; otherwise its events are heapified.
+///
+/// Straddle invariant: a rung ends exactly where its parent bucket ends, so
+/// a finer rung's last bucket may be narrower than its width. Were it to
+/// reach past that end, it could capture events due after an earlier event
+/// already waiting in the parent's next bucket, and pop them out of order.
+/// With it, every unvisited bucket starts at or after active_end, and the
+/// heap top is the global (time, seq) minimum.
 struct Simulation::Impl {
   static constexpr std::size_t kBuckets = 256;
+  static constexpr std::size_t kSplitThreshold = 32;
+
+  struct Rung {
+    SimTime start = 0;       ///< start of bucket 0
+    SimTime end = 0;         ///< exclusive end of the rung's range
+    SimDuration width = 1;   ///< bucket width; the last bucket may be cut
+    std::size_t cursor = 0;  ///< next bucket to drain; earlier ones are empty
+    std::size_t count = 0;   ///< records in the buckets, tombstones included
+    std::array<EventRecord*, kBuckets> heads{};
+  };
 
   PoolRef pool{new EventPool};
 
-  std::vector<EventRecord*> active;  ///< min-heap, events < active_end
-  SimTime active_end = 0;            ///< exclusive upper bound of the heap
+  std::vector<EventRecord*> active;  ///< min-heap of the events < active_end
+  SimTime active_end = 0;
 
-  std::vector<std::vector<EventRecord*>> buckets{kBuckets};
-  SimTime ladder_base = 0;       ///< start time of bucket 0's range
-  SimDuration bucket_width = 0;  ///< 0 => ladder not built
-  std::size_t cursor = 0;        ///< next bucket to activate
-  std::size_t ladder_count = 0;  ///< records across all buckets
+  std::vector<Rung> rungs;  ///< [0, depth) in use; deeper ones kept empty
+  std::size_t depth = 0;
 
-  std::vector<EventRecord*> overflow;  ///< events beyond the ladder span
-  std::vector<EventRecord*> rebuild_scratch;  ///< rebuild_ladder's work list
+  EventRecord* overflow = nullptr;  ///< events at or beyond rungs[0].end
 
   void push(EventRecord* rec) {
-    if (rec->time < active_end) {
+    const SimTime t = rec->time;
+    if (t < active_end) {
       active.push_back(rec);
       std::push_heap(active.begin(), active.end(), FiresLater{});
       return;
     }
-    if (bucket_width > 0) {
-      const auto idx = static_cast<std::size_t>(
-          (rec->time - ladder_base) / bucket_width);
-      if (idx < kBuckets) {
-        buckets[idx].push_back(rec);
-        ++ladder_count;
+    for (std::size_t d = depth; d-- > 0;) {
+      if (t < rungs[d].end) {
+        link(rungs[d], rec);
         return;
       }
     }
-    overflow.push_back(rec);
+    rec->next = overflow;
+    overflow = rec;
+  }
+
+  /// Links `rec` into the bucket of `rung` whose range contains its time.
+  void link(Rung& rung, EventRecord* rec) {
+    const SimTime t = rec->time;
+    const auto idx = static_cast<std::size_t>((t - rung.start) / rung.width);
+    SMARTH_DCHECK(t >= rung.start && t < rung.end && idx < kBuckets &&
+                  idx >= rung.cursor &&
+                  rung.start + static_cast<SimDuration>(idx) * rung.width >=
+                      active_end);
+    rec->next = rung.heads[idx];
+    rung.heads[idx] = rec;
+    ++rung.count;
   }
 
   /// Earliest live (non-cancelled) record, or nullptr when drained.
-  /// Tombstones encountered at the heap top, during bucket activation, or
-  /// during an overflow rebuild are recycled on the spot.
+  /// Tombstones met at the heap top or while a bucket or the overflow list
+  /// is drained are recycled on the spot.
   EventRecord* peek_live() {
     for (;;) {
       while (!active.empty()) {
@@ -175,15 +200,7 @@ struct Simulation::Impl {
         active.pop_back();
         pool->release(top);
       }
-      if (ladder_count > 0) {
-        activate_next_bucket();
-        continue;
-      }
-      if (!overflow.empty()) {
-        rebuild_ladder();
-        continue;
-      }
-      return nullptr;
+      if (!refill()) return nullptr;
     }
   }
 
@@ -194,78 +211,93 @@ struct Simulation::Impl {
     return top;
   }
 
-  void activate_next_bucket() {
-    while (cursor < kBuckets && buckets[cursor].empty()) ++cursor;
-    SMARTH_DCHECK(cursor < kBuckets);
-    std::vector<EventRecord*>& bucket = buckets[cursor];
-    ladder_count -= bucket.size();
-    for (EventRecord* rec : bucket) {
-      if (rec->state == EventRecord::State::kCancelled) {
-        pool->release(rec);  // bucket-sweep tombstone drop
-      } else {
-        active.push_back(rec);
-      }
-    }
-    bucket.clear();
-    ++cursor;
-    active_end = ladder_base + static_cast<SimDuration>(cursor) * bucket_width;
-    std::make_heap(active.begin(), active.end(), FiresLater{});
-  }
-
-  /// Rebuilds the ladder over the overflow list's time span. Only reached
-  /// when both the heap and all buckets have drained, so redistribution
-  /// cannot reorder anything that could fire earlier.
-  void rebuild_ladder() {
-    SimTime min_t = 0;
-    SimTime max_t = 0;
-    std::size_t live_count = 0;
-    for (EventRecord* rec : overflow) {
-      if (rec->state == EventRecord::State::kCancelled) continue;
-      if (live_count == 0 || rec->time < min_t) min_t = rec->time;
-      if (live_count == 0 || rec->time > max_t) max_t = rec->time;
-      ++live_count;
-    }
-    // Swap rather than move, so both vectors keep their capacity and later
-    // overflow pushes do not allocate.
-    std::vector<EventRecord*>& pending = rebuild_scratch;
-    pending.swap(overflow);
-    if (live_count == 0) {
-      for (EventRecord* rec : pending) pool->release(rec);
-      pending.clear();
-      return;
-    }
-    if (live_count <= 32 || min_t == max_t) {
-      // Too few events to spread: heapify directly.
-      bucket_width = 0;
-      cursor = kBuckets;
-      active_end = max_t + 1;
-      for (EventRecord* rec : pending) {
-        if (rec->state == EventRecord::State::kCancelled) {
-          pool->release(rec);
-        } else {
-          active.push_back(rec);
-        }
-      }
-      std::make_heap(active.begin(), active.end(), FiresLater{});
-      pending.clear();
-      return;
-    }
-    ladder_base = min_t;
-    bucket_width = (max_t - min_t) / static_cast<SimDuration>(kBuckets) + 1;
-    cursor = 0;
-    active_end = ladder_base;
-    for (EventRecord* rec : pending) {
-      if (rec->state == EventRecord::State::kCancelled) {
-        pool->release(rec);
+  /// Refills the drained heap from the next non-empty bucket, splitting
+  /// crowded buckets into finer rungs and rebuilding rung 0 from overflow
+  /// when every rung is spent. False when nothing is pending.
+  bool refill() {
+    SMARTH_DCHECK(active.empty());
+    for (;;) {
+      if (depth == 0) {
+        if (overflow == nullptr) return false;
+        SimTime min_t = 0;
+        SimTime max_t = 0;
+        gather(std::exchange(overflow, nullptr), min_t, max_t);
+        if (active.empty()) continue;  // the list held only tombstones
+        // The narrowest width whose 256 buckets cover [min_t, max_t].
+        const SimDuration width =
+            (max_t - min_t) / static_cast<SimDuration>(kBuckets) + 1;
+        const std::uint64_t end = static_cast<std::uint64_t>(min_t) +
+                                  static_cast<std::uint64_t>(width) * kBuckets;
+        open_rung(min_t,
+                  static_cast<SimTime>(std::min<std::uint64_t>(
+                      end, std::numeric_limits<SimTime>::max())),
+                  width);
         continue;
       }
-      const auto idx = static_cast<std::size_t>(
-          (rec->time - ladder_base) / bucket_width);
-      SMARTH_DCHECK(idx < kBuckets);
-      buckets[idx].push_back(rec);
-      ++ladder_count;
+      Rung& rung = rungs[depth - 1];
+      if (rung.count == 0) {
+        // Spent: the parent's (or overflow's) range resumes at its end.
+        active_end = rung.end;
+        --depth;
+        continue;
+      }
+      while (rung.heads[rung.cursor] == nullptr) ++rung.cursor;
+      const std::size_t idx = rung.cursor++;
+      const SimTime lo =
+          rung.start + static_cast<SimDuration>(idx) * rung.width;
+      const SimTime hi =
+          rung.end - lo <= rung.width ? rung.end : lo + rung.width;
+      EventRecord* list = std::exchange(rung.heads[idx], nullptr);
+      SimTime min_t = 0;
+      SimTime max_t = 0;
+      rung.count -= gather(list, min_t, max_t);
+      if (active.size() > kSplitThreshold && min_t != max_t) {
+        const SimDuration span = hi - lo;
+        open_rung(lo, hi,
+                  (span + static_cast<SimDuration>(kBuckets) - 1) /
+                      static_cast<SimDuration>(kBuckets));
+        continue;
+      }
+      active_end = hi;
+      if (active.empty()) continue;  // the bucket held only tombstones
+      std::make_heap(active.begin(), active.end(), FiresLater{});
+      return true;
     }
-    pending.clear();
+  }
+
+  /// Moves the live records of `list` into the (empty) heap vector, unsorted,
+  /// and recycles its tombstones. Returns how many records the list held;
+  /// `min_t` and `max_t` bound the live ones' times.
+  std::size_t gather(EventRecord* list, SimTime& min_t, SimTime& max_t) {
+    std::size_t records = 0;
+    for (EventRecord* rec = list; rec != nullptr; ++records) {
+      EventRecord* next = rec->next;
+      if (rec->state == EventRecord::State::kCancelled) {
+        pool->release(rec);
+      } else {
+        if (active.empty() || rec->time < min_t) min_t = rec->time;
+        if (active.empty() || rec->time > max_t) max_t = rec->time;
+        active.push_back(rec);
+      }
+      rec = next;
+    }
+    return records;
+  }
+
+  /// Opens a rung one level finer over [start, end) and spreads the
+  /// gathered records of the heap vector into it.
+  void open_rung(SimTime start, SimTime end, SimDuration width) {
+    SMARTH_DCHECK(start >= active_end && start < end && width > 0);
+    if (depth == rungs.size()) rungs.emplace_back();
+    Rung& rung = rungs[depth++];
+    SMARTH_DCHECK(rung.count == 0);
+    rung.start = start;
+    rung.end = end;
+    rung.width = width;
+    rung.cursor = 0;
+    active_end = start;
+    for (EventRecord* rec : active) link(rung, rec);
+    active.clear();
   }
 
   /// Pending category histogram, for the event-limit diagnostic.
@@ -275,11 +307,14 @@ struct Simulation::Impl {
       if (rec->state != EventRecord::State::kPending) return;
       counts[rec->category != nullptr ? rec->category : "event"] += 1;
     };
+    auto tally_list = [&tally](const EventRecord* rec) {
+      for (; rec != nullptr; rec = rec->next) tally(rec);
+    };
     for (const EventRecord* rec : active) tally(rec);
-    for (const auto& bucket : buckets) {
-      for (const EventRecord* rec : bucket) tally(rec);
+    for (std::size_t d = 0; d < depth; ++d) {
+      for (const EventRecord* head : rungs[d].heads) tally_list(head);
     }
-    for (const EventRecord* rec : overflow) tally(rec);
+    tally_list(overflow);
     return counts;
   }
 };
@@ -297,51 +332,30 @@ Simulation::~Simulation() {
   }
 }
 
-EventRecord* Simulation::enqueue(SimTime t, const char* category,
-                                 Callback cb) {
+EventRecord* Simulation::acquire(SimTime t) {
   SMARTH_CHECK_MSG(t >= now_, "scheduling into the past: t="
                                   << t << " now=" << now_);
-  SMARTH_CHECK_MSG(static_cast<bool>(cb), "null event callback");
   EventRecord* rec = impl_->pool->acquire();
   rec->time = t;
-  rec->seq = seq_++;
-  rec->category = category;
-  rec->callback = std::move(cb);
-  impl_->push(rec);
-  ++scheduled_;
-  ++impl_->pool->live;
   return rec;
 }
 
-EventHandle Simulation::schedule_at(SimTime t, Callback cb) {
-  return schedule_at(t, nullptr, std::move(cb));
+void Simulation::commit(EventRecord* rec, const char* category) {
+  rec->seq = seq_++;
+  rec->category = category;
+  impl_->push(rec);
+  ++scheduled_;
+  ++impl_->pool->live;
 }
 
-EventHandle Simulation::schedule_at(SimTime t, const char* category,
-                                    Callback cb) {
-  EventRecord* rec = enqueue(t, category, std::move(cb));
+void Simulation::discard(EventRecord* rec) { impl_->pool->release(rec); }
+
+EventHandle Simulation::handle_for(EventRecord* rec) {
   return EventHandle{impl_->pool, rec, rec->gen};
 }
 
-EventHandle Simulation::schedule_after(SimDuration delay, Callback cb) {
-  if (delay < 0) delay = 0;
-  return schedule_at(now_ + delay, nullptr, std::move(cb));
-}
-
-EventHandle Simulation::schedule_after(SimDuration delay, const char* category,
-                                       Callback cb) {
-  if (delay < 0) delay = 0;
-  return schedule_at(now_ + delay, category, std::move(cb));
-}
-
-void Simulation::post_at(SimTime t, const char* category, Callback cb) {
-  enqueue(t, category, std::move(cb));
-}
-
-void Simulation::post_after(SimDuration delay, const char* category,
-                            Callback cb) {
-  if (delay < 0) delay = 0;
-  enqueue(now_ + delay, category, std::move(cb));
+void Simulation::throw_null_callback() {
+  check_failed("callback", __FILE__, __LINE__, "null event callback");
 }
 
 bool Simulation::execute_one() {
@@ -351,13 +365,18 @@ bool Simulation::execute_one() {
   SMARTH_DCHECK(rec->time >= now_);
   now_ = rec->time;
   ++executed_;
-  --impl_->pool->live;
-  // Move the callback out and recycle the record *before* invoking, so the
-  // slot is immediately reusable by whatever the callback schedules (hot
-  // cache) and a handle to this event reads not-pending during the callback.
-  Callback cb = std::move(rec->callback);
-  impl_->pool->release(rec);
-  cb();
+  EventPool* pool = impl_->pool.get();
+  --pool->live;
+  // The callback runs in place, where it was built. Out of the queue and
+  // marked firing, the record reads not-pending to its handles during the
+  // call; it is recycled afterwards, also when the callback throws.
+  rec->state = EventRecord::State::kFiring;
+  struct Recycle {
+    EventPool* pool;
+    EventRecord* rec;
+    ~Recycle() { pool->release(rec); }
+  } recycle{pool, rec};
+  rec->callback();
   return true;
 }
 

@@ -4,16 +4,24 @@
 // (links, disks, datanodes, clients, the namenode) are driven exclusively by
 // callbacks scheduled here.
 //
-// Internally the queue is a two-tier calendar (ladder) structure over pooled,
-// freelist-recycled event records — see DESIGN.md §10. The observable
-// contract is unchanged from the original binary-heap core: strict
-// (time, seq) pop order, schedule_now FIFO among same-time events, and
-// cancellation via EventHandle.
+// Internally the queue is a multi-rung ladder over pooled, freelist-recycled
+// event records (DESIGN.md §10). A small binary heap holds only the events
+// of the bucket being drained. Everything later sits unsorted in the finest
+// rung of 256 time buckets whose range contains it, or in an overflow list
+// beyond the coarsest rung. A bucket that holds more than a few events at
+// more than one time is split into a finer rung over exactly its own range,
+// instead of being heapified. Each event's callback is constructed in place
+// in its pooled record and invoked there. The observable contract is that of
+// the original binary-heap core (`sim::ReferenceQueue`): strict (time, seq)
+// pop order, schedule_now FIFO among same-time events, and cancellation via
+// EventHandle.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -22,8 +30,26 @@
 namespace smarth::sim {
 
 namespace detail {
-struct EventRecord;
 class EventPool;
+
+/// One pooled event. Records live in slabs owned by the EventPool and are
+/// recycled through a freelist; `gen` is bumped on every recycle so stale
+/// EventHandles read as not-pending instead of aliasing the new occupant.
+/// `next` links the record into the freelist while it is free, and into its
+/// ladder bucket or the overflow list while it is pending.
+struct EventRecord {
+  enum class State : std::uint8_t { kFree, kPending, kCancelled, kFiring };
+
+  SimTime time = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t gen = 0;
+  const char* category = nullptr;
+  EventRecord* next = nullptr;
+  State state = State::kFree;
+  /// Event callbacks live inline in the record; captures up to 64 bytes (a
+  /// couple of pointers plus a moved-in std::function) never touch the heap.
+  SmallFn<64> callback;
+};
 
 /// Non-atomic intrusive refcount on the event pool. The simulation is
 /// single-threaded (parallel sweeps run one Simulation per thread and never
@@ -79,9 +105,7 @@ class EventHandle {
 
 class Simulation {
  public:
-  /// Event callbacks live inline in the pooled event record; captures up to
-  /// 64 bytes (a couple of pointers plus a moved-in std::function) never
-  /// touch the heap.
+  /// The callback type stored in every event record.
   using Callback = SmallFn<64>;
 
   explicit Simulation(std::uint64_t seed = 0x5eed);
@@ -96,26 +120,40 @@ class Simulation {
   /// The simulation-owned RNG; all model randomness must come from here.
   Rng& rng() { return rng_; }
 
-  /// Schedules `cb` at absolute time `t` (must be >= now()). The optional
+  /// Schedules `f` (any void() callable, a Callback or a std::function) at
+  /// absolute time `t`, which must be >= now(). The callable is moved (or
+  /// copied) from `f` once, into the pooled event record, and invoked there.
   /// `category` (a string literal) labels the event for the runaway-model
   /// diagnostic dump; it is not copied, so it must outlive the simulation.
-  EventHandle schedule_at(SimTime t, Callback cb);
-  EventHandle schedule_at(SimTime t, const char* category, Callback cb);
-  /// Schedules `cb` after `delay` (clamped at >= 0).
-  EventHandle schedule_after(SimDuration delay, Callback cb);
-  EventHandle schedule_after(SimDuration delay, const char* category,
-                             Callback cb);
-  /// Schedules `cb` to run after all currently queued events at now().
-  EventHandle schedule_now(Callback cb) {
-    return schedule_after(0, std::move(cb));
+  template <typename F>
+  EventHandle schedule_at(SimTime t, const char* category, F&& f) {
+    return handle_for(emplace(t, category, std::forward<F>(f)));
+  }
+  /// Schedules `f` after `delay` (clamped at >= 0).
+  template <typename F>
+  EventHandle schedule_after(SimDuration delay, const char* category, F&& f) {
+    return schedule_at(now_ + (delay < 0 ? 0 : delay), category,
+                       std::forward<F>(f));
+  }
+  /// Schedules `f` to run after all currently queued events at now().
+  template <typename F>
+  EventHandle schedule_now(const char* category, F&& f) {
+    return schedule_at(now_, category, std::forward<F>(f));
   }
 
   /// Fire-and-forget variants for hot paths: identical ordering semantics,
   /// but no EventHandle is materialized (skips the pool keep-alive refcount).
-  void post_at(SimTime t, const char* category, Callback cb);
-  void post_after(SimDuration delay, const char* category, Callback cb);
-  void post_now(const char* category, Callback cb) {
-    post_after(0, category, std::move(cb));
+  template <typename F>
+  void post_at(SimTime t, const char* category, F&& f) {
+    emplace(t, category, std::forward<F>(f));
+  }
+  template <typename F>
+  void post_after(SimDuration delay, const char* category, F&& f) {
+    emplace(now_ + (delay < 0 ? 0 : delay), category, std::forward<F>(f));
+  }
+  template <typename F>
+  void post_now(const char* category, F&& f) {
+    emplace(now_, category, std::forward<F>(f));
   }
 
   /// Runs until the event queue drains. Throws if the event limit is hit
@@ -142,8 +180,42 @@ class Simulation {
   std::string pending_category_summary(std::size_t top_n = 8) const;
 
  private:
+  /// True for a callable that tests false (a null Callback, std::function
+  /// or function pointer), which must never reach the queue.
+  template <typename F>
+  static bool is_null_callable(const F& f) {
+    if constexpr (std::is_constructible_v<bool, const F&>) {
+      return !static_cast<bool>(f);
+    } else {
+      return false;
+    }
+  }
+
+  /// Builds `f` in a fresh record and queues it. A null callable is refused
+  /// before a record or a sequence number is taken.
+  template <typename F>
+  detail::EventRecord* emplace(SimTime t, const char* category, F&& f) {
+    if (is_null_callable(f)) throw_null_callback();
+    detail::EventRecord* rec = acquire(t);
+    try {
+      rec->callback = std::forward<F>(f);
+    } catch (...) {
+      discard(rec);
+      throw;
+    }
+    commit(rec, category);
+    return rec;
+  }
+
+  /// A free record for an event at `t` (checked >= now()).
+  detail::EventRecord* acquire(SimTime t);
+  /// Stamps the sequence number and category and queues the record.
+  void commit(detail::EventRecord* rec, const char* category);
+  /// Returns a record whose callable could not be built.
+  void discard(detail::EventRecord* rec);
+  EventHandle handle_for(detail::EventRecord* rec);
   bool execute_one();
-  detail::EventRecord* enqueue(SimTime t, const char* category, Callback cb);
+  [[noreturn]] static void throw_null_callback();
   [[noreturn]] void throw_event_limit();
 
   SimTime now_ = 0;

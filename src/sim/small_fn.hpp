@@ -49,6 +49,18 @@ class SmallFn {
     reset();
     return *this;
   }
+  /// Replaces the target with `f`, constructed directly in this SmallFn's
+  /// storage: the pooled-record owners build callbacks in place this way,
+  /// with no intermediate SmallFn to relocate.
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, SmallFn> &&
+                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  SmallFn& operator=(F&& f) {
+    reset();
+    emplace(std::forward<F>(f));
+    return *this;
+  }
 
   SmallFn(const SmallFn&) = delete;
   SmallFn& operator=(const SmallFn&) = delete;

@@ -140,14 +140,16 @@ void SmarthOutputStream::advance_block() {
         // leaves safe mode (budgeted). next_block_ was not advanced, so
         // advance_block() retries the same allocation.
         safe_mode_retry_ = deps_.sim.schedule_after(
-            deps_.config.safe_mode_retry_interval, [this] { advance_block(); });
+            deps_.config.safe_mode_retry_interval, "client.safe_mode_retry",
+            [this] { advance_block(); });
         return;
       }
       if (result.error().code == "overloaded" && start_overload_wait()) {
         // Admission control shed the allocation even after RPC backoff;
         // re-poll at the overload cadence (budgeted, same retry shape).
         safe_mode_retry_ = deps_.sim.schedule_after(
-            deps_.config.overload_retry_interval, [this] { advance_block(); });
+            deps_.config.overload_retry_interval, "client.overload_retry",
+            [this] { advance_block(); });
         return;
       }
       finish(true, "addBlock failed: " + result.error().to_string());
@@ -205,8 +207,8 @@ void SmarthOutputStream::arm_watchdog(ClientPipeline& pipeline) {
   pipeline.watchdog.cancel();
   if (finished_ || pipeline.failed) return;
   const PipelineId id = pipeline.id;
-  pipeline.watchdog =
-      deps_.sim.schedule_after(deps_.config.ack_timeout, [this, id] {
+  pipeline.watchdog = deps_.sim.schedule_after(
+      deps_.config.ack_timeout, "client.ack_timeout", [this, id] {
         ClientPipeline* p = find_pipeline(id);
         if (p == nullptr || p->failed || p->complete() || finished_) return;
         // A ready pipeline with nothing outstanding is merely idle; one that

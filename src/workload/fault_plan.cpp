@@ -75,7 +75,7 @@ void FaultPlan::apply(cluster::Cluster& cluster) const {
     net::Network* net = &cluster.network();
     const NodeId node = cluster.datanode_id(f.datanode_index);
     hdfs::Datanode* dn = &cluster.datanode(f.datanode_index);
-    cluster.sim().schedule_at(f.from, [net, node, dn, f] {
+    cluster.sim().schedule_at(f.from, "fault.fail_slow", [net, node, dn, f] {
       const Bandwidth disk_before = dn->disk().write_bandwidth();
       const Bandwidth nic_before = net->node_nic(node);
       if (f.factor > 1.0 && !disk_before.is_unlimited()) {
@@ -86,20 +86,23 @@ void FaultPlan::apply(cluster::Cluster& cluster) const {
         net->set_node_nic(node, Bandwidth::bits_per_second(
                                     nic_before.bits_per_second() / f.factor));
       }
-      net->simulation().schedule_at(f.until, [net, node, dn, disk_before,
-                                              nic_before] {
-        dn->disk().set_write_bandwidth(disk_before);
-        net->set_node_nic(node, nic_before);
-      });
+      net->simulation().schedule_at(
+          f.until, "fault.fail_slow_end",
+          [net, node, dn, disk_before, nic_before] {
+            dn->disk().set_write_bandwidth(disk_before);
+            net->set_node_nic(node, nic_before);
+          });
     });
   }
   for (const Flap& f : flaps) {
     net::Network* net = &cluster.network();
     const NodeId node = cluster.datanode_id(f.datanode_index);
-    cluster.sim().schedule_at(f.down_at,
-                              [net, node] { net->set_node_isolated(node, true); });
-    cluster.sim().schedule_at(f.up_at,
-                              [net, node] { net->set_node_isolated(node, false); });
+    cluster.sim().schedule_at(f.down_at, "fault.flap_down", [net, node] {
+      net->set_node_isolated(node, true);
+    });
+    cluster.sim().schedule_at(f.up_at, "fault.flap_up", [net, node] {
+      net->set_node_isolated(node, false);
+    });
   }
   for (const Bitrot& b : bitrots) {
     // Same salt derivation as FaultInjector::bitrot so both apply() paths
@@ -107,8 +110,9 @@ void FaultPlan::apply(cluster::Cluster& cluster) const {
     hdfs::Datanode* dn = &cluster.datanode(b.datanode_index);
     const std::uint64_t salt =
         faults::FaultInjector::one_shot_salt(b.datanode_index, b.at);
-    cluster.sim().schedule_at(
-        b.at, [dn, salt] { dn->rot_random_finalized_chunk(salt); });
+    cluster.sim().schedule_at(b.at, "fault.bitrot", [dn, salt] {
+      dn->rot_random_finalized_chunk(salt);
+    });
   }
 }
 

@@ -131,8 +131,9 @@ OpenLoopResult OpenLoopWorkload::run(cluster::Cluster& cluster) {
     const std::string path = config_.path_prefix + std::to_string(i);
     const SimTime arrive_at = start + a.at;
     cluster.sim().schedule_at(
-        arrive_at, [&cluster, protocol = protocol_, path, a, arrive_at, result,
-                    pending] {
+        arrive_at, "workload.arrival",
+        [&cluster, protocol = protocol_, path, a, arrive_at, result,
+         pending] {
           metrics::global_registry().gauge("workload.jobs_in_flight").add(1.0);
           cluster.upload(
               path, a.size, protocol,

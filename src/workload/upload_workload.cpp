@@ -24,8 +24,8 @@ std::vector<hdfs::StreamStats> UploadWorkload::run(cluster::Cluster& cluster) {
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const UploadJob job = jobs_[i];
     cluster.sim().schedule_at(
-        job.start_at, [&cluster, protocol = protocol_, job, i, results,
-                       remaining] {
+        job.start_at, "workload.upload_start",
+        [&cluster, protocol = protocol_, job, i, results, remaining] {
           cluster.upload(job.path, job.size, protocol,
                          [results, remaining, i](const hdfs::StreamStats& s) {
                            (*results)[i] = s;

@@ -132,7 +132,8 @@ TEST(ClientCrash, NewWriterTakesOverPathAfterRecovery) {
   // file is closed, then replaces it.
   std::optional<Result<FileId>> created;
   cluster.sim().schedule_at(
-      seconds(2) + cluster.config().lease_soft_limit + seconds(1), [&] {
+      seconds(2) + cluster.config().lease_soft_limit + seconds(1), "test",
+      [&] {
         cluster.client(writer2).create_file(
             "/contended",
             [&created](Result<FileId> r) { created = std::move(r); },

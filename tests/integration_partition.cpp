@@ -100,7 +100,7 @@ TEST(Partition, MidUploadPartitionRecovers) {
     Cluster cluster(small_spec());
     // Strike while pipelines are guaranteed to still be replicating across
     // the cut (a 64 MiB SMARTH upload outlives t=0.5 s comfortably).
-    cluster.sim().schedule_at(milliseconds(500), [&cluster] {
+    cluster.sim().schedule_at(milliseconds(500), "test", [&cluster] {
       cluster.network().set_rack_partition("/rack0", "/rack1", true);
     });
     hdfs::StreamStats stats;

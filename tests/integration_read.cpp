@@ -102,7 +102,7 @@ TEST(Read, FailoverMidStreamViaTimeout) {
     done = true;
   });
   const auto& topo = cluster.network().topology();
-  cluster.sim().schedule_after(milliseconds(50), [&] {
+  cluster.sim().schedule_after(milliseconds(50), "test", [&] {
     for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
       if (topo.same_rack(cluster.datanode_id(i), cluster.client_node())) {
         cluster.datanode(i).crash();

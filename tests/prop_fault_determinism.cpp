@@ -64,10 +64,10 @@ Fingerprint run_once(const Params& p) {
       cluster.datanode(4).inject_checksum_error_on_nth_packet(30);
       break;
     case FaultKind::kPartitionBlip:
-      cluster.sim().schedule_at(milliseconds(800), [&cluster] {
+      cluster.sim().schedule_at(milliseconds(800), "test", [&cluster] {
         cluster.network().set_rack_partition("/rack0", "/rack1", true);
       });
-      cluster.sim().schedule_at(seconds(6), [&cluster] {
+      cluster.sim().schedule_at(seconds(6), "test", [&cluster] {
         cluster.network().set_rack_partition("/rack0", "/rack1", false);
       });
       break;

@@ -1,12 +1,16 @@
-// Event-core refactor coverage: randomized differential testing of the
-// calendar queue against the pre-refactor reference design, tombstone
-// accounting, and the category dump the event limit produces.
+// Event-core coverage: differential testing of the ladder queue against the
+// pre-refactor reference design (randomized scripts and scripted cases aimed
+// at the rung machinery), tombstone accounting, and the category dump the
+// event limit produces.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/reference_queue.hpp"
@@ -15,30 +19,94 @@
 namespace smarth::sim {
 namespace {
 
-// --- Differential: calendar queue vs reference priority_queue ---------------
-// Drives both cores through the same randomized schedule/cancel script and
-// demands the identical execution sequence. Scripts mix far-future times
-// (exercising bucket distribution and ladder rebuilds), same-time ties
-// (insertion-order FIFO), zero delays, nested scheduling from callbacks, and
-// cancellation of a random live subset.
+// --- One scheduling vocabulary for both cores ------------------------------
+// Each differential case is written once, as a template over the core, and
+// run against both Simulation and ReferenceQueue.
+
+using Fn = std::function<void()>;
+
+EventHandle at(Simulation& sim, SimTime t, Fn f) {
+  return sim.schedule_at(t, "test", std::move(f));
+}
+ReferenceQueue::Handle at(ReferenceQueue& ref, SimTime t, Fn f) {
+  return ref.schedule_at(t, std::move(f));
+}
+EventHandle after(Simulation& sim, SimDuration d, Fn f) {
+  return sim.schedule_after(d, "test", std::move(f));
+}
+ReferenceQueue::Handle after(ReferenceQueue& ref, SimDuration d, Fn f) {
+  return ref.schedule_after(d, std::move(f));
+}
+void now(Simulation& sim, Fn f) { sim.post_now("test", std::move(f)); }
+void now(ReferenceQueue& ref, Fn f) { ref.schedule_after(0, std::move(f)); }
+
+template <typename Core>
+using HandleOf = decltype(at(std::declval<Core&>(), 0, Fn{}));
+
+/// Runs `scenario` on both cores and demands the same execution order.
+/// The scenario schedules onto the core and appends ids to the order; it
+/// returns nothing, so both runs see exactly the same script.
+template <typename Scenario>
+void expect_same_order(Scenario scenario) {
+  std::vector<int> ladder_order;
+  std::vector<int> reference_order;
+  {
+    Simulation sim;
+    scenario(sim, ladder_order);
+    sim.run();
+    EXPECT_TRUE(sim.empty());
+  }
+  {
+    ReferenceQueue ref;
+    scenario(ref, reference_order);
+    ref.run();
+  }
+  ASSERT_FALSE(reference_order.empty());
+  EXPECT_EQ(ladder_order, reference_order);
+}
+
+// --- Randomized scripts ----------------------------------------------------
+// Scripts mix far-future times (bucket spreading and rung-0 rebuilds),
+// same-time ties (insertion-order FIFO), zero delays, nested scheduling from
+// callbacks, and cancellation of a random live subset. The timer-plus-burst
+// mode is the shape that once pinned every event in the heap: a few far
+// timers over a dense near-future burst whose events each re-arm a far
+// timeout, cancelling the previous one, as a packet-ack watchdog does.
 
 struct Script {
   struct Op {
     SimDuration delay = 0;
     bool cancel_some = false;
-    int nested = 0;  ///< events scheduled from inside the callback
+    int nested = 0;      ///< events scheduled from inside the callback
+    bool rearm = false;  ///< re-arms the shared far timeout when it runs
   };
   std::vector<Op> ops;
 };
 
-Script make_script(std::uint64_t seed, int size) {
+enum class ScriptMode { kMixed, kTimerPlusBurst };
+
+Script make_script(std::uint64_t seed, int size,
+                   ScriptMode mode = ScriptMode::kMixed) {
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<SimDuration> delay(0, 1'000'000);
+  std::uniform_int_distribution<SimDuration> near(0, 2'000);
   std::uniform_int_distribution<int> shape(0, 9);
   Script script;
   for (int i = 0; i < size; ++i) {
     Script::Op op;
     const int kind = shape(rng);
+    if (mode == ScriptMode::kTimerPlusBurst) {
+      if (i % 50 == 0) {
+        op.delay = i % 100 == 0 ? 3'000'000'000 : 30'000'000'000;
+      } else {
+        op.delay = kind == 0 ? 0 : near(rng);
+        op.nested = kind >= 5 ? 2 : 0;
+        op.rearm = kind >= 3;
+      }
+      op.cancel_some = kind == 2;
+      script.ops.push_back(op);
+      continue;
+    }
     if (kind == 0) {
       op.delay = 0;  // schedule_now FIFO path
     } else if (kind == 1) {
@@ -53,45 +121,27 @@ Script make_script(std::uint64_t seed, int size) {
   return script;
 }
 
-/// Runs a script against the calendar-queue Simulation; returns the order
-/// in which event ids executed.
-std::vector<int> run_calendar(const Script& script) {
-  Simulation sim;
+/// Runs a script against one core; returns the order event ids executed in.
+template <typename Core>
+std::vector<int> run_script(const Script& script) {
+  Core sim;
   std::vector<int> order;
-  std::vector<EventHandle> handles;
+  std::vector<HandleOf<Core>> handles;
+  HandleOf<Core> timeout;
   int next_id = 0;
   for (const Script::Op& op : script.ops) {
     const int id = next_id++;
-    handles.push_back(sim.schedule_after(op.delay, [&, id, op] {
+    handles.push_back(after(sim, op.delay, [&, id, op] {
       order.push_back(id);
       for (int n = 0; n < op.nested; ++n) {
         const int nested_id = 1'000'000 + id * 10 + n;
-        sim.schedule_after(op.delay / 2 + n,
-                           [&order, nested_id] { order.push_back(nested_id); });
+        after(sim, op.delay / 2 + n,
+              [&order, nested_id] { order.push_back(nested_id); });
       }
-    }));
-    if (op.cancel_some && handles.size() >= 3) {
-      handles[handles.size() - 3].cancel();
-    }
-  }
-  sim.run();
-  return order;
-}
-
-/// The same script against the reference core.
-std::vector<int> run_reference(const Script& script) {
-  ReferenceQueue sim;
-  std::vector<int> order;
-  std::vector<ReferenceQueue::Handle> handles;
-  int next_id = 0;
-  for (const Script::Op& op : script.ops) {
-    const int id = next_id++;
-    handles.push_back(sim.schedule_after(op.delay, [&, id, op] {
-      order.push_back(id);
-      for (int n = 0; n < op.nested; ++n) {
-        const int nested_id = 1'000'000 + id * 10 + n;
-        sim.schedule_after(op.delay / 2 + n,
-                           [&order, nested_id] { order.push_back(nested_id); });
+      if (op.rearm) {
+        timeout.cancel();
+        timeout = after(sim, 1'000'000'000,
+                        [&order, id] { order.push_back(2'000'000 + id); });
       }
     }));
     if (op.cancel_some && handles.size() >= 3) {
@@ -105,16 +155,217 @@ std::vector<int> run_reference(const Script& script) {
 TEST(EngineDifferential, RandomScriptsMatchReferenceCore) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const Script script = make_script(seed, 400);
-    const std::vector<int> calendar = run_calendar(script);
-    const std::vector<int> reference = run_reference(script);
-    ASSERT_EQ(calendar, reference) << "divergence at seed " << seed;
+    ASSERT_EQ(run_script<Simulation>(script),
+              run_script<ReferenceQueue>(script))
+        << "divergence at seed " << seed;
   }
 }
 
 TEST(EngineDifferential, LargePendingSetMatches) {
-  // Enough simultaneous events to force several ladder rebuilds.
+  // Enough simultaneous events to force several rung-0 rebuilds.
   const Script script = make_script(99, 5000);
-  EXPECT_EQ(run_calendar(script), run_reference(script));
+  EXPECT_EQ(run_script<Simulation>(script), run_script<ReferenceQueue>(script));
+}
+
+TEST(EngineDifferential, TimerPlusBurstScriptsMatchReferenceCore) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Script script =
+        make_script(seed, 3000, ScriptMode::kTimerPlusBurst);
+    ASSERT_EQ(run_script<Simulation>(script),
+              run_script<ReferenceQueue>(script))
+        << "divergence at seed " << seed;
+  }
+}
+
+// --- Scripted rung cases ---------------------------------------------------
+// The queue spreads its overflow over 256 buckets and splits a bucket that
+// holds more than 32 live events at more than one time. These cases are
+// shaped with those numbers in mind, but each only demands the reference
+// order, so they stay valid whatever the queue's tuning.
+
+/// Schedules two markers whose span gives rung 0 a bucket width of exactly
+/// `width`, starting at `base`. Returns `base`, the start of bucket 0.
+template <typename Core>
+SimTime set_bucket_width(Core& sim, std::vector<int>& order, SimTime base,
+                         SimDuration width) {
+  at(sim, base, [&order] { order.push_back(-1); });
+  at(sim, base + 256 * width - 1, [&order] { order.push_back(-2); });
+  return base;
+}
+
+/// Fills the bucket [lo, lo + width) with `count` events at distinct times,
+/// so that draining it spawns a finer rung. Event j gets id 100 + j and
+/// runs `then(j)` after logging itself.
+template <typename Core>
+void crowd_bucket(Core& sim, std::vector<int>& order, SimTime lo,
+                  SimDuration width, int count,
+                  std::function<void(int)> then = {}) {
+  for (int j = 0; j < count; ++j) {
+    const SimTime t = lo + (width - 1) * j / count;
+    at(sim, t, [&order, j, then] {
+      order.push_back(100 + j);
+      if (then) then(j);
+    });
+  }
+}
+
+TEST(EngineRungs, FarTimersPlusDenseBurst) {
+  // A few heartbeat- and lease-like timers over a chain of packet events a
+  // few hundred nanoseconds apart, each re-arming a 1 s timeout.
+  expect_same_order([](auto& sim, std::vector<int>& order) {
+    using Core = std::remove_reference_t<decltype(sim)>;
+    for (int k = 1; k <= 4; ++k) {
+      at(sim, k * 3'000'000'000LL, [&order, k] { order.push_back(-k); });
+    }
+    at(sim, 30'000'000'000LL, [&order] { order.push_back(-30); });
+    auto timeout = std::make_shared<HandleOf<Core>>();
+    // Pending events own the chain; the chain itself holds only a weak
+    // reference, so it is freed when its last event has run.
+    auto step = std::make_shared<std::function<void(int)>>();
+    *step = [&sim, &order, timeout,
+             self = std::weak_ptr<std::function<void(int)>>(step)](int i) {
+      order.push_back(i);
+      timeout->cancel();
+      *timeout = after(sim, 1'000'000'000,
+                       [&order, i] { order.push_back(1'000'000 + i); });
+      if (i + 1 == 4000) return;
+      const SimDuration gap = 100 + (i * 7919) % 900;
+      after(sim, gap, [next = self.lock(), i] { (*next)(i + 1); });
+      if (i % 7 == 0) {
+        after(sim, gap, [&order, i] { order.push_back(-100 - i); });
+      }
+    };
+    at(sim, 1'000, [step] { (*step)(0); });
+  });
+}
+
+TEST(EngineRungs, BucketWidthsThatAreNotMultiplesOf256) {
+  // A finer rung over a bucket of width w has width ceil(w / 256), so
+  // 256 of its buckets reach past the parent bucket unless the rung is cut
+  // at the parent's end. Event "late" sits just past the crowded bucket,
+  // scheduled first; the last crowded event then schedules "later" a few
+  // nanoseconds after it. Both must run in time order, as must an event
+  // scheduled into the crowded bucket's last nanosecond.
+  for (const SimDuration width : {100, 1000, 1001, 4099, 65537}) {
+    SCOPED_TRACE(width);
+    expect_same_order([width](auto& sim, std::vector<int>& order) {
+      const SimTime base = set_bucket_width(sim, order, 1'000, width);
+      const SimTime crowded = base + 3 * width;
+      const SimTime next = crowded + width;
+      at(sim, next + 5, [&order] { order.push_back(1); });
+      crowd_bucket(sim, order, crowded, width, 40, [&](int j) {
+        if (j != 39) return;
+        at(sim, next + 10, [&order] { order.push_back(2); });
+        at(sim, next - 1, [&order] { order.push_back(3); });
+        at(sim, next, [&order] { order.push_back(4); });
+      });
+    });
+  }
+}
+
+TEST(EngineRungs, SameTimeBurstAboveSplitThreshold) {
+  // 100 events at one time stay FIFO whether the bucket is split (one event
+  // at a second time) or heapified whole (a single time value).
+  for (const bool second_time : {false, true}) {
+    expect_same_order([second_time](auto& sim, std::vector<int>& order) {
+      const SimTime base = set_bucket_width(sim, order, 1'000, 1'000);
+      const SimTime t = base + 5'500;
+      for (int j = 0; j < 100; ++j) {
+        at(sim, t, [&order, j] { order.push_back(j); });
+      }
+      if (second_time) at(sim, t + 1, [&order] { order.push_back(1'000); });
+    });
+  }
+}
+
+TEST(EngineRungs, CancelInsideFineRung) {
+  // Cancel events of a split bucket both before the run and from callbacks
+  // running inside the finer rung; cancelled events must neither run nor
+  // count twice.
+  std::uint64_t ladder_cancels = 0;
+  std::uint64_t reference_cancels = 0;
+  expect_same_order([&](auto& sim, std::vector<int>& order) {
+    using Core = std::remove_reference_t<decltype(sim)>;
+    std::uint64_t& cancels =
+        std::is_same_v<Core, Simulation> ? ladder_cancels : reference_cancels;
+    const SimTime base = set_bucket_width(sim, order, 1'000, 1'000);
+    const SimTime crowded = base + 7 * 1'000;
+    auto handles = std::make_shared<std::vector<HandleOf<Core>>>();
+    for (std::size_t j = 0; j < 60; ++j) {
+      const SimTime t = crowded + 13 * static_cast<SimTime>(j);
+      handles->push_back(at(sim, t, [&order, &cancels, handles, j] {
+        order.push_back(static_cast<int>(j));
+        if (j + 2 < 60 && j % 3 == 0) cancels += (*handles)[j + 2].cancel();
+      }));
+    }
+    for (std::size_t j = 1; j < 60; j += 10) {
+      cancels += (*handles)[j].cancel();
+    }
+  });
+  EXPECT_EQ(ladder_cancels, reference_cancels);
+  EXPECT_GT(ladder_cancels, 0u);
+}
+
+TEST(EngineRungs, ScheduleIntoExhaustedRungRange) {
+  // The last event of a split bucket schedules into the part of its rung
+  // that no event occupies any more, before the next bucket's events.
+  expect_same_order([](auto& sim, std::vector<int>& order) {
+    const SimDuration width = 1'000;
+    const SimTime base = set_bucket_width(sim, order, 1'000, width);
+    const SimTime crowded = base + 2 * width;
+    at(sim, crowded + width + 1, [&order] { order.push_back(1); });
+    for (int j = 0; j < 40; ++j) {
+      at(sim, crowded + j, [&sim, &order, j, crowded, width] {
+        order.push_back(100 + j);
+        if (j == 39) {
+          at(sim, crowded + width / 2, [&order] { order.push_back(2); });
+          at(sim, crowded + 40, [&order] { order.push_back(3); });
+        }
+      });
+    }
+  });
+}
+
+TEST(EngineRungs, ScheduleIntoSpentRungAfterRunUntil) {
+  // The same, from outside any callback: run_until stops after the split
+  // bucket's last event, with the next bucket already in the heap, and the
+  // new events must still run first, in time order.
+  Simulation sim;
+  std::vector<int> order;
+  const SimDuration width = 1'000;
+  const SimTime base = set_bucket_width(sim, order, 1'000, width);
+  const SimTime crowded = base + 2 * width;
+  sim.schedule_at(crowded + width + 1, "test", [&] { order.push_back(1); });
+  for (int j = 0; j < 40; ++j) {
+    sim.schedule_at(crowded + j, "test",
+                    [&order, j] { order.push_back(100 + j); });
+  }
+  ASSERT_TRUE(sim.run_until(crowded + 100));
+  sim.schedule_at(crowded + width / 2, "test", [&] { order.push_back(2); });
+  sim.schedule_at(crowded + 101, "test", [&] { order.push_back(3); });
+  sim.run();
+  std::vector<int> expected = {-1};
+  for (int j = 0; j < 40; ++j) expected.push_back(100 + j);
+  expected.insert(expected.end(), {3, 2, 1, -2});
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EngineRungs, PostNowFromCallbacksDuringSplit) {
+  // Events of a split bucket post same-time follow-ups (which must run after
+  // every already-queued event at that time) and schedule into the next
+  // time value of the same bucket.
+  expect_same_order([](auto& sim, std::vector<int>& order) {
+    const SimTime base = set_bucket_width(sim, order, 1'000, 1'000);
+    const SimTime t = base + 4'200;
+    for (int j = 0; j < 40; ++j) {
+      at(sim, j < 20 ? t : t + 3, [&sim, &order, j, t] {
+        order.push_back(j);
+        if (j >= 20) return;
+        now(sim, [&order, j] { order.push_back(1'000 + j); });
+        at(sim, t + 3, [&order, j] { order.push_back(2'000 + j); });
+      });
+    }
+  });
 }
 
 // --- Tombstones -------------------------------------------------------------
@@ -123,7 +374,7 @@ TEST(EngineCancellation, CancelledCounterTracksTombstones) {
   Simulation sim;
   std::vector<EventHandle> handles;
   for (int i = 0; i < 10; ++i) {
-    handles.push_back(sim.schedule_at(100 + i, [] {}));
+    handles.push_back(sim.schedule_at(100 + i, "test", [] {}));
   }
   EXPECT_EQ(sim.events_cancelled(), 0u);
   for (int i = 0; i < 5; ++i) handles[static_cast<size_t>(i)].cancel();
@@ -140,8 +391,8 @@ TEST(EngineCancellation, CancelledEventsDoNotBlockEmpty) {
   // A cancelled record must not keep the simulation "non-empty" forever:
   // run() terminates without executing it even though its time never comes.
   Simulation sim;
-  auto handle = sim.schedule_at(1'000'000'000, [] {});
-  sim.schedule_at(10, [] {});
+  auto handle = sim.schedule_at(1'000'000'000, "test", [] {});
+  sim.schedule_at(10, "test", [] {});
   handle.cancel();
   sim.run();
   EXPECT_EQ(sim.now(), 10);

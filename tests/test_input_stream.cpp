@@ -151,7 +151,7 @@ TEST_F(InputStreamTest, TimeoutFailoverResumesMidBlock) {
   stage_block("/f", config_.block_size, {0, 1});
   // dn0 crashes the instant it starts serving: some packets may already be
   // out; the reader times out and resumes from dn1 at its received offset.
-  sim_.schedule_after(milliseconds(1), [this] { dns_[0]->crash(); });
+  sim_.schedule_after(milliseconds(1), "test", [this] { dns_[0]->crash(); });
   const ReadStats stats = read_file("/f");
   ASSERT_FALSE(stats.failed) << stats.failure_reason;
   EXPECT_EQ(stats.bytes_read, config_.block_size);

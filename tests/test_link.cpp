@@ -69,7 +69,7 @@ TEST(Link, CapacityChangeAppliesToNextMessage) {
   link.transmit(64 * kKiB, [&] { deliveries.push_back(sim.now()); });
   link.transmit(64 * kKiB, [&] { deliveries.push_back(sim.now()); });
   // Halve capacity while the first message is in flight.
-  sim.schedule_at(microseconds(1),
+  sim.schedule_at(microseconds(1), "test",
                   [&] { link.set_capacity(Bandwidth::mbps(50)); });
   sim.run();
   const SimDuration fast = Bandwidth::mbps(100).transmit_time(64 * kKiB);
@@ -85,7 +85,7 @@ TEST(Link, PauseHoldsQueueResumeDrains) {
   link.pause();
   SimTime delivered = -1;
   link.transmit(64 * kKiB, [&] { delivered = sim.now(); });
-  sim.schedule_at(milliseconds(10), [&] { link.resume(); });
+  sim.schedule_at(milliseconds(10), "test", [&] { link.resume(); });
   sim.run();
   EXPECT_EQ(delivered,
             milliseconds(10) + Bandwidth::mbps(100).transmit_time(64 * kKiB));
@@ -98,8 +98,8 @@ TEST(Link, PauseDoesNotAbortInFlightMessage) {
   SimTime second = -1;
   link.transmit(64 * kKiB, [&] { first = sim.now(); });
   link.transmit(64 * kKiB, [&] { second = sim.now(); });
-  sim.schedule_at(microseconds(10), [&] { link.pause(); });
-  sim.schedule_at(milliseconds(20), [&] { link.resume(); });
+  sim.schedule_at(microseconds(10), "test", [&] { link.pause(); });
+  sim.schedule_at(milliseconds(20), "test", [&] { link.resume(); });
   sim.run();
   const SimDuration unit = Bandwidth::mbps(100).transmit_time(64 * kKiB);
   EXPECT_EQ(first, unit);  // finished despite the pause

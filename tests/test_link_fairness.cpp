@@ -154,12 +154,12 @@ TEST(LinkServiceOrder, ExactSequenceAndTimes) {
   for (const char* label : {"C1", "C2", "C3"}) {
     send(label, bulk, LinkPriority::kBulk, 3);
   }
-  sim.schedule_at(5 * u / 2,
+  sim.schedule_at(5 * u / 2, "test",
                   [&] { send("X", control, LinkPriority::kControl, 0); });
-  sim.schedule_at(7 * u / 2,
+  sim.schedule_at(7 * u / 2, "test",
                   [&] { send("B2", bulk, LinkPriority::kBulk, 2); });
-  sim.schedule_at(11 * u / 2, [&] { link.pause(); });
-  sim.schedule_at(7 * u, [&] { link.resume(); });
+  sim.schedule_at(11 * u / 2, "test", [&] { link.pause(); });
+  sim.schedule_at(7 * u, "test", [&] { link.resume(); });
   sim.run();
 
   const std::vector<std::pair<std::string, SimTime>> expected = {

@@ -107,7 +107,7 @@ TEST_F(NetworkTest, IngressPauseBackpressure) {
   EXPECT_TRUE(net_.ingress_paused(b_));
   SimTime delivered = -1;
   net_.send(a_, b_, 64 * kKiB, [&] { delivered = sim_.now(); });
-  sim_.schedule_at(seconds(1), [&] { net_.resume_ingress(b_); });
+  sim_.schedule_at(seconds(1), "test", [&] { net_.resume_ingress(b_); });
   sim_.run();
   EXPECT_GT(delivered, seconds(1));
 }

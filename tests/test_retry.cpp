@@ -60,7 +60,7 @@ TEST_F(RetryTest, RetriesThroughServerOutage) {
   // Server is down for the first two attempt windows, then comes back; the
   // call must eventually succeed and account the extra attempts.
   bus_.set_host_down(server_, true);
-  sim_.schedule_at(milliseconds(1400),
+  sim_.schedule_at(milliseconds(1400), "test",
                    [this] { bus_.set_host_down(server_, false); });
   std::optional<int> response;
   call_with_retry<int>(

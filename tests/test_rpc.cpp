@@ -47,7 +47,7 @@ TEST_F(RpcTest, CallAsyncDeferredResponse) {
       client_, server_,
       [this](std::function<void(int)> respond) {
         // Server finishes the work one second later.
-        sim_.schedule_after(seconds(1),
+        sim_.schedule_after(seconds(1), "test",
                             [respond = std::move(respond)] { respond(7); });
       },
       [&](int v) { response = v; });
@@ -76,7 +76,7 @@ TEST_F(RpcTest, ServerDiesMidFlight) {
                  },
                  [&](int) { responded = true; });
   // Kill the server before the request can arrive.
-  sim_.schedule_at(1, [&] { bus_.set_host_down(server_, true); });
+  sim_.schedule_at(1, "test", [&] { bus_.set_host_down(server_, true); });
   sim_.run();
   EXPECT_FALSE(handled);
   EXPECT_FALSE(responded);

@@ -70,7 +70,7 @@ TEST(SmarthStream, DatanodeServesOnePipelinePerClientAtATime) {
   Cluster cluster(small_spec());
   cluster.throttle_cross_rack(Bandwidth::mbps(20));
   std::size_t max_per_dn = 0;
-  sim::PeriodicTask sampler(cluster.sim(), milliseconds(50), [&] {
+  sim::PeriodicTask sampler(cluster.sim(), milliseconds(50), "test", [&] {
     for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
       max_per_dn = std::max(max_per_dn,
                             cluster.datanode(i).active_pipeline_count());
@@ -91,7 +91,7 @@ TEST(SmarthStream, WithoutCapDatanodesServeManyPipelines) {
   cluster.throttle_cross_rack(Bandwidth::mbps(20));
   std::size_t max_per_dn = 0;
   int max_concurrent = 0;
-  sim::PeriodicTask sampler(cluster.sim(), milliseconds(50), [&] {
+  sim::PeriodicTask sampler(cluster.sim(), milliseconds(50), "test", [&] {
     for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
       max_per_dn = std::max(max_per_dn,
                             cluster.datanode(i).active_pipeline_count());

@@ -512,7 +512,7 @@ RunOutcome run_once(const FlagSet& flags, cluster::Protocol protocol) {
   std::unique_ptr<sim::PeriodicTask> sampler;
   if (flags.get_bool("timeline")) {
     sampler = std::make_unique<sim::PeriodicTask>(
-        cluster.sim(), seconds(1), [&cluster, &outcome] {
+        cluster.sim(), seconds(1), "cli.sample", [&cluster, &outcome] {
           const hdfs::OutputStreamBase* stream = cluster.latest_stream();
           outcome.concurrency.record(
               cluster.sim().now(),
