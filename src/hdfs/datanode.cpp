@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "rpc/retry.hpp"
 #include "trace/trace_recorder.hpp"
 
 namespace smarth::hdfs {
@@ -680,24 +681,22 @@ void Datanode::recover_uc_block(const UcRecoveryCommand& cmd) {
       Datanode* peer = peer_resolver_(target);
       if (peer != nullptr) peer->abort_block(block);
     });
-    auto settled = std::make_shared<bool>(false);
-    auto settle = [this, sync, target, settled](ReplicaProbeResult result) {
-      if (*settled) return;
-      *settled = true;
+    auto settle = [this, sync, target](ReplicaProbeResult result) {
       if (crashed_) return;  // primary died mid-round; the monitor re-elects
       sync->probes.emplace_back(target, result);
       if (--sync->awaiting == 0) apply_uc_sync(sync);
     };
     Datanode* peer = peer_resolver_(target);
-    if (peer != nullptr) {
-      rpc_.call<ReplicaProbeResult>(
-          self_, target, [peer, block = cmd.block] {
-            return peer->probe_replica(block);
-          },
-          [settle](ReplicaProbeResult result) { settle(result); });
+    if (peer == nullptr) {
+      sim_.schedule_after(config_.probe_timeout, "dn.probe_timeout",
+                          [settle] { settle(ReplicaProbeResult{}); });
+      continue;
     }
-    sim_.schedule_after(config_.probe_timeout, "dn.probe_timeout",
-                        [settle] { settle(ReplicaProbeResult{}); });
+    rpc::call_with_deadline<ReplicaProbeResult>(
+        rpc_, sim_, self_, target,
+        [peer, block = cmd.block] { return peer->probe_replica(block); },
+        config_.probe_timeout, "dn.probe_timeout", ReplicaProbeResult{},
+        settle);
   }
 }
 
@@ -770,22 +769,18 @@ void Datanode::apply_uc_sync(const std::shared_ptr<UcSync>& sync) {
       settle(commit_replica(block, target_len).ok());
       continue;
     }
-    auto settled = std::make_shared<bool>(false);
-    auto once = [settle, settled](bool ok) {
-      if (*settled) return;
-      *settled = true;
-      settle(ok);
-    };
     Datanode* peer = peer_resolver_(node);
-    if (peer != nullptr) {
-      rpc_.call<bool>(
-          self_, node, [peer, block, target_len] {
-            return peer->commit_replica(block, target_len).ok();
-          },
-          [once](bool ok) { once(ok); });
+    if (peer == nullptr) {
+      sim_.schedule_after(config_.probe_timeout, "dn.probe_timeout",
+                          [settle] { settle(false); });
+      continue;
     }
-    sim_.schedule_after(config_.probe_timeout, "dn.probe_timeout",
-                        [once] { once(false); });
+    rpc::call_with_deadline<bool>(
+        rpc_, sim_, self_, node,
+        [peer, block, target_len] {
+          return peer->commit_replica(block, target_len).ok();
+        },
+        config_.probe_timeout, "dn.probe_timeout", false, settle);
   }
 }
 

@@ -1,5 +1,7 @@
 #include "hdfs/dfs_client.hpp"
 
+#include "hdfs/output_stream.hpp"
+
 namespace smarth::hdfs {
 
 DfsClient::DfsClient(sim::Simulation& sim, rpc::RpcBus& rpc,
@@ -20,16 +22,10 @@ void DfsClient::create_file_attempt(const std::string& path,
                                     std::function<void(Result<FileId>)> cb,
                                     bool overwrite, SimTime started_at) {
   Namenode& nn = namenode_;
-  rpc::RetryPolicy policy;
-  policy.timeout = config_.rpc_timeout;
-  policy.max_attempts = config_.rpc_max_attempts;
-  policy.backoff_base = config_.rpc_backoff_base;
-  policy.backoff_max = config_.rpc_backoff_max;
-  policy.jitter = config_.rpc_backoff_jitter;
   auto shared_cb =
       std::make_shared<std::function<void(Result<FileId>)>>(std::move(cb));
-  rpc::call_with_retry<Result<FileId>>(
-      rpc_, sim_, policy, node_, nn.node_id(),
+  call_namenode<FileId>(
+      rpc_, sim_, config_, node_, nn.node_id(),
       [&nn, path, client = id_, overwrite] {
         return nn.create(path, client, overwrite);
       },
@@ -58,12 +54,7 @@ void DfsClient::create_file_attempt(const std::string& path,
             sim_.schedule_after(
                 interval, "client.create_retry",
                 [this, path, shared_cb, overwrite, started_at] {
-                  create_file_attempt(
-                      path,
-                      [shared_cb](Result<FileId> r) {
-                        (*shared_cb)(std::move(r));
-                      },
-                      overwrite, started_at);
+                  create_file_attempt(path, *shared_cb, overwrite, started_at);
                 });
             return;
           }
@@ -75,14 +66,7 @@ void DfsClient::create_file_attempt(const std::string& path,
                            "create(" + path +
                                ") gave up after repeated timeouts"});
       },
-      "create", {rpc::ServiceClass::kMeta},
-      [path] {
-        return Result<FileId>(
-            Error{"overloaded", "namenode shed create(" + path + ")"});
-      },
-      [](const Result<FileId>& r) {
-        return !r.ok() && r.error().code == "overloaded";
-      });
+      "create", {rpc::ServiceClass::kMeta}, "create(" + path + ")");
 }
 
 void DfsClient::start_heartbeat(

@@ -12,7 +12,6 @@
 #include "common/result.hpp"
 #include "hdfs/namenode.hpp"
 #include "hdfs/types.hpp"
-#include "rpc/retry.hpp"
 #include "rpc/rpc_bus.hpp"
 #include "sim/periodic_task.hpp"
 #include "sim/simulation.hpp"

@@ -88,13 +88,13 @@ Bytes OutputStreamBase::packet_payload(std::int64_t block_index,
   return std::min(unit, remaining);
 }
 
-rpc::RetryPolicy OutputStreamBase::retry_policy() const {
+rpc::RetryPolicy namenode_retry_policy(const HdfsConfig& config) {
   rpc::RetryPolicy policy;
-  policy.timeout = deps_.config.rpc_timeout;
-  policy.max_attempts = deps_.config.rpc_max_attempts;
-  policy.backoff_base = deps_.config.rpc_backoff_base;
-  policy.backoff_max = deps_.config.rpc_backoff_max;
-  policy.jitter = deps_.config.rpc_backoff_jitter;
+  policy.timeout = config.rpc_timeout;
+  policy.max_attempts = config.rpc_max_attempts;
+  policy.backoff_base = config.rpc_backoff_base;
+  policy.backoff_max = config.rpc_backoff_max;
+  policy.jitter = config.rpc_backoff_jitter;
   return policy;
 }
 
@@ -183,8 +183,8 @@ void OutputStreamBase::request_block(
   // Client-observed addBlock latency (whole retry chain, success or error):
   // the saturation study's headline tail-latency series.
   const SimTime issued_at = deps_.sim.now();
-  rpc::call_with_retry<Result<LocatedBlock>>(
-      deps_.rpc, deps_.sim, retry_policy(), client_node_, nn.node_id(),
+  call_namenode<LocatedBlock>(
+      deps_.rpc, deps_.sim, deps_.config, client_node_, nn.node_id(),
       [&nn, file = file_, client = client_, node = client_node_,
        excluded = std::move(excluded),
        deprioritized = std::move(deprioritized), block_index] {
@@ -218,15 +218,7 @@ void OutputStreamBase::request_block(
         (*shared_cb)(Error{"rpc_timeout",
                            "addBlock gave up after repeated timeouts"});
       },
-      "addBlock",
-      {rpc::ServiceClass::kAddBlock, client_.value()},
-      [] {
-        return Result<LocatedBlock>(
-            Error{"overloaded", "namenode shed addBlock"});
-      },
-      [](const Result<LocatedBlock>& r) {
-        return !r.ok() && r.error().code == "overloaded";
-      });
+      "addBlock", {rpc::ServiceClass::kAddBlock, client_.value()});
 }
 
 ClientPipeline& OutputStreamBase::create_pipeline(std::int64_t block_index,
@@ -331,8 +323,8 @@ void OutputStreamBase::send_next_packet(ClientPipeline& pipeline) {
 void OutputStreamBase::complete_file() {
   if (finished_) return;
   Namenode& nn = deps_.namenode;
-  rpc::call_with_retry<Result<bool>>(
-      deps_.rpc, deps_.sim, retry_policy(), client_node_, nn.node_id(),
+  call_namenode<bool>(
+      deps_.rpc, deps_.sim, deps_.config, client_node_, nn.node_id(),
       [&nn, file = file_, client = client_] {
         return nn.complete(file, client);
       },
@@ -364,13 +356,7 @@ void OutputStreamBase::complete_file() {
         if (!*alive || finished_) return;
         finish(true, "complete() timed out after repeated attempts");
       },
-      "complete", {rpc::ServiceClass::kMeta},
-      [] {
-        return Result<bool>(Error{"overloaded", "namenode shed complete"});
-      },
-      [](const Result<bool>& r) {
-        return !r.ok() && r.error().code == "overloaded";
-      });
+      "complete", {rpc::ServiceClass::kMeta});
 }
 
 void OutputStreamBase::finish(bool failed, const std::string& reason) {

@@ -50,6 +50,35 @@ struct StreamDeps {
   QuarantineList* quarantine = nullptr;
 };
 
+/// The retry policy of every client-side namenode RPC, from the config's
+/// `rpc_*` knobs.
+rpc::RetryPolicy namenode_retry_policy(const HdfsConfig& config);
+
+/// A client -> namenode call_with_retry under namenode_retry_policy, for an
+/// op admission control may shed. A shed call comes back as the typed
+/// rejection Error{"overloaded", "namenode shed <what>"} (`what` defaults to
+/// `label`), and an `overloaded` response is retried with backoff while
+/// attempts remain.
+template <typename T>
+void call_namenode(rpc::RpcBus& bus, sim::Simulation& sim,
+                   const HdfsConfig& config, NodeId client, NodeId namenode,
+                   std::function<Result<T>()> handler,
+                   std::function<void(Result<T>)> on_response,
+                   std::function<void()> on_give_up, const char* label,
+                   rpc::CallOptions options, std::string what = {}) {
+  rpc::call_with_retry<Result<T>>(
+      bus, sim, namenode_retry_policy(config), client, namenode,
+      std::move(handler), std::move(on_response), std::move(on_give_up),
+      label, options,
+      [label, what = std::move(what)] {
+        const std::string op = what.empty() ? label : what;
+        return Result<T>(Error{"overloaded", "namenode shed " + op});
+      },
+      [](const Result<T>& r) {
+        return !r.ok() && r.error().code == "overloaded";
+      });
+}
+
 /// A packet produced by the client but not yet bound to a block id (binding
 /// happens when it is handed to a pipeline).
 struct ProducedPacket {
@@ -202,8 +231,6 @@ class OutputStreamBase : public AckSink {
 
   ClientPipeline* find_pipeline(PipelineId id);
 
-  /// Retry policy for namenode RPCs, derived from the config.
-  rpc::RetryPolicy retry_policy() const;
   /// Charges time against the safe-mode wait budget: true while the stream
   /// should keep polling a safe-mode namenode (restart in progress; replica
   /// re-reports pending), false once the budget is exhausted and the stream

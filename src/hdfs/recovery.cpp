@@ -18,27 +18,11 @@ void probe_replica_with_timeout(StreamDeps& deps, NodeId client_node,
     });
     return;
   }
-  struct State {
-    bool settled = false;
-    std::function<void(ReplicaProbeResult)> cb;
-  };
-  auto state = std::make_shared<State>();
-  state->cb = std::move(cb);
-
-  deps.rpc.call<ReplicaProbeResult>(
-      client_node, datanode,
+  rpc::call_with_deadline<ReplicaProbeResult>(
+      deps.rpc, deps.sim, client_node, datanode,
       [dn, block] { return dn->probe_replica(block); },
-      [state](ReplicaProbeResult result) {
-        if (state->settled) return;
-        state->settled = true;
-        state->cb(result);
-      });
-  deps.sim.schedule_after(
-      deps.config.probe_timeout, "recovery.probe_timeout", [state] {
-        if (state->settled) return;
-        state->settled = true;
-        state->cb(ReplicaProbeResult{});  // alive=false
-      });
+      deps.config.probe_timeout, "recovery.probe_timeout",
+      ReplicaProbeResult{} /* alive=false */, std::move(cb));
 }
 
 BlockRecovery::BlockRecovery(StreamDeps& deps, ClientId client,
@@ -176,27 +160,13 @@ void BlockRecovery::truncate_survivors() {
       });
       continue;
     }
-    struct CallState {
-      bool settled = false;
-    };
-    auto call_state = std::make_shared<CallState>();
-    deps_.rpc.call<bool>(
-        client_node_, node,
+    rpc::call_with_deadline<bool>(
+        deps_.rpc, deps_.sim, client_node_, node,
         [dn, block = block_, offset = sync_offset_] {
           return dn->truncate_replica(block, offset).ok();
         },
-        [call_state, node, step_done](bool ok) {
-          if (call_state->settled) return;
-          call_state->settled = true;
-          step_done(node, ok);
-        });
-    deps_.sim.schedule_after(deps_.config.probe_timeout,
-                             "recovery.truncate_timeout",
-                             [call_state, node, step_done] {
-                               if (call_state->settled) return;
-                               call_state->settled = true;
-                               step_done(node, false);
-                             });
+        deps_.config.probe_timeout, "recovery.truncate_timeout", false,
+        [node, step_done](bool ok) { step_done(node, ok); });
   }
 }
 
@@ -211,14 +181,9 @@ void BlockRecovery::request_replacements() {
   std::vector<NodeId> deprioritized;
   if (deps_.quarantine != nullptr) deprioritized = deps_.quarantine->active();
 
-  rpc::RetryPolicy policy;
-  policy.timeout = deps_.config.rpc_timeout;
-  policy.max_attempts = deps_.config.rpc_max_attempts;
-  policy.backoff_base = deps_.config.rpc_backoff_base;
-  policy.backoff_max = deps_.config.rpc_backoff_max;
-  policy.jitter = deps_.config.rpc_backoff_jitter;
   rpc::call_with_retry<Result<std::vector<NodeId>>>(
-      deps_.rpc, deps_.sim, policy, client_node_, deps_.namenode.node_id(),
+      deps_.rpc, deps_.sim, namenode_retry_policy(deps_.config), client_node_,
+      deps_.namenode.node_id(),
       [this, excluded = std::move(excluded),
        deprioritized = std::move(deprioritized), needed] {
         return deps_.namenode.get_additional_datanodes(
@@ -284,31 +249,22 @@ void BlockRecovery::transfer_prefix(std::size_t replacement_index) {
   }
   // The copy can be swallowed whole by a partition, so it carries its own
   // deadline; whichever of {response, deadline} settles first wins.
-  struct TransferState {
-    bool settled = false;
-  };
-  auto state = std::make_shared<TransferState>();
-  auto settle = [this, state, replacement_index](bool ok) {
-    if (state->settled) return;
-    state->settled = true;
-    if (!ok) {
-      ++attempts_;
-      transfer_prefix(replacement_index);
-      return;
-    }
-    attempts_ = 0;
-    transfer_prefix(replacement_index + 1);
-  };
-  deps_.rpc.call_async<bool>(
-      client_node_, primary,
+  rpc::call_with_deadline<bool>(
+      deps_.rpc, deps_.sim, client_node_, primary,
       [primary_dn, block = block_, dest, offset = sync_offset_](
           std::function<void(bool)> respond) {
         primary_dn->transfer_replica(block, dest, offset, std::move(respond));
       },
-      [settle](bool ok) { settle(ok); });
-  deps_.sim.schedule_after(deps_.config.replacement_transfer_timeout,
-                           "recovery.transfer_timeout",
-                           [settle] { settle(false); });
+      deps_.config.replacement_transfer_timeout, "recovery.transfer_timeout",
+      false, [this, replacement_index](bool ok) {
+        if (!ok) {
+          ++attempts_;
+          transfer_prefix(replacement_index);
+          return;
+        }
+        attempts_ = 0;
+        transfer_prefix(replacement_index + 1);
+      });
 }
 
 void BlockRecovery::finish_success() {

@@ -33,14 +33,16 @@ ServiceQueue* RpcBus::service_queue(NodeId server) const {
   return idx < queues_.size() ? queues_[idx] : nullptr;
 }
 
-void RpcBus::record_dropped_call(NodeId client, NodeId server) {
+bool RpcBus::dropped(NodeId host, NodeId client, NodeId server) {
+  if (!host_down(host)) return false;
   metrics::global_registry().counter("rpc.calls_dropped").add();
   SMARTH_DEBUG("rpc") << "dropped call " << client.value() << " -> "
                       << server.value() << " (endpoint down)";
+  return true;
 }
 
 void RpcBus::send_control(NodeId from, NodeId to, Bytes size,
-                          std::function<void()> on_delivered) {
+                          net::DeliveryCallback on_delivered) {
   SimDuration extra = 0;
   if (chaos_.enabled()) {
     Rng& rng = network_.simulation().rng();
@@ -59,50 +61,17 @@ void RpcBus::send_control(NodeId from, NodeId to, Bytes size,
       metrics::global_registry().counter("rpc.messages_delayed").add();
     }
   }
-  auto transmit = [this, from, to, size,
-                   on_delivered = std::move(on_delivered)]() mutable {
+  if (extra > 0) {
+    network_.simulation().schedule_after(
+        extra, "rpc.delay",
+        [this, from, to, size, cb = std::move(on_delivered)]() mutable {
+          network_.send(from, to, size, std::move(cb),
+                        net::LinkPriority::kControl);
+        });
+  } else {
     network_.send(from, to, size, std::move(on_delivered),
                   net::LinkPriority::kControl);
-  };
-  if (extra > 0) {
-    network_.simulation().schedule_after(extra, "rpc.delay",
-                                         std::move(transmit));
-  } else {
-    transmit();
   }
-}
-
-void RpcBus::notify(NodeId sender, NodeId receiver,
-                    std::function<void()> handler, CallOptions options) {
-  if (host_down(sender) || host_down(receiver)) {
-    record_dropped_call(sender, receiver);
-    return;
-  }
-  send_control(
-      sender, receiver, config_.request_wire_size,
-      [this, sender, receiver, options,
-       handler = std::move(handler)]() mutable {
-        if (host_down(receiver)) {
-          record_dropped_call(sender, receiver);
-          return;
-        }
-        ServiceQueue* queue = service_queue(receiver);
-        if (queue == nullptr) {
-          network_.simulation().schedule_after(
-              config_.service_time, "rpc.service", std::move(handler));
-          return;
-        }
-        auto guarded = [this, sender, receiver,
-                        handler = std::move(handler)]() mutable {
-          if (host_down(receiver)) {
-            record_dropped_call(sender, receiver);
-            return;
-          }
-          handler();
-        };
-        queue->submit(options.svc, options.tenant, std::move(guarded),
-                      /*shed=*/nullptr);
-      });
 }
 
 }  // namespace smarth::rpc

@@ -76,12 +76,10 @@ class RpcBus {
   void call(NodeId client, NodeId server, std::function<Resp()> handler,
             std::function<void(Resp)> on_response, CallOptions options = {},
             std::function<Resp()> shed_response = nullptr) {
-    call_async<Resp>(
-        client, server,
-        [handler = std::move(handler)](std::function<void(Resp)> respond) {
-          respond(handler());
-        },
-        std::move(on_response), options, std::move(shed_response));
+    ++calls_started_;
+    send_request(std::make_shared<Call<Resp>>(
+        client, server, options, std::move(handler), nullptr,
+        std::move(on_response), std::move(shed_response)));
   }
 
   /// Like call(), but the server handler completes asynchronously by
@@ -93,78 +91,9 @@ class RpcBus {
                   std::function<void(Resp)> on_response, CallOptions options = {},
                   std::function<Resp()> shed_response = nullptr) {
     ++calls_started_;
-    if (host_down(client) || host_down(server)) {
-      record_dropped_call(client, server);  // lost request
-      return;
-    }
-    send_control(
-        client, server, config_.request_wire_size,
-        [this, client, server, options, handler = std::move(handler),
-         on_response = std::move(on_response),
-         shed_response = std::move(shed_response)]() mutable {
-          if (host_down(server)) {  // died mid-flight
-            record_dropped_call(client, server);
-            return;
-          }
-          // Exactly one of serve/shed runs, so the response continuation is
-          // shared between them.
-          auto respond_cb = std::make_shared<std::function<void(Resp)>>(
-              std::move(on_response));
-          auto serve = [this, client, server, handler = std::move(handler),
-                        respond_cb]() mutable {
-            if (host_down(server)) {
-              record_dropped_call(client, server);
-              return;
-            }
-            auto respond = [this, client, server, respond_cb](Resp resp) {
-              if (host_down(server)) {  // died before responding
-                record_dropped_call(client, server);
-                return;
-              }
-              send_control(server, client, config_.response_wire_size,
-                           [this, client, server, resp = std::move(resp),
-                            respond_cb]() mutable {
-                             if (host_down(client)) {
-                               record_dropped_call(client, server);
-                               return;
-                             }
-                             ++calls_completed_;
-                             (*respond_cb)(std::move(resp));
-                           });
-            };
-            handler(std::move(respond));
-          };
-          ServiceQueue* queue = service_queue(server);
-          if (queue == nullptr) {
-            network_.simulation().schedule_after(
-                config_.service_time, "rpc.service", std::move(serve));
-            return;
-          }
-          std::function<void()> shed;
-          if (shed_response) {
-            // A shed call is rejected cheaply: no service cost, just the
-            // response wire trip carrying the typed rejection.
-            shed = [this, client, server, respond_cb,
-                    shed_response = std::move(shed_response)]() mutable {
-              if (host_down(server)) {
-                record_dropped_call(client, server);
-                return;
-              }
-              send_control(server, client, config_.response_wire_size,
-                           [this, client, server, respond_cb,
-                            shed_response = std::move(shed_response)]() {
-                             if (host_down(client)) {
-                               record_dropped_call(client, server);
-                               return;
-                             }
-                             ++calls_completed_;
-                             (*respond_cb)(shed_response());
-                           });
-            };
-          }
-          queue->submit(options.svc, options.tenant, std::move(serve),
-                        std::move(shed));
-        });
+    send_request(std::make_shared<Call<Resp>>(
+        client, server, options, nullptr, std::move(handler),
+        std::move(on_response), std::move(shed_response)));
   }
 
   /// One-way notification (e.g. heartbeat): no response message. When the
@@ -172,23 +101,115 @@ class RpcBus {
   /// `options`; a shed notification is silently dropped (and counted by the
   /// queue) — its handler never executes.
   void notify(NodeId sender, NodeId receiver, std::function<void()> handler,
-              CallOptions options = {});
+              CallOptions options = {}) {
+    send_request(std::make_shared<Notice>(sender, receiver, options,
+                                          std::move(handler)));
+  }
 
   std::uint64_t calls_started() const { return calls_started_; }
   std::uint64_t calls_completed() const { return calls_completed_; }
   const RpcConfig& config() const { return config_; }
 
  private:
-  /// Counts a call abandoned because an endpoint was down at some stage
-  /// (request never sent, server died mid-call, response undeliverable) in
-  /// rpc.calls_dropped.
-  void record_dropped_call(NodeId client, NodeId server);
+  /// One call in flight, from request to delivered response: the record
+  /// every stage's closure shares. Exactly one of `handler` (call) and
+  /// `async_handler` (call_async) is set.
+  template <typename Resp>
+  struct Call {
+    NodeId client, server;
+    CallOptions options;
+    std::function<Resp()> handler;
+    std::function<void(std::function<void(Resp)>)> async_handler;
+    std::function<void(Resp)> on_response;
+    std::function<Resp()> shed_response;
+  };
+  /// One notification in flight: a call with no response half.
+  struct Notice {
+    NodeId client, server;
+    CallOptions options;
+    std::function<void()> handler;
+  };
+
+  /// The request half of every call and notification: host-down checks, the
+  /// request message, then the service stage — the flat `service_time`, or
+  /// the server's ServiceQueue — and the handler, unless the server died
+  /// meanwhile. A shed call with a `shed_response` ships that rejection back
+  /// through the response half; any other shed request is dropped.
+  template <typename Rec>
+  void send_request(std::shared_ptr<Rec> rec) {
+    const NodeId client = rec->client;
+    const NodeId server = rec->server;
+    if (dropped(client, client, server) || dropped(server, client, server)) {
+      return;  // lost request
+    }
+    send_control(client, server, config_.request_wire_size,
+                 [this, rec = std::move(rec)]() mutable {
+                   // The server may die mid-flight or in service.
+                   if (dropped(rec->server, rec->client, rec->server)) return;
+                   auto serve = [this, rec] {
+                     if (dropped(rec->server, rec->client, rec->server)) return;
+                     run_handler(rec);
+                   };
+                   ServiceQueue* queue = service_queue(rec->server);
+                   if (queue == nullptr) {
+                     network_.simulation().schedule_after(
+                         config_.service_time, "rpc.service", std::move(serve));
+                     return;
+                   }
+                   std::function<void()> shed;
+                   if constexpr (requires { rec->shed_response; }) {
+                     if (rec->shed_response) {
+                       // No service cost: just the response trip carrying
+                       // the typed rejection.
+                       shed = [this, rec] {
+                         respond(rec, rec->shed_response());
+                       };
+                     }
+                   }
+                   queue->submit(rec->options.svc, rec->options.tenant,
+                                 std::move(serve), std::move(shed));
+                 });
+  }
+
+  void run_handler(const std::shared_ptr<Notice>& notice) { notice->handler(); }
+  template <typename Resp>
+  void run_handler(const std::shared_ptr<Call<Resp>>& call) {
+    if (call->handler) {
+      respond(call, call->handler());
+      return;
+    }
+    call->async_handler(
+        [this, call](Resp resp) { respond(call, std::move(resp)); });
+  }
+
+  /// The response half: the reply message back to the client, which counts
+  /// the call completed and delivers `resp` unless an endpoint went down.
+  template <typename Resp>
+  void respond(std::shared_ptr<Call<Resp>> call, Resp resp) {
+    const NodeId client = call->client;
+    const NodeId server = call->server;
+    if (dropped(server, client, server)) return;  // died before responding
+    send_control(server, client, config_.response_wire_size,
+                 [this, call = std::move(call),
+                  resp = std::move(resp)]() mutable {
+                   if (dropped(call->client, call->client, call->server)) {
+                     return;
+                   }
+                   ++calls_completed_;
+                   call->on_response(std::move(resp));
+                 });
+  }
+
+  /// True when `host` is down, after counting the call from `client` to
+  /// `server` abandoned (request never sent, server died mid-call, response
+  /// undeliverable) in rpc.calls_dropped.
+  bool dropped(NodeId host, NodeId client, NodeId server);
 
   /// Sends one control message, applying chaos loss/delay when configured.
   /// Chaos losses (healthy hosts, the message itself vanished) count in
   /// rpc.messages_lost, chaos delays in rpc.messages_delayed.
   void send_control(NodeId from, NodeId to, Bytes size,
-                    std::function<void()> on_delivered);
+                    net::DeliveryCallback on_delivered);
 
   net::Network& network_;
   RpcConfig config_;

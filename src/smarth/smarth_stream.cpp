@@ -365,13 +365,12 @@ void SmarthOutputStream::recover_next_error_pipeline() {
     pipeline_error_index_.erase(it);
   }
 
-  // Everything before the first un-acked packet is gone from the client's
-  // resend buffer; recovery must not sync survivors below that offset.
+  // Everything the pipeline has had acked is gone from the client's resend
+  // buffer; recovery must not sync survivors below that offset, even when
+  // nothing is left pending.
   const Bytes durable_floor =
-      pipeline->pending.empty()
-          ? Bytes{0}
-          : pipeline->pending.front().seq_in_block *
-                deps_.config.transfer_payload();
+      (pipeline->resume_offset_packets() + pipeline->acked_packets) *
+      deps_.config.transfer_payload();
   auto recovery = std::make_unique<hdfs::BlockRecovery>(
       deps_, client_, client_node_, id, pipeline->block,
       pipeline->block_bytes, durable_floor, pipeline->targets, error_index,

@@ -1,12 +1,15 @@
 // Unit tests of the client-side RPC retry wrapper: first-attempt success,
 // recovery across a server outage, bounded give-up, duplicate-response
 // hygiene when a slow response races its own timeout, and the retry and
-// RpcBus drop/loss counters they record in the metrics registry.
+// RpcBus drop/loss counters they record in the metrics registry. Also the
+// one-attempt deadline call, and the lifetime of a retried call's record.
 #include "rpc/retry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "net/network.hpp"
 #include "rpc/rpc_bus.hpp"
@@ -126,6 +129,106 @@ TEST_F(RetryTest, DroppedCallCounterTracksHostDownCalls) {
   EXPECT_EQ(count("rpc.calls_dropped"), 1u);
   EXPECT_EQ(bus_.calls_completed(), 0u);
   EXPECT_EQ(bus_.calls_started(), 1u);
+}
+
+// --- call_with_deadline -----------------------------------------------------
+
+TEST_F(RetryTest, DeadlineDeliversResponseThatBeatsIt) {
+  std::vector<int> settled;
+  call_with_deadline<int>(
+      bus_, sim_, client_, server_,
+      [](std::function<void(int)> respond) { respond(5); }, seconds(1),
+      "test.deadline", -1, [&settled](int v) { settled.push_back(v); });
+  sim_.run();
+  EXPECT_EQ(settled, std::vector<int>{5});
+  EXPECT_EQ(count("rpc.give_ups"), 0u);
+}
+
+TEST_F(RetryTest, DeadlineSettlesFirstAndDropsLateResponse) {
+  RpcChaos chaos;
+  chaos.delay_mean = milliseconds(800);  // each way: past the deadline
+  bus_.set_chaos(chaos);
+  std::vector<int> settled;
+  call_with_deadline<int>(
+      bus_, sim_, client_, server_, [] { return 5; }, milliseconds(500),
+      "test.deadline", -1, [&settled](int v) { settled.push_back(v); });
+  sim_.run();
+  EXPECT_EQ(settled, std::vector<int>{-1});
+  EXPECT_EQ(bus_.calls_completed(), 1u);  // the late response did arrive
+  EXPECT_EQ(count("rpc.give_ups"), 0u);
+}
+
+TEST_F(RetryTest, DeadlineSettlesOnceForDownPeer) {
+  bus_.set_host_down(server_, true);
+  std::vector<int> settled;
+  call_with_deadline<int>(
+      bus_, sim_, client_, server_, [] { return 5; }, milliseconds(500),
+      "test.deadline", -1, [&settled](int v) { settled.push_back(v); });
+  // The request was dropped on the spot: the deadline is all that is left.
+  EXPECT_EQ(sim_.pending_category_summary(), "test.deadline×1");
+  sim_.run();
+  EXPECT_EQ(settled, std::vector<int>{-1});
+  EXPECT_EQ(sim_.now(), milliseconds(500));
+  EXPECT_EQ(count("rpc.calls_dropped"), 1u);
+  EXPECT_EQ(count("rpc.give_ups"), 0u);
+}
+
+// --- retried-call record lifetime --------------------------------------------
+
+/// Counts its destructions; every callback of a retried call shares one, so
+/// it dies exactly when the call's record and all its closures are gone.
+struct Token {
+  int* destroyed;
+  ~Token() { ++*destroyed; }
+};
+
+TEST_F(RetryTest, RecordFreedOnceAfterSuccessWithLateDuplicate) {
+  RpcChaos chaos;
+  chaos.delay_mean = milliseconds(800);
+  bus_.set_chaos(chaos);
+  int destroyed = 0;
+  int responses = 0;
+  auto token = std::make_shared<Token>(&destroyed);
+  call_with_retry<int>(
+      bus_, sim_, fast_policy(), client_, server_, [token] { return 7; },
+      [token, &responses](int) { ++responses; }, [token] { FAIL(); });
+  token.reset();
+  sim_.run();
+  EXPECT_EQ(responses, 1);
+  EXPECT_GE(bus_.calls_completed(), 2u);  // a duplicate arrived and was dropped
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST_F(RetryTest, RecordFreedOnceAfterGiveUp) {
+  bus_.set_host_down(server_, true);
+  int destroyed = 0;
+  int give_ups = 0;
+  auto token = std::make_shared<Token>(&destroyed);
+  call_with_retry<int>(
+      bus_, sim_, fast_policy(), client_, server_, [token] { return 7; },
+      [token](int) { FAIL(); }, [token, &give_ups] { ++give_ups; });
+  token.reset();
+  sim_.run();
+  EXPECT_EQ(give_ups, 1);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST_F(RetryTest, RecordFreedOnceAfterOverloadedRelaunch) {
+  int destroyed = 0;
+  int served = 0;
+  std::optional<int> response;
+  auto token = std::make_shared<Token>(&destroyed);
+  call_with_retry<int>(
+      bus_, sim_, fast_policy(), client_, server_,
+      [token, &served] { return ++served == 1 ? -1 : 7; },
+      [token, &response](int v) { response = v; }, [token] { FAIL(); },
+      "test", {}, nullptr, [token](const int& v) { return v < 0; });
+  token.reset();
+  sim_.run();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response, 7);
+  EXPECT_EQ(count("rpc.overload_retries"), 1u);
+  EXPECT_EQ(destroyed, 1);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
+#include "rpc/service_queue.hpp"
 #include "sim/simulation.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::rpc {
 namespace {
@@ -132,6 +134,57 @@ TEST_F(RpcTest, ControlPriorityBypassesBulkQueue) {
   const SimDuration bulk_total =
       Bandwidth::mbps(100).transmit_time(64 * 64 * kKiB);
   EXPECT_LT(responded_at, bulk_total / 4);
+}
+
+std::uint64_t dropped_calls() {
+  return metrics::global_registry().counter_value("rpc.calls_dropped");
+}
+
+TEST_F(RpcTest, FlatNotifyToReceiverDyingInServiceIsDropped) {
+  RpcConfig config;
+  config.service_time = seconds(1);
+  RpcBus bus(net_, config);
+  const std::uint64_t dropped_before = dropped_calls();
+  bool handled = false;
+  bus.notify(client_, server_, [&] { handled = true; });
+  // The request lands within a millisecond; the receiver dies while the
+  // notification sits in its service delay.
+  sim_.schedule_at(milliseconds(500), "test",
+                   [&] { bus.set_host_down(server_, true); });
+  sim_.run();
+  EXPECT_FALSE(handled);
+  EXPECT_EQ(dropped_calls(), dropped_before + 1);
+}
+
+TEST_F(RpcTest, ShedRejectionFromDeadServerIsDropped) {
+  ServiceQueue::Config qc;
+  qc.admission_control = true;
+  qc.queue_capacity = 1;
+  qc.cost_meta = seconds(1);
+  ServiceQueue queue(sim_, qc);
+  bus_.set_service_queue(server_, &queue);
+  // The first call occupies the server; the second waits in the addBlock
+  // band and fills the one-op queue.
+  bus_.call<int>(client_, server_, [] { return 1; }, [](int) {},
+                 {ServiceClass::kMeta});
+  bool rejected = false;
+  bus_.call<int>(client_, server_, [] { return 2; },
+                 [&](int) { rejected = true; }, {ServiceClass::kAddBlock},
+                 [] { return -1; });
+  std::uint64_t dropped_at_shed = 0;
+  sim_.schedule_at(milliseconds(500), "test", [&] {
+    // The server dies; a heartbeat then displaces the queued call, whose
+    // rejection now has no live server to leave from.
+    bus_.set_host_down(server_, true);
+    const std::uint64_t before = dropped_calls();
+    queue.submit(ServiceClass::kHeartbeat, -1, [] {}, nullptr);
+    dropped_at_shed = dropped_calls() - before;
+  });
+  sim_.run();
+  EXPECT_EQ(queue.counters().shed_total, 1u);
+  EXPECT_EQ(dropped_at_shed, 1u);
+  EXPECT_FALSE(rejected);
+  EXPECT_EQ(bus_.calls_completed(), 0u);
 }
 
 }  // namespace
