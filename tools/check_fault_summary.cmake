@@ -1,7 +1,12 @@
-# Golden robustness tables, run as a ctest via cmake -P. Runs smarthsim with
-# the arguments given after `--`, keeps only the "<protocol> robustness:" and
-# "<protocol> merged robustness:" tables of its stdout, and compares them byte
-# for byte with a checked-in golden file. Any changed count fails the test.
+# Golden result and robustness tables, run as a ctest via cmake -P. Runs
+# smarthsim with the arguments given after `--`, keeps the tables of its
+# stdout, and compares them byte for byte with a checked-in golden file. Any
+# changed count, second or event total fails the test. Kept are:
+#   - every "<protocol> robustness:" and "<protocol> merged robustness:"
+#     section;
+#   - the result table ("protocol ..." for a single or open-loop run, and
+#     each "<protocol> sweep, ..." per-seed table with its "sweep:" line);
+#   - the "improvement:" and "mean improvement:" lines.
 #
 # Expects -DSMARTHSIM=<path to the binary>, -DGOLDEN=<golden file> and
 # -DOUT_DIR=<writable dir>. On a mismatch the actual tables are written to
@@ -25,14 +30,18 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "smarthsim ${args} exited ${rc}")
 endif()
 
-# A section is its title line, the table header and rule, then every
-# "<label>  <number>" row up to the first line of anything else.
+# A robustness section is its title line, the table header and rule, then
+# every "<label>  <number>" row up to the first line of anything else. A
+# result table is its header line, then its rule and every row that starts
+# with a protocol name or a seed.
 string(REPLACE "\n" ";" lines "${out}")
 set(kept "")
+set(robustness "")
 set(state "outside")
 foreach(line IN LISTS lines)
   if(line MATCHES "^[A-Z]+ (merged )?robustness:$")
     string(APPEND kept "${line}\n")
+    string(APPEND robustness "${line}\n")
     set(state "header")
     set(header_lines 0)
   elseif(state STREQUAL "header")
@@ -44,11 +53,19 @@ foreach(line IN LISTS lines)
   elseif(state STREQUAL "rows" AND
          line MATCHES "^[A-Za-z][A-Za-z/()-]*( [A-Za-z/()-]+)*  +[0-9]")
     string(APPEND kept "${line}\n")
+  elseif(line MATCHES "^(protocol|seed)  ")
+    string(APPEND kept "${line}\n")
+    set(state "table")
+  elseif(state STREQUAL "table" AND line MATCHES "^(-+|(HDFS|SMARTH|[0-9]+) .*)$")
+    string(APPEND kept "${line}\n")
+  elseif(line MATCHES "^([A-Z]+ sweep, .*|sweep: .*|(mean )?improvement: .*)$")
+    string(APPEND kept "${line}\n")
+    set(state "outside")
   else()
     set(state "outside")
   endif()
 endforeach()
-if(kept STREQUAL "")
+if(robustness STREQUAL "")
   message(FATAL_ERROR "smarthsim ${args} printed no robustness table")
 endif()
 
@@ -57,7 +74,7 @@ if(NOT kept STREQUAL expected)
   get_filename_component(name ${GOLDEN} NAME)
   file(WRITE ${OUT_DIR}/${name}.actual "${kept}")
   message(FATAL_ERROR
-          "robustness tables differ from ${GOLDEN} "
+          "tables differ from ${GOLDEN} "
           "(actual written to ${OUT_DIR}/${name}.actual)\n"
           "--- expected\n${expected}--- actual\n${kept}")
 endif()
