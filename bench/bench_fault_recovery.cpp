@@ -53,10 +53,11 @@ RunResult run(cluster::Protocol protocol, bool inject, SimDuration crash_at,
   spec.hdfs.ack_timeout = seconds(2);
   cluster::Cluster cluster(spec);
   cluster.throttle_cross_rack(Bandwidth::mbps(100));
+  faults::FaultInjector injector(cluster, /*chaos_seed=*/42);
   if (inject) {
     workload::FaultPlan plan;
     plan.crash(2, crash_at);  // a rack0 node likely to serve pipelines
-    plan.apply(cluster);
+    plan.apply(injector);
   }
   const auto stats = cluster.run_upload("/f", file_size, protocol);
   RunResult result;

@@ -7,6 +7,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
 #include "common/log.hpp"
+#include "faults/fault_injector.hpp"
 #include "workload/fault_plan.hpp"
 
 using namespace smarth;
@@ -24,9 +25,10 @@ int main() {
 
   // Two faults: dn3 crashes five (simulated) seconds in, and dn6 corrupts
   // the 200th packet it receives.
+  faults::FaultInjector injector(cluster);
   workload::FaultPlan plan;
   plan.crash(3, seconds(5)).corrupt(6, 200);
-  plan.apply(cluster);
+  plan.apply(injector);
 
   std::printf("uploading 1 GiB with SMARTH; dn3 crashes at t=5s, dn6 "
               "corrupts a packet...\n\n");

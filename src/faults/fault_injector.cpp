@@ -167,8 +167,8 @@ void FaultInjector::corrupt_nth_packet(std::size_t datanode_index,
   count_fault("corruptions");
 }
 
-std::uint64_t FaultInjector::one_shot_salt(std::size_t datanode_index,
-                                           SimTime at) {
+/// The salt bitrot() derives its target choice from.
+static std::uint64_t one_shot_salt(std::size_t datanode_index, SimTime at) {
   // Hash, not an Rng draw: the header promises deterministic one-shots never
   // consume chaos randomness.
   SplitMix64 sm(static_cast<std::uint64_t>(at) * 1000003ULL +

@@ -5,7 +5,7 @@
 //    (disk and/or NIC throttled by a factor, then restored), NIC flaps
 //    (node isolated then healed), rack partition windows, checksum
 //    corruption, RPC loss/delay — each scheduled at explicit simulated times.
-//    This subsumes workload::FaultPlan (kept for back-compat).
+//    workload::FaultPlan is a declarative list of these one-shots.
 //
 //  * Seeded chaos mode — a periodic tick samples per-datanode Bernoulli
 //    trials from configurable per-minute rates and applies the same
@@ -114,9 +114,6 @@ class FaultInjector {
   /// chunk rots; nothing is drawn from the chaos Rng. No-op when the node
   /// holds no finalized data yet.
   void bitrot(std::size_t datanode_index, SimTime at);
-  /// The salt bitrot() derives its target choice from; exposed so other
-  /// schedulers (workload::FaultPlan's cluster path) reproduce the same rot.
-  static std::uint64_t one_shot_salt(std::size_t datanode_index, SimTime at);
   /// Writer crash with no reboot: the client host goes dark, its heartbeat
   /// stops, and every stream it owned aborts mid-write. Lease recovery is
   /// the only path by which its files leave under-construction.

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "trace/chrome_trace.hpp"
 #include "trace/metrics_registry.hpp"
 
 namespace smarth::hdfs {
@@ -53,17 +54,6 @@ void EditLog::truncate_through(std::int64_t txid) {
   while (!ops_.empty() && ops_.front().txid <= txid) ops_.pop_front();
 }
 
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
-}  // namespace
-
 std::string EditLog::to_json() const {
   std::string out = "[";
   bool first = true;
@@ -82,9 +72,7 @@ std::string EditLog::to_json() const {
     }
     if (op.node.valid()) out += ", \"node\": " + std::to_string(op.node.value());
     if (!op.path.empty()) {
-      out += ", \"path\": \"";
-      append_json_escaped(out, op.path);
-      out += "\"";
+      out += ", \"path\": \"" + trace::json_escape(op.path) + "\"";
     }
     if (op.length > 0) out += ", \"length\": " + std::to_string(op.length);
     if (op.index >= 0) out += ", \"index\": " + std::to_string(op.index);

@@ -6,19 +6,13 @@
 #include "common/log.hpp"
 #include "hdfs/edit_log.hpp"
 #include "sim/periodic_task.hpp"
+#include "trace/chrome_trace.hpp"
 #include "trace/metrics_registry.hpp"
 #include "trace/trace_recorder.hpp"
 
 namespace smarth::hdfs {
 
 namespace {
-
-void append_json_escaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
 
 template <typename Id>
 void append_id_array(std::string& out, const char* key,
@@ -52,9 +46,9 @@ std::string NamenodeImage::to_json() const {
   for (const FileEntry& f : files) {
     if (!first) out += ",";
     first = false;
-    out += "\n    {\"id\": " + std::to_string(f.id.value()) + ", \"path\": \"";
-    append_json_escaped(out, f.path);
-    out += "\", \"holder\": " + std::to_string(f.lease_holder.value());
+    out += "\n    {\"id\": " + std::to_string(f.id.value()) + ", \"path\": \"" +
+           trace::json_escape(f.path) + "\"";
+    out += ", \"holder\": " + std::to_string(f.lease_holder.value());
     out += std::string(", \"state\": \"") +
            (f.state == FileState::kClosed ? "closed" : "uc") + "\"";
     out += std::string(", \"recovering\": ") +

@@ -1,14 +1,12 @@
-// Declarative fault schedules for experiments — the small, serializable
-// subset of faults::FaultInjector kept for existing workloads: datanode
-// crashes (optionally with a rejoin), fail-slow windows, link flaps, and
-// checksum corruptions. Applied to a Cluster before the upload starts;
-// apply() delegates to a FaultInjector.
+// Declarative fault schedules for experiments — a small, serializable list
+// of faults::FaultInjector one-shots: datanode crashes (optionally with a
+// rejoin), fail-slow windows, link flaps, checksum corruptions and bit-rot.
+// apply() schedules them through a FaultInjector before the upload starts.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "cluster/cluster.hpp"
 #include "common/units.hpp"
 #include "faults/fault_injector.hpp"
 
@@ -59,9 +57,6 @@ struct FaultPlan {
   /// Schedules the plan through `injector` (must outlive the simulation run —
   /// the scheduled events report back into its counters).
   void apply(faults::FaultInjector& injector) const;
-  /// Back-compat overload: schedules directly against the cluster, without
-  /// injection counters.
-  void apply(cluster::Cluster& cluster) const;
   bool empty() const {
     return crashes.empty() && corruptions.empty() && fail_slows.empty() &&
            flaps.empty() && bitrots.empty();

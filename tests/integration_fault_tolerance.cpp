@@ -7,6 +7,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
+#include "faults/fault_injector.hpp"
 #include "hdfs/namenode.hpp"
 #include "workload/fault_plan.hpp"
 
@@ -116,12 +117,13 @@ TEST(FaultToleranceHdfs, ChecksumErrorTriggersRecovery) {
 TEST(FaultToleranceHdfs, UploadFailsWhenAllReplicasDie) {
   cluster::ClusterSpec spec = spec_with_small_blocks();
   Cluster cluster(spec);
+  faults::FaultInjector injector(cluster);
   // Kill every datanode early; no recovery can succeed.
   workload::FaultPlan plan;
   for (std::size_t i = 0; i < cluster.datanode_count(); ++i) {
     plan.crash(i, seconds(1));
   }
-  plan.apply(cluster);
+  plan.apply(injector);
   const auto stats =
       cluster.run_upload("/data/a.bin", 24 * kMiB, Protocol::kHdfs);
   EXPECT_TRUE(stats.failed);
@@ -177,9 +179,10 @@ TEST(FaultToleranceSmarth, ChecksumErrorOnMirrorRecovers) {
 TEST(FaultToleranceSmarth, MultipleCrashesAcrossUpload) {
   Cluster cluster(spec_with_small_blocks());
   cluster.throttle_cross_rack(Bandwidth::mbps(40));
+  faults::FaultInjector injector(cluster);
   workload::FaultPlan plan;
   plan.crash(0, seconds(2)).crash(5, seconds(6));
-  plan.apply(cluster);
+  plan.apply(injector);
   const auto stats =
       cluster.run_upload("/data/a.bin", 32 * kMiB, Protocol::kSmarth);
   ASSERT_FALSE(stats.failed) << stats.failure_reason;

@@ -4,6 +4,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
+#include "faults/fault_injector.hpp"
 #include "workload/fault_plan.hpp"
 #include "workload/upload_workload.hpp"
 
@@ -82,9 +83,10 @@ TEST(Workload, FaultPlanBuilders) {
 
 TEST(Workload, FaultPlanAppliesToCluster) {
   Cluster cluster(small_spec());
+  faults::FaultInjector injector(cluster);
   workload::FaultPlan plan;
   plan.crash(2, seconds(3));
-  plan.apply(cluster);
+  plan.apply(injector);
   EXPECT_FALSE(cluster.datanode(2).crashed());
   cluster.sim().run_until(seconds(4));
   EXPECT_TRUE(cluster.datanode(2).crashed());

@@ -362,5 +362,23 @@ TEST_F(NamenodeTest, SafeModeTimeoutExitIsCountedInRegistry) {
       1u);
 }
 
+TEST(EditLogJson, PathIsEscaped) {
+  EditLog log;
+  EditOp op;
+  op.type = EditOpType::kCreate;
+  op.path = "/a\"b\\c\nd";
+  log.append(op);
+  const std::string json = log.to_json();
+  EXPECT_NE(json.find(R"("path": "/a\"b\\c\nd")"), std::string::npos)
+      << json;
+}
+
+TEST_F(NamenodeTest, ImageJsonEscapesPaths) {
+  ASSERT_TRUE(nn_->create("/a\"b\\c\nd", client_).ok());
+  const std::string json = nn_->capture_image().to_json();
+  EXPECT_NE(json.find(R"("path": "/a\"b\\c\nd")"), std::string::npos)
+      << json;
+}
+
 }  // namespace
 }  // namespace smarth::hdfs
