@@ -311,6 +311,8 @@ class OutputStreamBase : public AckSink {
   SimTime safe_mode_wait_started_ = -1;
   /// When the current overload wait began (-1: not waiting).
   SimTime overload_wait_started_ = -1;
+  /// When complete() first answered "not yet" (-1: it has not).
+  SimTime complete_wait_started_ = -1;
 };
 
 }  // namespace smarth::hdfs
