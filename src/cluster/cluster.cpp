@@ -254,11 +254,6 @@ void Cluster::crash_datanode_at(std::size_t index, SimTime at) {
   sim_->schedule_at(at, "fault.dn_crash", [dn] { dn->crash(); });
 }
 
-void Cluster::restart_datanode_at(std::size_t index, SimTime at) {
-  hdfs::Datanode* dn = &datanode(index);
-  sim_->schedule_at(at, "fault.dn_restart", [dn] { dn->restart(); });
-}
-
 void Cluster::crash_client(std::size_t index) {
   SMARTH_CHECK(index < clients_.size());
   ClientRuntime& runtime = clients_[index];

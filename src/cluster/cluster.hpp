@@ -73,9 +73,6 @@ class Cluster {
 
   // --- Fault injection ---------------------------------------------------------
   void crash_datanode_at(std::size_t index, SimTime at);
-  /// Crash-and-rejoin: the node reboots at `at` with its staging cleared and
-  /// non-finalized replicas discarded, then re-registers with the namenode.
-  void restart_datanode_at(std::size_t index, SimTime at);
 
   /// Writer crash: the client host vanishes — its heartbeat stops (so its
   /// lease expires), its RPC endpoint goes down, in-flight transfers from the
