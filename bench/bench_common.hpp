@@ -1,8 +1,5 @@
-// Shared plumbing for the figure-reproduction benches: each bench sweeps the
-// paper's parameter grid, runs both protocols on fresh identical clusters,
-// and prints the series the corresponding figure plots. Absolute seconds
-// depend on the simulator's calibration; the shapes (who wins, by what
-// factor, where crossovers sit) are the reproduction target.
+// Shared plumbing for the benches: the upload size knob and the section
+// header every bench prints.
 #pragma once
 
 #include <cstdio>
@@ -27,35 +24,10 @@ inline Bytes bench_file_size() {
   return 8 * kGiB;
 }
 
-/// Repeat count for seed averaging (paper runs are single-shot on EC2; the
-/// simulator is deterministic, so 1 is the meaningful default).
-inline int bench_repeats() {
-  if (const char* env = std::getenv("SMARTH_BENCH_REPEATS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<int>(n);
-  }
-  return 1;
-}
-
 inline void print_header(const std::string& title, const std::string& note) {
   std::printf("\n=== %s ===\n", title.c_str());
   if (!note.empty()) std::printf("%s\n", note.c_str());
   std::printf("\n");
-}
-
-/// Runs every scenario through both protocols and prints the figure series.
-inline std::vector<metrics::ComparisonRow> run_and_print(
-    const std::string& x_label, const std::vector<harness::Scenario>& sweep) {
-  std::vector<metrics::ComparisonRow> rows;
-  rows.reserve(sweep.size());
-  const int repeats = bench_repeats();
-  for (const harness::Scenario& scenario : sweep) {
-    rows.push_back(
-        harness::compare_protocols_averaged(scenario, repeats, 42));
-  }
-  std::printf("%s", metrics::render_comparison_table(x_label, rows).c_str());
-  std::fflush(stdout);
-  return rows;
 }
 
 }  // namespace smarth::bench

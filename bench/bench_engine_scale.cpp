@@ -1,26 +1,16 @@
-// Engine scale trajectory: events/sec and wall-clock per simulated hour
-// across cluster sizes (10 / 100 / 1000 datanodes) in both fidelity modes,
-// plus an in-process comparison of the calendar-queue event core against the
-// pre-refactor reference design (sim/reference_queue.hpp). Emits
-// BENCH_engine_scale.json so the perf trajectory is machine-checkable: CI
+// Event-core speed: an in-process comparison of the calendar-queue event
+// core against the pre-refactor reference design (sim/reference_queue.hpp).
+// Emits BENCH_engine_scale.json so the trajectory is machine-checkable: CI
 // gates on the core speedup ratio, which is machine-independent because both
-// cores run in the same process on the same workload.
+// cores run in the same process on the same workload. Whole-cluster scale
+// (1000 datanodes, both protocols) is perfbench's `wide_mixed` workload.
 //
 //   bench_engine_scale [output.json]
-//
-// SMARTH_BENCH_ENGINE_FAST=1 shrinks the simulated horizon and upload (CI
-// config); the cluster-size grid — including the 1000-node block-fidelity
-// point — is identical in both configs.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "cluster/cluster.hpp"
-#include "cluster/cluster_spec.hpp"
-#include "cluster/instance_profile.hpp"
 #include "sim/reference_queue.hpp"
 #include "sim/simulation.hpp"
 
@@ -84,43 +74,6 @@ CoreRate churn_reference() {
   return rate;
 }
 
-// --- Cluster-scale points ----------------------------------------------------
-
-struct ScalePoint {
-  int datanodes = 0;
-  const char* fidelity = "packet";
-  std::uint64_t events = 0;
-  double wall_s = 0;
-  double sim_s = 0;
-
-  double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0; }
-  double wall_per_sim_hour() const {
-    return sim_s > 0 ? wall_s / sim_s * 3600.0 : 0;
-  }
-};
-
-ScalePoint run_scale_point(int datanodes, hdfs::DataFidelity fidelity,
-                           double sim_seconds, Bytes file_size) {
-  cluster::ClusterSpec spec = cluster::homogeneous_cluster(
-      cluster::small_instance(), static_cast<std::size_t>(datanodes), 42);
-  spec.hdfs.fidelity = fidelity;
-  cluster::Cluster cluster(spec);
-  // One active upload keeps the data path hot; at 1000 nodes the heartbeat /
-  // control plane is the dominant event source, which is the scale story.
-  cluster.upload("/bench/scale.bin", file_size, cluster::Protocol::kSmarth,
-                 [](const hdfs::StreamStats&) {});
-  const auto start = std::chrono::steady_clock::now();
-  cluster.sim().run_until(seconds_f(sim_seconds));
-  ScalePoint point;
-  point.datanodes = datanodes;
-  point.fidelity =
-      fidelity == hdfs::DataFidelity::kBlock ? "block" : "packet";
-  point.wall_s = wall_seconds_since(start);
-  point.sim_s = sim_seconds;
-  point.events = cluster.sim().events_executed();
-  return point;
-}
-
 std::string json_num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -132,10 +85,6 @@ std::string json_num(double v) {
 int main(int argc, char** argv) {
   const std::string out_path =
       argc > 1 ? argv[1] : "BENCH_engine_scale.json";
-  const bool fast = std::getenv("SMARTH_BENCH_ENGINE_FAST") != nullptr;
-  const double sim_seconds = fast ? 8.0 : 30.0;
-  const Bytes file_size = fast ? 256 * kMiB : kGiB;
-
   std::printf("engine core churn (%d chains, %llu events):\n", kChurnChains,
               static_cast<unsigned long long>(kChurnEvents));
   const CoreRate calendar = churn_calendar();
@@ -148,51 +97,16 @@ int main(int argc, char** argv) {
               calendar.events_per_sec());
   std::printf("  reference core  %10.0f events/s\n",
               reference.events_per_sec());
-  std::printf("  speedup         %10.2fx\n\n", speedup);
-
-  std::vector<ScalePoint> points;
-  for (const int datanodes : {10, 100, 1000}) {
-    for (const hdfs::DataFidelity fidelity :
-         {hdfs::DataFidelity::kPacket, hdfs::DataFidelity::kBlock}) {
-      ScalePoint point =
-          run_scale_point(datanodes, fidelity, sim_seconds, file_size);
-      std::printf(
-          "%5d datanodes  %-6s  %9llu events  %8.0f events/s  "
-          "%7.2f wall-s per sim-hour\n",
-          point.datanodes, point.fidelity,
-          static_cast<unsigned long long>(point.events),
-          point.events_per_sec(), point.wall_per_sim_hour());
-      std::fflush(stdout);
-      points.push_back(point);
-    }
-  }
+  std::printf("  speedup         %10.2fx\n", speedup);
 
   std::string json = "{\n  \"bench\": \"engine_scale\",\n";
-  json += "  \"config\": {\"fast\": " + std::string(fast ? "true" : "false") +
-          ", \"sim_seconds\": " + json_num(sim_seconds) +
-          ", \"file_mib\": " + json_num(static_cast<double>(file_size / kMiB)) +
-          "},\n";
   json += "  \"core_microbench\": {\"chains\": " + std::to_string(kChurnChains) +
           ", \"events\": " + std::to_string(kChurnEvents) +
           ", \"calendar_events_per_sec\": " +
           json_num(calendar.events_per_sec()) +
           ", \"reference_events_per_sec\": " +
           json_num(reference.events_per_sec()) +
-          ", \"speedup\": " + json_num(speedup) + "},\n";
-  json += "  \"clusters\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ScalePoint& p = points[i];
-    json += std::string("    {\"datanodes\": ") + std::to_string(p.datanodes) +
-            ", \"fidelity\": \"" + p.fidelity +
-            "\", \"events\": " + std::to_string(p.events) +
-            ", \"sim_seconds\": " + json_num(p.sim_s) +
-            ", \"wall_seconds\": " + json_num(p.wall_s) +
-            ", \"events_per_sec\": " + json_num(p.events_per_sec()) +
-            ", \"wall_seconds_per_sim_hour\": " +
-            json_num(p.wall_per_sim_hour()) + "}";
-    json += i + 1 < points.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
+          ", \"speedup\": " + json_num(speedup) + "}\n}\n";
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {

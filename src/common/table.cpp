@@ -52,19 +52,4 @@ std::string TextTable::to_string() const {
   return out;
 }
 
-std::string TextTable::to_csv() const {
-  auto render = [](const std::vector<std::string>& row) {
-    std::string line;
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      line += row[c];
-      if (c + 1 != row.size()) line += ',';
-    }
-    line += '\n';
-    return line;
-  };
-  std::string out = render(header_);
-  for (const auto& row : rows_) out += render(row);
-  return out;
-}
-
 }  // namespace smarth

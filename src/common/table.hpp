@@ -20,8 +20,6 @@ class TextTable {
 
   /// Renders with aligned columns and a separator under the header.
   std::string to_string() const;
-  /// Comma-separated form for machine consumption.
-  std::string to_csv() const;
 
  private:
   std::vector<std::string> header_;

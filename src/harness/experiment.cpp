@@ -14,43 +14,6 @@ hdfs::StreamStats run_protocol(const Scenario& scenario,
   return cluster.run_upload(scenario.path, scenario.file_size, protocol);
 }
 
-metrics::ComparisonRow compare_protocols(const Scenario& scenario,
-                                         std::uint64_t seed) {
-  metrics::ComparisonRow row;
-  row.scenario = scenario.label;
-  const hdfs::StreamStats hdfs_stats =
-      run_protocol(scenario, cluster::Protocol::kHdfs, seed);
-  const hdfs::StreamStats smarth_stats =
-      run_protocol(scenario, cluster::Protocol::kSmarth, seed);
-  SMARTH_CHECK_MSG(!hdfs_stats.failed,
-                   "HDFS upload failed in '" << scenario.label
-                                             << "': " << hdfs_stats.failure_reason);
-  SMARTH_CHECK_MSG(!smarth_stats.failed,
-                   "SMARTH upload failed in '"
-                       << scenario.label
-                       << "': " << smarth_stats.failure_reason);
-  row.hdfs_seconds = to_seconds(hdfs_stats.elapsed());
-  row.smarth_seconds = to_seconds(smarth_stats.elapsed());
-  return row;
-}
-
-metrics::ComparisonRow compare_protocols_averaged(const Scenario& scenario,
-                                                  int repeats,
-                                                  std::uint64_t base_seed) {
-  SMARTH_CHECK(repeats > 0);
-  metrics::ComparisonRow mean;
-  mean.scenario = scenario.label;
-  for (int i = 0; i < repeats; ++i) {
-    const metrics::ComparisonRow row =
-        compare_protocols(scenario, base_seed + static_cast<std::uint64_t>(i));
-    mean.hdfs_seconds += row.hdfs_seconds;
-    mean.smarth_seconds += row.smarth_seconds;
-  }
-  mean.hdfs_seconds /= repeats;
-  mean.smarth_seconds /= repeats;
-  return mean;
-}
-
 void warm_speed_records(cluster::Cluster& cluster, std::size_t client_index) {
   const auto& topology = cluster.network().topology();
   const NodeId client_node = cluster.client_node(client_index);
@@ -73,6 +36,39 @@ void warm_speed_records(cluster::Cluster& cluster, std::size_t client_index) {
   }
   cluster.namenode().report_client_speeds(
       cluster.client(client_index).id(), records);
+}
+
+model::CostParams paper_cost_params(const cluster::ClusterSpec& spec,
+                                    double cross_rack_mbps, Bytes file_size) {
+  model::CostParams p;
+  p.file_size = file_size;
+  p.block_size = spec.hdfs.block_size;
+  p.packet_size = spec.hdfs.packet_payload;
+  p.t_c = spec.hdfs.packet_production_time;
+  const auto& profile = spec.datanodes[0].profile;
+  p.t_w = profile.disk_op_overhead +
+          profile.disk_write.transmit_time(p.packet_size) +
+          spec.hdfs.checksum_verify_time;
+  p.t_n = milliseconds(2);
+  const Bandwidth nic = profile.network;
+  const Bandwidth cross =
+      cross_rack_mbps > 0 ? Bandwidth::mbps(cross_rack_mbps) : nic;
+  p.b_min = min(nic, cross);
+  p.b_max = nic;
+  return p;
+}
+
+double replica_drain_seconds(const cluster::ClusterSpec& spec,
+                             double cross_rack_mbps, Bytes file_size) {
+  if (cross_rack_mbps <= 0) return 0.0;
+  const std::int64_t n = static_cast<std::int64_t>(spec.datanode_count()) /
+                         spec.hdfs.replication;
+  const std::int64_t blocks =
+      (file_size + spec.hdfs.block_size - 1) / spec.hdfs.block_size;
+  const std::int64_t rounds = (blocks + n - 1) / n;
+  return static_cast<double>(rounds) *
+         static_cast<double>(spec.hdfs.block_size) * 8.0 /
+         (cross_rack_mbps * 1e6);
 }
 
 Scenario two_rack_scenario(

@@ -1,7 +1,7 @@
 // Experiment runner: builds a fresh cluster per run (each protocol gets an
 // identical, independently seeded world), applies the scenario's traffic
-// shaping / faults, uploads one file with each protocol, and reports the
-// paired result. Every bench regenerating a paper figure goes through this.
+// shaping / faults and uploads one file. Every paper figure row in
+// bench_paper is a Scenario run through this.
 #pragma once
 
 #include <functional>
@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "metrics/report.hpp"
+#include "model/cost_model.hpp"
 
 namespace smarth::harness {
 
@@ -29,15 +29,6 @@ hdfs::StreamStats run_protocol(const Scenario& scenario,
                                cluster::Protocol protocol,
                                std::uint64_t seed = 42);
 
-/// Runs HDFS and SMARTH on identical fresh clusters and pairs the results.
-metrics::ComparisonRow compare_protocols(const Scenario& scenario,
-                                         std::uint64_t seed = 42);
-
-/// Seed-averaged comparison (arithmetic mean of upload seconds per protocol).
-metrics::ComparisonRow compare_protocols_averaged(const Scenario& scenario,
-                                                  int repeats,
-                                                  std::uint64_t base_seed = 42);
-
 /// Pre-warms the SMARTH speed machinery: seeds the client's tracker and the
 /// namenode's speed board with the steady-state client->datanode rates
 /// implied by the current NIC and throttle configuration. Benches that model
@@ -46,6 +37,23 @@ metrics::ComparisonRow compare_protocols_averaged(const Scenario& scenario,
 /// amortizes naturally.
 void warm_speed_records(cluster::Cluster& cluster,
                         std::size_t client_index = 0);
+
+/// The paper's Formula 1-3 parameters (§III-D) for uploading `file_size` on
+/// `spec` under a cross-rack throttle (0 = none), as a speed-warmed run
+/// sees them: Tw is one packet's disk service plus checksum verification,
+/// Tn an addBlock round trip plus the setup chain, Bmax the datanode NIC
+/// (warmed SMARTH keeps the first hop on the client's rack) and Bmin the
+/// throttle where it is tighter.
+model::CostParams paper_cost_params(const cluster::ClusterSpec& spec,
+                                    double cross_rack_mbps, Bytes file_size);
+
+/// SMARTH's replica-drain makespan in seconds (0 without a throttle): at
+/// most |datanodes|/replication pipelines drain at once, each block crosses
+/// the throttled hop, so the upload takes ceil(blocks/n) rounds of one
+/// block at the throttle. A steady-state rate bound would be too optimistic
+/// for files only a few blocks long.
+double replica_drain_seconds(const cluster::ClusterSpec& spec,
+                             double cross_rack_mbps, Bytes file_size);
 
 /// Convenience scenario constructors used across benches ------------------
 

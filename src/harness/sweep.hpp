@@ -57,7 +57,9 @@ using SeedBody = std::function<void(std::uint64_t seed, SeedRun& out)>;
 /// Runs `body` for seeds base_seed .. base_seed+seeds-1 across min(jobs,
 /// seeds) worker threads (jobs < 1 means one thread per hardware core).
 /// Exceptions from the body are captured into SeedRun::error, never
-/// propagated — one diverging seed must not abort the sweep.
+/// propagated — one diverging seed must not abort the sweep. With base_seed
+/// 0 the body's `seed` is a run index, so a caller can sweep a table of
+/// jobs (bench_paper runs every paper-figure upload this way).
 SweepSummary run_seed_sweep(std::uint64_t base_seed, int seeds, int jobs,
                             const SeedBody& body);
 

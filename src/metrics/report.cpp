@@ -17,32 +17,6 @@ std::string render_comparison_table(const std::string& x_label,
   return table.to_string();
 }
 
-std::string render_observations(const std::vector<UploadObservation>& rows) {
-  TextTable table({"scenario", "protocol", "seconds", "throughput (Mbps)",
-                   "blocks", "pipelines", "max concurrency", "recoveries"});
-  for (const UploadObservation& row : rows) {
-    table.add_row({row.scenario, row.protocol, TextTable::num(row.seconds()),
-                   TextTable::num(row.throughput_mbps(), 1),
-                   std::to_string(row.stats.blocks),
-                   std::to_string(row.stats.pipelines_created),
-                   std::to_string(row.stats.max_concurrent_pipelines),
-                   std::to_string(row.stats.recoveries)});
-  }
-  return table.to_string();
-}
-
-std::string comparison_csv(const std::string& x_label,
-                           const std::vector<ComparisonRow>& rows) {
-  TextTable table({x_label, "hdfs_seconds", "smarth_seconds",
-                   "improvement_percent"});
-  for (const ComparisonRow& row : rows) {
-    table.add_row({row.scenario, TextTable::num(row.hdfs_seconds, 4),
-                   TextTable::num(row.smarth_seconds, 4),
-                   TextTable::num(row.improvement_percent(), 2)});
-  }
-  return table.to_csv();
-}
-
 namespace {
 
 /// How a robustness row turns its metric into a cell.

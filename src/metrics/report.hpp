@@ -1,6 +1,6 @@
-// Experiment reporting: per-upload observations, HDFS-vs-SMARTH comparison
-// rows, and table renderers that print the same series the paper's figures
-// plot (upload seconds per configuration, plus improvement percentages).
+// Experiment reporting: HDFS-vs-SMARTH comparison rows, the table renderer
+// that prints the series the paper's figures plot (upload seconds per
+// configuration, plus improvement percentages), and the robustness table.
 #pragma once
 
 #include <string>
@@ -8,20 +8,9 @@
 
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "hdfs/output_stream.hpp"
 #include "trace/metrics_registry.hpp"
 
 namespace smarth::metrics {
-
-/// One run of one protocol in one configuration.
-struct UploadObservation {
-  std::string scenario;   ///< e.g. "small/throttle=50Mbps"
-  std::string protocol;   ///< "HDFS" or "SMARTH"
-  hdfs::StreamStats stats;
-
-  double seconds() const { return to_seconds(stats.elapsed()); }
-  double throughput_mbps() const { return stats.throughput().mbps(); }
-};
 
 /// A paired HDFS/SMARTH measurement of one configuration.
 struct ComparisonRow {
@@ -39,13 +28,6 @@ struct ComparisonRow {
 /// improvement. `x_label` names the swept parameter column.
 std::string render_comparison_table(const std::string& x_label,
                                     const std::vector<ComparisonRow>& rows);
-
-/// Renders raw observations (one row per upload).
-std::string render_observations(const std::vector<UploadObservation>& rows);
-
-/// CSV forms for downstream plotting.
-std::string comparison_csv(const std::string& x_label,
-                           const std::vector<ComparisonRow>& rows);
 
 /// Renders a run's robustness counters as a two-column table. Every row is
 /// read from `registry` (one run's, or a sweep's merged snapshot); a row

@@ -31,30 +31,6 @@ class ModelVsSim : public ::testing::TestWithParam<Case> {
     return spec;
   }
 
-  /// Derives the model parameters the way §III-D defines them.
-  static model::CostParams derive_params(const cluster::ClusterSpec& spec,
-                                         double throttle_mbps,
-                                         Bytes file_size) {
-    model::CostParams p;
-    p.file_size = file_size;
-    p.block_size = spec.hdfs.block_size;
-    p.packet_size = spec.hdfs.packet_payload;
-    p.t_c = spec.hdfs.packet_production_time;
-    // Tw: datanode disk service for one packet plus checksum verification.
-    const auto& profile = spec.datanodes[0].profile;
-    p.t_w = profile.disk_op_overhead +
-            profile.disk_write.transmit_time(p.packet_size) +
-            spec.hdfs.checksum_verify_time;
-    // Tn: an addBlock round trip plus the pipeline setup chain.
-    p.t_n = milliseconds(2);
-    const Bandwidth nic = profile.network;
-    const Bandwidth cross =
-        throttle_mbps > 0 ? Bandwidth::mbps(throttle_mbps) : nic;
-    p.b_min = min(nic, cross);
-    p.b_max = nic;  // warmed SMARTH keeps the first hop on the client's rack
-    return p;
-  }
-
   double run_seconds(const Case& c, Protocol protocol) {
     Cluster cluster(make_spec());
     if (c.throttle_mbps > 0) {
@@ -65,31 +41,13 @@ class ModelVsSim : public ::testing::TestWithParam<Case> {
     EXPECT_FALSE(stats.failed) << stats.failure_reason;
     return to_seconds(stats.elapsed());
   }
-
-  /// Replica-drain makespan bound for SMARTH: blocks are served by at most
-  /// n = |datanodes|/replication concurrent pipelines, each needing
-  /// block_size over the throttled hop, so the finite-block schedule takes
-  /// ceil(blocks/n) drain rounds (a steady-state rate bound would be too
-  /// optimistic for files only a few blocks long).
-  static double smarth_drain_seconds(const Case& c,
-                                     const cluster::ClusterSpec& spec) {
-    if (c.throttle_mbps <= 0) return 0.0;
-    const std::int64_t n = static_cast<std::int64_t>(spec.datanode_count()) /
-                           spec.hdfs.replication;
-    const std::int64_t blocks =
-        (c.file_size + spec.hdfs.block_size - 1) / spec.hdfs.block_size;
-    const std::int64_t rounds = (blocks + n - 1) / n;
-    const double per_block = static_cast<double>(spec.hdfs.block_size) * 8.0 /
-                             (c.throttle_mbps * 1e6);
-    return static_cast<double>(rounds) * per_block;
-  }
 };
 
 TEST_P(ModelVsSim, HdfsBracketedByModel) {
   const Case& c = GetParam();
   const cluster::ClusterSpec spec = make_spec();
   const model::CostParams params =
-      derive_params(spec, c.throttle_mbps, c.file_size);
+      harness::paper_cost_params(spec, c.throttle_mbps, c.file_size);
   const double serial = to_seconds(model::predict_hdfs_time(params));
   const double pipelined =
       to_seconds(model::predict_hdfs_time_pipelined(params));
@@ -104,11 +62,12 @@ TEST_P(ModelVsSim, SmarthBracketedByModelPlusDrain) {
   const Case& c = GetParam();
   const cluster::ClusterSpec spec = make_spec();
   const model::CostParams params =
-      derive_params(spec, c.throttle_mbps, c.file_size);
+      harness::paper_cost_params(spec, c.throttle_mbps, c.file_size);
   const double serial = to_seconds(model::predict_smarth_time(params));
   const double pipelined =
       to_seconds(model::predict_smarth_time_pipelined(params));
-  const double drain = smarth_drain_seconds(c, spec);
+  const double drain =
+      harness::replica_drain_seconds(spec, c.throttle_mbps, c.file_size);
   const double simulated = run_seconds(c, Protocol::kSmarth);
   EXPECT_GT(simulated, pipelined * 0.90)
       << "pipelined " << pipelined << " drain " << drain;
@@ -125,7 +84,7 @@ TEST_P(ModelVsSim, ModelOrderingMatchesSim) {
   const Case& c = GetParam();
   const cluster::ClusterSpec spec = make_spec();
   const model::CostParams params =
-      derive_params(spec, c.throttle_mbps, c.file_size);
+      harness::paper_cost_params(spec, c.throttle_mbps, c.file_size);
   const SimDuration m_hdfs = model::predict_hdfs_time(params);
   const SimDuration m_smarth = model::predict_smarth_time(params);
   const double hdfs_secs = run_seconds(c, Protocol::kHdfs);

@@ -87,12 +87,6 @@ TEST(TextTable, RendersAlignedColumns) {
   EXPECT_EQ(t.row_count(), 2u);
 }
 
-TEST(TextTable, CsvOutput) {
-  TextTable t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
-}
-
 TEST(TextTable, RowWidthMismatchThrows) {
   TextTable t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::logic_error);

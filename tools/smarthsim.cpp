@@ -892,6 +892,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (const std::string name = flags.get("cluster");
+      name != "small" && name != "medium" && name != "large" &&
+      name != "hetero" && name != "heterogeneous") {
+    std::fprintf(stderr,
+                 "unknown --cluster=%s (expected small, medium, large or "
+                 "hetero)\n",
+                 name.c_str());
+    return 2;
+  }
   if (const std::string fidelity = flags.get("fidelity");
       fidelity != "packet" && fidelity != "block") {
     std::fprintf(stderr, "unknown --fidelity=%s (expected packet or block)\n",
@@ -915,7 +924,14 @@ int main(int argc, char** argv) {
                                  flags.get(name));
     }
   }
-  (void)positive_flag(flags, "size-gb");
+  // A size under one byte truncates to an empty upload, and one of 2^63
+  // bytes or more overflows Bytes; either would abort the run.
+  if (const auto size_gb = positive_flag(flags, "size-gb");
+      size_gb && !(*size_gb * static_cast<double>(kGiB) >= 1.0 &&
+                   *size_gb * static_cast<double>(kGiB) < 0x1p63)) {
+    fault_flag_error("size-gb", "must be at least one byte and below 8 EiB, "
+                                "got " + flags.get("size-gb"));
+  }
   (void)positive_flag(flags, "fail-slow-factor");
   const bool open_loop = flags.has("clients");
   for (const char* name : {"arrival-rate", "zipf-s", "open-loop-duration"}) {
