@@ -2,14 +2,20 @@
 // core against the pre-refactor reference design (sim/reference_queue.hpp).
 // Emits BENCH_engine_scale.json so the trajectory is machine-checkable: CI
 // gates on the core speedup ratio, which is machine-independent because both
-// cores run in the same process on the same workload. Whole-cluster scale
-// (1000 datanodes, both protocols) is perfbench's `wide_mixed` workload.
+// cores run in the same process on the same workload. The two churns run
+// interleaved, kRounds times, and the reported speedup is the median of the
+// per-round ratios: one ratio from a single pair swings with whatever else
+// the host runs. Whole-cluster scale (1000 datanodes, both protocols) is
+// perfbench's `wide_mixed` workload.
 //
 //   bench_engine_scale [output.json]
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/reference_queue.hpp"
 #include "sim/simulation.hpp"
@@ -32,6 +38,8 @@ double wall_seconds_since(std::chrono::steady_clock::time_point start) {
 
 constexpr int kChurnChains = 65536;
 constexpr std::uint64_t kChurnEvents = 2'000'000;
+/// Calendar-then-reference pairs; odd, so the median is one round's ratio.
+constexpr int kRounds = 7;
 
 SimDuration churn_delay(std::uint64_t n) {
   return 100 + static_cast<SimDuration>((n * 2654435761u) % 10'000);
@@ -74,6 +82,11 @@ CoreRate churn_reference() {
   return rate;
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 std::string json_num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -85,28 +98,41 @@ std::string json_num(double v) {
 int main(int argc, char** argv) {
   const std::string out_path =
       argc > 1 ? argv[1] : "BENCH_engine_scale.json";
-  std::printf("engine core churn (%d chains, %llu events):\n", kChurnChains,
-              static_cast<unsigned long long>(kChurnEvents));
-  const CoreRate calendar = churn_calendar();
-  const CoreRate reference = churn_reference();
-  const double speedup =
-      reference.events_per_sec() > 0
-          ? calendar.events_per_sec() / reference.events_per_sec()
-          : 0;
-  std::printf("  calendar queue  %10.0f events/s\n",
-              calendar.events_per_sec());
-  std::printf("  reference core  %10.0f events/s\n",
-              reference.events_per_sec());
-  std::printf("  speedup         %10.2fx\n", speedup);
+  std::printf("engine core churn (%d chains, %llu events, %d rounds):\n",
+              kChurnChains, static_cast<unsigned long long>(kChurnEvents),
+              kRounds);
+  std::vector<double> calendar_rates;
+  std::vector<double> reference_rates;
+  std::vector<double> speedups;
+  for (int round = 0; round < kRounds; ++round) {
+    const double calendar = churn_calendar().events_per_sec();
+    const double reference = churn_reference().events_per_sec();
+    const double speedup = reference > 0 ? calendar / reference : 0;
+    std::printf("  round %d  calendar %10.0f  reference %10.0f  events/s"
+                "  speedup %5.2fx\n",
+                round + 1, calendar, reference, speedup);
+    calendar_rates.push_back(calendar);
+    reference_rates.push_back(reference);
+    speedups.push_back(speedup);
+  }
+  const double speedup = median(speedups);
+  std::printf("  median speedup %.2fx (range %.2f-%.2f)\n", speedup,
+              *std::min_element(speedups.begin(), speedups.end()),
+              *std::max_element(speedups.begin(), speedups.end()));
 
   std::string json = "{\n  \"bench\": \"engine_scale\",\n";
   json += "  \"core_microbench\": {\"chains\": " + std::to_string(kChurnChains) +
           ", \"events\": " + std::to_string(kChurnEvents) +
+          ", \"rounds\": " + std::to_string(kRounds) +
           ", \"calendar_events_per_sec\": " +
-          json_num(calendar.events_per_sec()) +
+          json_num(median(calendar_rates)) +
           ", \"reference_events_per_sec\": " +
-          json_num(reference.events_per_sec()) +
-          ", \"speedup\": " + json_num(speedup) + "}\n}\n";
+          json_num(median(reference_rates)) +
+          ", \"speedup\": " + json_num(speedup) + ", \"round_speedups\": [";
+  for (std::size_t i = 0; i < speedups.size(); ++i) {
+    json += (i > 0 ? ", " : "") + json_num(speedups[i]);
+  }
+  json += "]}\n}\n";
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {

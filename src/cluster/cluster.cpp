@@ -580,9 +580,9 @@ bool Cluster::file_fully_replicated(const std::string& path) const {
   for (BlockId block : entry->blocks) {
     int finalized = 0;
     for (const auto& dn : datanodes_) {
-      const auto replica = dn->block_store().replica(block);
-      if (replica.ok() &&
-          replica.value().state == storage::ReplicaState::kFinalized) {
+      const storage::ReplicaInfo* replica = dn->block_store().find(block);
+      if (replica != nullptr &&
+          replica->state == storage::ReplicaState::kFinalized) {
         ++finalized;
       }
     }

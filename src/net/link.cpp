@@ -107,8 +107,16 @@ void Link::try_start_next() {
   // Serialization completes after the transmit time; the message then
   // propagates for `latency_` without occupying the link (cut-through for
   // the wire).
-  sim_.post_after(capacity_.transmit_time(msg->size), "link.serialize",
+  sim_.post_after(transmit_time(msg->size), "link.serialize",
                   [this] { finish_current(); });
+}
+
+SimDuration Link::transmit_time(Bytes size) {
+  if (size != memo_size_) {
+    memo_size_ = size;
+    memo_time_ = capacity_.transmit_time(size);
+  }
+  return memo_time_;
 }
 
 void Link::finish_current() {
@@ -117,12 +125,20 @@ void Link::finish_current() {
   busy_accum_ += sim_.now() - busy_since_;
   bytes_transmitted_ += msg->size;
   ++messages_transmitted_;
-  if (latency_ > 0) {
+  // With no latency and nothing else due now, the queued deliver would be
+  // the next event to run: hand the message on in place instead, as this
+  // event's last act. Asked before try_start_next(), which may post a
+  // zero-size successor's serialize at now(); that event still runs after
+  // the delivery, as it would behind the queued one.
+  const bool in_place = latency_ == 0 && sim_.may_run_in_place();
+  if (!in_place) {
     sim_.post_after(latency_, "link.deliver", [this, msg] { deliver(msg); });
-  } else {
-    sim_.post_now("link.deliver", [this, msg] { deliver(msg); });
   }
   try_start_next();
+  if (in_place) {
+    sim_.count_in_place();
+    deliver(msg);
+  }
 }
 
 void Link::deliver(Message* msg) {

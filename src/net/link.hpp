@@ -74,7 +74,10 @@ class Link {
 
   /// Changes the capacity; applies to transmissions that start afterwards
   /// (matching `tc qdisc change` semantics).
-  void set_capacity(Bandwidth capacity) { capacity_ = capacity; }
+  void set_capacity(Bandwidth capacity) {
+    capacity_ = capacity;
+    memo_size_ = -1;
+  }
   void set_latency(SimDuration latency);
 
   /// Enqueues a message; `on_delivered` fires once it is fully serialized and
@@ -112,6 +115,9 @@ class Link {
   /// bulk ring's front flow. Null when both lanes are empty.
   Message* pop_next();
   void try_start_next();
+  /// capacity_.transmit_time(size), memoized for the last size asked: most
+  /// messages on a link share one size (a full packet, or an ACK).
+  SimDuration transmit_time(Bytes size);
   void finish_current();
   void deliver(Message* msg);
 
@@ -119,6 +125,9 @@ class Link {
   std::string name_;
   Bandwidth capacity_;
   SimDuration latency_;
+  /// One-entry transmit_time memo; a size of -1 marks it empty.
+  Bytes memo_size_ = -1;
+  SimDuration memo_time_ = 0;
 
   /// The message being serialized; null when idle.
   Message* current_ = nullptr;

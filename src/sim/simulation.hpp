@@ -166,6 +166,19 @@ class Simulation {
   /// Executes at most `n` events; returns the number executed.
   std::size_t run_steps(std::size_t n);
 
+  /// In-place events. Where a callback would `post_now(category, f)`, it may
+  /// ask may_run_in_place() instead; if true, it posts nothing, carries on,
+  /// and ends with count_in_place() and `f()`. True when no other live event
+  /// is due at now() (judged from the heap top alone) and the running loop
+  /// may execute one more event (event limit, run_steps budget): the posted
+  /// event would then run right after this callback, ahead of anything the
+  /// callback posts after it, so running it as the callback's last act keeps
+  /// the (time, seq) order.
+  bool may_run_in_place();
+  /// Accounts the in-place event as scheduled and executed and consumes
+  /// its sequence number, so every counter reads as if it had been queued.
+  void count_in_place();
+
   bool empty() const;
   std::uint64_t events_executed() const { return executed_; }
   std::uint64_t events_scheduled() const { return scheduled_; }
@@ -223,6 +236,8 @@ class Simulation {
   std::uint64_t executed_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t event_limit_ = 4'000'000'000ULL;
+  /// executed_ at which run_steps stops (no limit in run and run_until).
+  std::uint64_t steps_end_ = ~std::uint64_t{0};
   Rng rng_;
 
   struct Impl;

@@ -74,7 +74,7 @@ class SmallFn {
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -85,6 +85,8 @@ class SmallFn {
     /// Move-constructs the target from `src` storage into `dst` storage and
     /// destroys the source — relocation between inline slots.
     void (*relocate)(void* dst, void* src);
+    /// Null for a trivially destructible inline target (most captures are
+    /// a few pointers), so reset() makes no call for it.
     void (*destroy)(void*);
   };
 
@@ -103,7 +105,9 @@ class SmallFn {
           ::new (dst) F(std::move(*from));
           from->~F();
         },
-        [](void* p) { static_cast<F*>(p)->~F(); },
+        std::is_trivially_destructible_v<F>
+            ? nullptr
+            : +[](void* p) { static_cast<F*>(p)->~F(); },
     };
     return &ops;
   }

@@ -116,15 +116,20 @@ Status BlockStore::truncate(BlockId block, Bytes length) {
 }
 
 bool BlockStore::has_replica(BlockId block) const {
-  return replicas_.find(block) != replicas_.end();
+  return find(block) != nullptr;
 }
 
 Result<ReplicaInfo> BlockStore::replica(BlockId block) const {
-  auto it = replicas_.find(block);
-  if (it == replicas_.end()) {
+  const ReplicaInfo* info = find(block);
+  if (info == nullptr) {
     return Error{"replica_missing", "no replica " + block.to_string()};
   }
-  return it->second.info;
+  return *info;
+}
+
+const ReplicaInfo* BlockStore::find(BlockId block) const {
+  auto it = replicas_.find(block);
+  return it == replicas_.end() ? nullptr : &it->second.info;
 }
 
 std::size_t BlockStore::finalized_count() const {

@@ -57,6 +57,9 @@ class BlockStore {
 
   bool has_replica(BlockId block) const;
   Result<ReplicaInfo> replica(BlockId block) const;
+  /// The replica's info, or null when this store has none. Unlike
+  /// replica(), a miss builds no Error.
+  const ReplicaInfo* find(BlockId block) const;
 
   std::size_t replica_count() const { return replicas_.size(); }
   std::size_t finalized_count() const;

@@ -9,6 +9,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -419,6 +420,84 @@ TEST(EngineLimit, LimitDumpNamesTopPendingCategories) {
     EXPECT_NE(message.find("storm.tick"), std::string::npos) << message;
     EXPECT_NE(message.find("bystander.later"), std::string::npos) << message;
   }
+}
+
+// --- In-place events --------------------------------------------------------
+
+TEST(EngineInPlace, CancelledHeapTopIsNotDue) {
+  Simulation sim;
+  EventHandle doomed;
+  bool answer = false;
+  sim.post_at(10, "test", [&] {
+    doomed.cancel();  // a tombstone now tops the heap, at this instant
+    answer = sim.may_run_in_place();
+  });
+  doomed = sim.schedule_at(10, "test", [] {});
+  sim.post_at(11, "test", [] {});
+  sim.run();
+  EXPECT_TRUE(answer);
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.events_cancelled(), 1u);
+}
+
+TEST(EngineInPlace, LiveEventBelowCancelledTopIsDue) {
+  Simulation sim;
+  EventHandle doomed;
+  bool answer = true;
+  sim.post_at(10, "test", [&] {
+    doomed.cancel();
+    answer = sim.may_run_in_place();
+  });
+  doomed = sim.schedule_at(10, "test", [] {});
+  sim.post_at(10, "test", [] {});
+  sim.run();
+  EXPECT_FALSE(answer);
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(EngineInPlace, RunStepsBudgetAndEventLimitRefuse) {
+  Simulation sim;
+  std::vector<bool> answers;
+  for (SimTime t : {10, 20, 30, 40}) {
+    sim.post_at(t, "test", [&] { answers.push_back(sim.may_run_in_place()); });
+  }
+  // 10 spends its step budget; 20 leaves room for one more step; 30 spends
+  // it; 40 reaches the event limit.
+  EXPECT_EQ(sim.run_steps(1), 1u);
+  EXPECT_EQ(sim.run_steps(2), 2u);
+  sim.set_event_limit(4);
+  EXPECT_TRUE(sim.run_until(40));
+  EXPECT_EQ(answers, (std::vector<bool>{false, true, false, false}));
+}
+
+TEST(EngineInPlace, InPlaceEventMatchesQueuedOne) {
+  // A callback that would post `f` now either posts it or, when allowed,
+  // runs it in place as its last act. Order and counters must agree.
+  auto scenario = [](bool in_place) {
+    Simulation sim;
+    std::vector<int> order;
+    auto f = [&] {
+      order.push_back(2);
+      sim.post_now("test", [&] { order.push_back(4); });
+    };
+    sim.post_at(10, "test", [&] {
+      order.push_back(1);
+      const bool here = in_place && sim.may_run_in_place();
+      if (!here) sim.post_now("test", f);
+      sim.post_now("test", [&] { order.push_back(3); });
+      if (here) {
+        sim.count_in_place();
+        f();
+      }
+    });
+    sim.post_at(11, "test", [&] { order.push_back(5); });
+    sim.run();
+    return std::make_tuple(order, sim.events_executed(),
+                           sim.events_scheduled());
+  };
+  EXPECT_EQ(scenario(true), scenario(false));
+  EXPECT_EQ(std::get<0>(scenario(true)),
+            (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 TEST(EngineLimit, CategorySummaryCountsPending) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -119,6 +122,55 @@ TEST(Link, Statistics) {
   EXPECT_EQ(link.busy_time(),
             Bandwidth::mbps(100).transmit_time(64 * kKiB));
   EXPECT_FALSE(link.busy());
+}
+
+// A link with no latency hands a message on inside the serialize event that
+// frees it when nothing else is due at that instant (DESIGN.md §10). These
+// pin the order and times the queued `link.deliver` event gave.
+
+TEST(Link, ZeroSizeSuccessorKeepsItsPlaceBehindHandedOffMessage) {
+  // The zero-size message starts serializing in the event that ends m's
+  // serialization, at the same instant. m is delivered first, and an event
+  // m's callback posts now runs after the successor's serialize event.
+  sim::Simulation sim;
+  Link link(sim, "l", Bandwidth::mbps(100), 0);
+  std::vector<std::string> order;
+  std::uint64_t transmitted_at_probe = 0;
+  link.transmit(64 * kKiB, [&] {
+    order.push_back("m");
+    sim.post_now("test", [&] {
+      order.push_back("probe");
+      transmitted_at_probe = link.messages_transmitted();
+    });
+  });
+  link.transmit(0, [&] { order.push_back("zero"); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"m", "probe", "zero"}));
+  EXPECT_EQ(transmitted_at_probe, 2u);
+  EXPECT_EQ(sim.now(), Bandwidth::mbps(100).transmit_time(64 * kKiB));
+  // Two serializations, two deliveries and the probe.
+  EXPECT_EQ(sim.events_executed(), 5u);
+  EXPECT_EQ(sim.events_scheduled(), 5u);
+}
+
+TEST(Link, DeliveryCallbackMayTransmitAgain) {
+  sim::Simulation sim;
+  Link link(sim, "l", Bandwidth::mbps(100), 0);
+  std::vector<SimTime> deliveries;
+  std::vector<bool> busy_at_delivery;
+  std::function<void()> send_next = [&] {
+    deliveries.push_back(sim.now());
+    busy_at_delivery.push_back(link.busy());
+    if (deliveries.size() < 3) link.transmit(64 * kKiB, send_next);
+  };
+  link.transmit(64 * kKiB, send_next);
+  sim.run();
+  const SimDuration unit = Bandwidth::mbps(100).transmit_time(64 * kKiB);
+  EXPECT_EQ(deliveries, (std::vector<SimTime>{unit, 2 * unit, 3 * unit}));
+  EXPECT_EQ(busy_at_delivery, (std::vector<bool>{false, false, false}));
+  EXPECT_EQ(link.messages_transmitted(), 3u);
+  EXPECT_EQ(link.queued_count(), 0u);
+  EXPECT_EQ(sim.events_executed(), 6u);
 }
 
 TEST(Link, NegativeSizeThrows) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "net/cross_traffic.hpp"
 #include "sim/simulation.hpp"
 
@@ -100,6 +103,38 @@ TEST_F(NetworkTest, FifoOrderingPerPair) {
   }
   sim_.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST_F(NetworkTest, SameRackSendCountsFiveEvents) {
+  // Two serializations, two hand-offs between links and the propagation:
+  // a hand-off that runs inside its serialize event still counts as one.
+  net_.send(a_, b_, 64 * kKiB, [] {});
+  sim_.run();
+  EXPECT_EQ(sim_.events_executed(), 5u);
+  EXPECT_EQ(sim_.events_scheduled(), 5u);
+}
+
+TEST_F(NetworkTest, SimultaneousEgressFinishesShareOneIngressInOrder) {
+  // a's and c's egress serializations end at the same instant and both
+  // messages go on to b's ingress. When each egress finishes, another event
+  // is still due at that instant (the other serialize event, the probe, the
+  // first delivery), so neither hands its message on in place: the probe,
+  // queued behind both serialize events, finds b's ingress idle, as with
+  // queued deliveries. Then a's message is served first.
+  const SimDuration unit = Bandwidth::mbps(100).transmit_time(64 * kKiB);
+  std::vector<std::pair<char, SimTime>> arrivals;
+  net_.send(a_, b_, 64 * kKiB, [&] { arrivals.push_back({'a', sim_.now()}); });
+  net_.send(c_, b_, 64 * kKiB, [&] { arrivals.push_back({'c', sim_.now()}); });
+  bool ingress_busy_at_probe = true;
+  sim_.post_at(unit, "test",
+               [&] { ingress_busy_at_probe = net_.ingress_link(b_).busy(); });
+  sim_.run();
+  EXPECT_FALSE(ingress_busy_at_probe);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0], std::make_pair('a', 2 * unit + microseconds(100)));
+  EXPECT_EQ(arrivals[1], std::make_pair('c', 3 * unit + microseconds(300)));
+  // The probe plus five events for each message.
+  EXPECT_EQ(sim_.events_executed(), 11u);
 }
 
 TEST_F(NetworkTest, IngressPauseBackpressure) {
