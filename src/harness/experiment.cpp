@@ -6,12 +6,18 @@ namespace smarth::harness {
 
 hdfs::StreamStats run_protocol(const Scenario& scenario,
                                cluster::Protocol protocol,
-                               std::uint64_t seed) {
+                               std::uint64_t seed,
+                               std::vector<double>* observed) {
   SMARTH_CHECK_MSG(static_cast<bool>(scenario.make_spec),
                    "scenario has no spec builder");
   cluster::Cluster cluster(scenario.make_spec(seed));
   if (scenario.prepare) scenario.prepare(cluster);
-  return cluster.run_upload(scenario.path, scenario.file_size, protocol);
+  const Observer observer =
+      scenario.observe ? scenario.observe(cluster, protocol) : nullptr;
+  hdfs::StreamStats stats =
+      cluster.run_upload(scenario.path, scenario.file_size, protocol);
+  if (observer && !stats.failed && observed) *observed = observer(stats);
+  return stats;
 }
 
 void warm_speed_records(cluster::Cluster& cluster, std::size_t client_index) {

@@ -1,7 +1,8 @@
 // Experiment runner: builds a fresh cluster per run (each protocol gets an
 // identical, independently seeded world), applies the scenario's traffic
-// shaping / faults and uploads one file. Every paper figure row in
-// bench_paper is a Scenario run through this.
+// shaping / faults, uploads one file and reads the row's extra numbers off
+// the same cluster. Every bench_paper row (figures, Table I, ablations,
+// extensions) is a Scenario run through this.
 #pragma once
 
 #include <functional>
@@ -13,21 +14,34 @@
 
 namespace smarth::harness {
 
+/// Reads a run's extra numbers (first-hop speed, staging high water, read
+/// rate, makespan, ...) once its measured upload has finished.
+using Observer = std::function<std::vector<double>(const hdfs::StreamStats&)>;
+
 struct Scenario {
-  std::string label;
+  std::string label = {};
   /// Builds the cluster spec for a given seed (fresh world per run).
-  std::function<cluster::ClusterSpec(std::uint64_t seed)> make_spec;
+  std::function<cluster::ClusterSpec(std::uint64_t seed)> make_spec = {};
   /// Applies throttles / faults / extra clients before the upload starts.
-  std::function<void(cluster::Cluster&)> prepare;
+  std::function<void(cluster::Cluster&)> prepare = {};
+  /// Optional: called on the run's own cluster after `prepare`, just before
+  /// the measured upload starts in `protocol`. It may start work that runs
+  /// alongside that upload (staged readers, extra writers) and returns the
+  /// observer for the same run. It and the observer may throw to fail the
+  /// run.
+  std::function<Observer(cluster::Cluster&, cluster::Protocol)> observe = {};
   Bytes file_size = 8 * kGiB;
   std::string path = "/data/input.bin";
 };
 
-/// Runs one protocol once; throws only on harness misuse (a failed upload is
-/// reported in the stats).
+/// Runs one protocol once; throws only on harness misuse or from the
+/// scenario's hooks (a failed upload is reported in the stats). When the
+/// scenario observes and the upload succeeded, the observer's numbers land
+/// in `*observed`.
 hdfs::StreamStats run_protocol(const Scenario& scenario,
                                cluster::Protocol protocol,
-                               std::uint64_t seed = 42);
+                               std::uint64_t seed = 42,
+                               std::vector<double>* observed = nullptr);
 
 /// Pre-warms the SMARTH speed machinery: seeds the client's tracker and the
 /// namenode's speed board with the steady-state client->datanode rates

@@ -39,6 +39,41 @@ TEST(Harness, RunProtocolProducesCleanStats) {
   EXPECT_EQ(stats.blocks, 2);
 }
 
+TEST(Harness, ObserveReadsTheRunsOwnClusterAfterTheUpload) {
+  harness::Scenario scenario = harness::two_rack_scenario(
+      "t", [](std::uint64_t seed) {
+        cluster::ClusterSpec spec = cluster::small_cluster(seed);
+        spec.hdfs.block_size = 4 * kMiB;
+        return spec;
+      },
+      Bandwidth::mbps(50), 8 * kMiB);
+  std::vector<cluster::Protocol> hooked;
+  scenario.observe = [&hooked](cluster::Cluster& cluster,
+                               cluster::Protocol protocol)
+      -> harness::Observer {
+    // After prepare, before the measured upload.
+    hooked.push_back(protocol);
+    EXPECT_TRUE(cluster.network().cross_rack_throttle().has_value());
+    EXPECT_EQ(cluster.total_finalized_replica_bytes(), 0);
+    return [&cluster](const hdfs::StreamStats& stats) {
+      EXPECT_FALSE(stats.failed);
+      return std::vector<double>{
+          static_cast<double>(cluster.total_finalized_replica_bytes()),
+          static_cast<double>(cluster.config().replication)};
+    };
+  };
+  for (cluster::Protocol protocol :
+       {cluster::Protocol::kHdfs, cluster::Protocol::kSmarth}) {
+    std::vector<double> observed;
+    const auto stats = harness::run_protocol(scenario, protocol, 7, &observed);
+    ASSERT_FALSE(stats.failed);
+    ASSERT_EQ(observed.size(), 2u);
+    EXPECT_EQ(observed[0], observed[1] * static_cast<double>(8 * kMiB));
+  }
+  EXPECT_EQ(hooked, (std::vector<cluster::Protocol>{
+                        cluster::Protocol::kHdfs, cluster::Protocol::kSmarth}));
+}
+
 TEST(Harness, ContentionScenarioThrottlesExactlyK) {
   harness::Scenario scenario = harness::contention_scenario(
       "c", [](std::uint64_t seed) { return cluster::small_cluster(seed); },
