@@ -48,7 +48,7 @@ SimDuration churn_delay(std::uint64_t n) {
 struct CoreRate {
   std::uint64_t events = 0;
   double wall_s = 0;
-  double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0; }
+  double events_per_sec() const { return wall_s > 0 ? static_cast<double>(events) / wall_s : 0; }
 };
 
 CoreRate churn_calendar() {

@@ -459,10 +459,16 @@ void Cluster::prune_finished_endpoints() {
   // Finished streams/readers cancel their pending events and drop late RPC
   // responses via liveness tokens, so removing them here is safe; workloads
   // that loop over thousands of transfers would otherwise accumulate them.
-  std::erase_if(streams_,
-                [](const auto& stream) { return stream->finished(); });
-  std::erase_if(readers_,
-                [](const auto& reader) { return reader->finished(); });
+  // An endpoint whose completion callback is running (that callback started
+  // this transfer) stays until a later prune: its finish() and the
+  // callback's captures are still in use.
+  const auto prunable = [this](const auto& endpoint) {
+    return endpoint->finished() &&
+           std::find(completing_.begin(), completing_.end(),
+                     &endpoint->stats()) == completing_.end();
+  };
+  std::erase_if(streams_, prunable);
+  std::erase_if(readers_, prunable);
 }
 
 void Cluster::upload(const std::string& path, Bytes size, Protocol protocol,
@@ -476,12 +482,15 @@ void Cluster::upload(const std::string& path, Bytes size, Protocol protocol,
 
   // Every upload's outcome is counted here, once: a stream's completion, or
   // the synthesised failure of a create() that never got a stream.
-  UploadCallback counted = [on_done = std::move(on_done)](
+  UploadCallback counted = [this, on_done = std::move(on_done)](
                                const hdfs::StreamStats& stats) {
     metrics::Registry& reg = metrics::global_registry();
     reg.counter("write.uploads").add();
     if (stats.failed) reg.counter("write.failed_uploads").add();
-    if (on_done) on_done(stats);
+    if (!on_done) return;
+    completing_.push_back(&stats);
+    on_done(stats);
+    completing_.pop_back();
   };
   dfs->create_file(path, [this, path, size, protocol, dfs, tracker,
                           client_index, on_done = std::move(counted)](
@@ -538,11 +547,14 @@ void Cluster::download(const std::string& path, DownloadCallback on_done,
   // The one place a reader is built, so every read's outcome is counted here.
   auto reader = std::make_unique<hdfs::DfsInputStream>(
       make_read_deps(), runtime.dfs->id(), runtime.node, path,
-      [on_done = std::move(on_done)](const hdfs::ReadStats& stats) {
+      [this, on_done = std::move(on_done)](const hdfs::ReadStats& stats) {
         metrics::Registry& reg = metrics::global_registry();
         reg.counter("read.reads").add();
         if (stats.failed) reg.counter("read.failed_reads").add();
-        if (on_done) on_done(stats);
+        if (!on_done) return;
+        completing_.push_back(&stats);
+        on_done(stats);
+        completing_.pop_back();
       });
   hdfs::DfsInputStream* raw = reader.get();
   readers_.push_back(std::move(reader));

@@ -211,6 +211,10 @@ class Cluster {
   std::vector<ClientRuntime> clients_;
   std::vector<std::unique_ptr<hdfs::OutputStreamBase>> streams_;
   std::vector<std::unique_ptr<hdfs::DfsInputStream>> readers_;
+  /// The stats of the transfers whose completion callbacks are running,
+  /// innermost last. Each endpoint reports its own stats member, so this
+  /// names the endpoints prune_finished_endpoints() must keep.
+  std::vector<const void*> completing_;
   IdGenerator<PipelineId> pipeline_ids_;
   IdGenerator<ClientId> client_ids_;
   IdGenerator<hdfs::ReadId> read_ids_;

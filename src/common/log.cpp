@@ -41,13 +41,20 @@ Logger& Logger::instance() {
 void Logger::write(LogLevel level, const std::string& component,
                    const std::string& message) {
   if (!enabled(level)) return;
+  // Appended piece by piece: GCC 12's -Wrestrict cannot rule out overlap in
+  // the temporaries a chain of operator+ builds.
   std::string line;
   if (time_source_) {
-    line += "[" + format_duration(time_source_()) + "] ";
+    line += '[';
+    line += format_duration(time_source_());
+    line += "] ";
   }
-  line += "[";
+  line += '[';
   line += log_level_name(level);
-  line += "] [" + component + "] " + message;
+  line += "] [";
+  line += component;
+  line += "] ";
+  line += message;
   if (sink_) {
     sink_(line);
   } else {

@@ -10,13 +10,35 @@ hdfs::StreamStats run_protocol(const Scenario& scenario,
                                std::vector<double>* observed) {
   SMARTH_CHECK_MSG(static_cast<bool>(scenario.make_spec),
                    "scenario has no spec builder");
+  // Declared before the cluster, which detaches from the recorder when it
+  // is destroyed.
+  std::optional<metrics::FlightRecorder> flight;
+  std::optional<metrics::ScopedFlightInstall> flight_install;
+  if (scenario.flight) {
+    flight_install.emplace(&flight.emplace(*scenario.flight));
+    flight->begin_run(scenario.label, seed);
+  }
   cluster::Cluster cluster(scenario.make_spec(seed));
   if (scenario.prepare) scenario.prepare(cluster);
   const Observer observer =
       scenario.observe ? scenario.observe(cluster, protocol) : nullptr;
   hdfs::StreamStats stats =
-      cluster.run_upload(scenario.path, scenario.file_size, protocol);
-  if (observer && !stats.failed && observed) *observed = observer(stats);
+      scenario.open_loop
+          ? open_loop_stats(
+                workload::OpenLoopWorkload(protocol, *scenario.open_loop)
+                    .run(cluster))
+          : cluster.run_upload(scenario.path, scenario.file_size, protocol);
+  if (flight) flight->finish_run(cluster.sim().now());
+  if (observer && observed) *observed = observer(stats);
+  return stats;
+}
+
+hdfs::StreamStats open_loop_stats(const workload::OpenLoopResult& result) {
+  hdfs::StreamStats stats;
+  stats.started_at = result.started_at;
+  stats.finished_at = result.finished_at;
+  stats.file_size = result.bytes_completed;
+  stats.failed = result.stuck > 0;
   return stats;
 }
 

@@ -1,21 +1,25 @@
 // Experiment runner: builds a fresh cluster per run (each protocol gets an
 // identical, independently seeded world), applies the scenario's traffic
-// shaping / faults, uploads one file and reads the row's extra numbers off
-// the same cluster. Every bench_paper row (figures, Table I, ablations,
-// extensions) is a Scenario run through this.
+// shaping / faults, uploads one file (or runs an open-loop load) and reads
+// the row's extra numbers off the same cluster. Every bench_paper row
+// (figures, Table I, ablations, extensions) is a Scenario run through this.
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "model/cost_model.hpp"
+#include "trace/flight_recorder.hpp"
+#include "workload/open_loop.hpp"
 
 namespace smarth::harness {
 
 /// Reads a run's extra numbers (first-hop speed, staging high water, read
-/// rate, makespan, ...) once its measured upload has finished.
+/// rate, makespan, ...) once its measured upload has finished, whether it
+/// completed or failed.
 using Observer = std::function<std::vector<double>(const hdfs::StreamStats&)>;
 
 struct Scenario {
@@ -32,16 +36,28 @@ struct Scenario {
   std::function<Observer(cluster::Cluster&, cluster::Protocol)> observe = {};
   Bytes file_size = 8 * kGiB;
   std::string path = "/data/input.bin";
+  /// Optional: an open-loop multi-tenant load that runs in place of the
+  /// measured upload (no file is written at `path`); its outcome reaches
+  /// the observer as open_loop_stats().
+  std::optional<workload::OpenLoopConfig> open_loop = {};
+  /// Optional: samples the run on a flight recorder of this config. Its run
+  /// begins before the cluster is built (the cluster attaches its sampler
+  /// then) and ends before the observer, which reads it through
+  /// metrics::flight_recorder().
+  std::optional<metrics::FlightRecorderConfig> flight = {};
 };
 
 /// Runs one protocol once; throws only on harness misuse or from the
 /// scenario's hooks (a failed upload is reported in the stats). When the
-/// scenario observes and the upload succeeded, the observer's numbers land
-/// in `*observed`.
+/// scenario observes, the observer's numbers land in `*observed`.
 hdfs::StreamStats run_protocol(const Scenario& scenario,
                                cluster::Protocol protocol,
                                std::uint64_t seed = 42,
                                std::vector<double>* observed = nullptr);
+
+/// An open-loop run's outcome as upload stats: the load's makespan and the
+/// bytes of its completed uploads, failed when a job was left stuck.
+hdfs::StreamStats open_loop_stats(const workload::OpenLoopResult& result);
 
 /// Pre-warms the SMARTH speed machinery: seeds the client's tracker and the
 /// namenode's speed board with the steady-state client->datanode rates

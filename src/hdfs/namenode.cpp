@@ -56,8 +56,8 @@ Namenode::Namenode(sim::Simulation& sim, const net::Topology& topology,
                    const HdfsConfig& config, NodeId self)
     : sim_(sim), topology_(topology), config_(config), self_(self),
       policy_(std::make_unique<DefaultPlacementPolicy>()),
-      suspicion_(config.suspicion_half_life, config.suspicion_threshold),
-      leases_(config.lease_soft_limit, config.lease_hard_limit) {}
+      leases_(config.lease_soft_limit, config.lease_hard_limit),
+      suspicion_(config.suspicion_half_life, config.suspicion_threshold) {}
 
 void Namenode::set_placement_policy(std::unique_ptr<PlacementPolicy> policy) {
   SMARTH_CHECK(policy != nullptr);

@@ -58,11 +58,15 @@ void append_args(std::string& out, const Args& args, bool raw_values) {
   for (const auto& [key, value] : args) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(key) + "\":";
+    out += '"';
+    out += json_escape(key);
+    out += "\":";
     if (raw_values) {
       out += value;
     } else {
-      out += "\"" + json_escape(value) + "\"";
+      out += '"';
+      out += json_escape(value);
+      out += '"';
     }
   }
   out += "}";

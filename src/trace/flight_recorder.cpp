@@ -316,9 +316,13 @@ void append_samples_json(std::string& out,
   for (const FlightSample& s : samples) {
     if (!first) out += ",";
     first = false;
-    out += "[" + std::to_string(s.at);
-    for (double v : s.values) out += "," + format_number(v);
-    out += "]";
+    out += '[';
+    out += std::to_string(s.at);
+    for (double v : s.values) {
+      out += ',';
+      out += format_number(v);
+    }
+    out += ']';
   }
   out += "]";
 }
@@ -330,9 +334,13 @@ void append_samples_json(std::string& out,
   for (const FlightSample& s : samples) {
     if (!first) out += ",";
     first = false;
-    out += "[" + std::to_string(s.at);
-    for (double v : s.values) out += "," + format_number(v);
-    out += "]";
+    out += '[';
+    out += std::to_string(s.at);
+    for (double v : s.values) {
+      out += ',';
+      out += format_number(v);
+    }
+    out += ']';
   }
   out += "]";
 }
@@ -380,10 +388,13 @@ std::string FlightRecorder::run_json(std::size_t index) const {
 }
 
 std::string FlightRecorder::to_json() const {
-  std::string out = "{" + header_json() + ",\"runs\":[";
+  std::string out = "{";
+  out += header_json();
+  out += ",\"runs\":[";
   for (std::size_t i = 0; i < runs_.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\n" + run_json(i);
+    out += '\n';
+    out += run_json(i);
   }
   out += "\n]}\n";
   return out;
@@ -403,8 +414,11 @@ std::string FlightRecorder::csv_rows(std::size_t index) const {
   for (const FlightSample& s : run.samples) {
     out += run.name + "," + std::to_string(run.seed) + "," +
            std::to_string(s.at);
-    for (double v : s.values) out += "," + format_number(v);
-    out += "\n";
+    for (double v : s.values) {
+      out += ',';
+      out += format_number(v);
+    }
+    out += '\n';
   }
   return out;
 }

@@ -4,6 +4,10 @@
 // under-replicated blocks.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
 #include "hdfs/namenode.hpp"
@@ -54,6 +58,33 @@ TEST(Read, MissingFileFails) {
   const auto read = cluster.run_download("/nope");
   EXPECT_TRUE(read.failed);
   EXPECT_NE(read.failure_reason.find("file_not_found"), std::string::npos);
+}
+
+TEST(Read, CompletionCallbackMayStartTheNextRead) {
+  // Each callback starts the next read and then still reads its own
+  // captures: the finished reader that owns them must outlive the call.
+  Cluster cluster(small_spec());
+  upload_and_settle(cluster, "/data/loop.bin", 4 * kMiB);
+  std::vector<std::string> finished;
+  std::function<void(int)> read_next = [&](int left) {
+    cluster.download(
+        "/data/loop.bin",
+        [&read_next, &finished, left,
+         tag = "read with " + std::to_string(left) + " more to start after it"](
+            const hdfs::ReadStats& stats) {
+          ASSERT_FALSE(stats.failed) << stats.failure_reason;
+          if (left > 0) read_next(left - 1);
+          finished.push_back(tag);
+        });
+  };
+  read_next(3);
+  const SimTime deadline = cluster.sim().now() + seconds(600);
+  while (finished.size() < 4 && cluster.sim().now() < deadline) {
+    cluster.sim().run_until(cluster.sim().now() + milliseconds(250));
+  }
+  ASSERT_EQ(finished.size(), 4u);
+  EXPECT_EQ(finished.front(), "read with 3 more to start after it");
+  EXPECT_EQ(finished.back(), "read with 0 more to start after it");
 }
 
 TEST(Read, PrefersSameRackReplica) {

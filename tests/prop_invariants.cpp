@@ -24,9 +24,12 @@ struct Params {
 std::string param_name(const ::testing::TestParamInfo<Params>& info) {
   const Params& p = info.param;
   std::string name = p.protocol == Protocol::kHdfs ? "hdfs" : "smarth";
-  name += "_" + std::to_string(p.file_size / kMiB) + "mib";
-  name += "_t" + std::to_string(static_cast<int>(p.throttle_mbps));
-  name += "_s" + std::to_string(p.seed);
+  name += '_';
+  name += std::to_string(p.file_size / kMiB);
+  name += "mib_t";
+  name += std::to_string(static_cast<int>(p.throttle_mbps));
+  name += "_s";
+  name += std::to_string(p.seed);
   return name;
 }
 

@@ -100,9 +100,12 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{50, 64 * kMiB}, Case{50, 128 * kMiB},
                       Case{20, 64 * kMiB}, Case{150, 96 * kMiB}),
     [](const ::testing::TestParamInfo<Case>& param_info) {
-      return "t" +
-             std::to_string(static_cast<int>(param_info.param.throttle_mbps)) +
-             "_" + std::to_string(param_info.param.file_size / kMiB) + "mib";
+      std::string name = "t";
+      name += std::to_string(static_cast<int>(param_info.param.throttle_mbps));
+      name += '_';
+      name += std::to_string(param_info.param.file_size / kMiB);
+      name += "mib";
+      return name;
     });
 
 }  // namespace

@@ -20,8 +20,9 @@ TEST(NetworkConservation, RandomTrafficDeliversEveryMessageOnce) {
     net::Network net(sim);
     std::vector<NodeId> nodes;
     for (int i = 0; i < 6; ++i) {
-      nodes.push_back(net.add_node("n" + std::to_string(i),
-                                   i % 2 ? "/r0" : "/r1",
+      std::string name = "n";
+      name += std::to_string(i);
+      nodes.push_back(net.add_node(name, i % 2 ? "/r0" : "/r1",
                                    Bandwidth::mbps(100)));
     }
     net.set_cross_rack_throttle(Bandwidth::mbps(20));

@@ -146,9 +146,12 @@ TEST(FlightRecorder, ExportsAreDeterministicAndWellShaped) {
             std::string::npos);
   // The sweep driver rebuilds to_json() from header + run fragments; the
   // pieces must compose into the same document.
-  EXPECT_EQ("{" + a.header_json() + ",\"runs\":[\n" + a.run_json(0) +
-                "\n]}\n",
-            json);
+  std::string composed = "{";
+  composed += a.header_json();
+  composed += ",\"runs\":[\n";
+  composed += a.run_json(0);
+  composed += "\n]}\n";
+  EXPECT_EQ(composed, json);
   const std::string csv = a.to_csv();
   EXPECT_NE(csv.find("run,seed,t_ns,progress,depth,lat_p50"),
             std::string::npos);

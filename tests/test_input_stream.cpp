@@ -79,7 +79,7 @@ class InputStreamTest : public ::testing::Test {
     ReadStats stats;
     bool done = false;
     DfsInputStream::Deps deps{sim_, *transport_, rpc_, *namenode_, config_,
-                              read_ids_};
+                              read_ids_, nullptr};
     reader_ = std::make_unique<DfsInputStream>(
         deps, ClientId{0}, client_node_, path,
         [&](const ReadStats& s) {

@@ -1,5 +1,6 @@
 // Tests for the metrics renderers and the experiment harness: comparison
-// math, table shape, scenario builders and speed pre-warming.
+// math, table shape, scenario builders, open-loop loads and speed
+// pre-warming.
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
@@ -72,6 +73,80 @@ TEST(Harness, ObserveReadsTheRunsOwnClusterAfterTheUpload) {
   }
   EXPECT_EQ(hooked, (std::vector<cluster::Protocol>{
                         cluster::Protocol::kHdfs, cluster::Protocol::kSmarth}));
+}
+
+TEST(Harness, OpenLoopLoadRunsInPlaceOfTheUpload) {
+  workload::OpenLoopConfig load;
+  load.clients = 4;
+  load.arrival_rate = 4.0;
+  // 16 and 32 MiB files: long enough that some are still in flight when
+  // the arrival window closes.
+  load.min_file_size = 16 * kMiB;
+  load.size_ranks = 2;
+  load.duration = seconds(5);
+  harness::Scenario scenario{
+      .label = "open loop",
+      .make_spec =
+          [](std::uint64_t seed) {
+            cluster::ClusterSpec spec = cluster::small_cluster(seed);
+            spec.hdfs.fidelity = hdfs::DataFidelity::kBlock;
+            return spec;
+          },
+      .observe = [](cluster::Cluster& cluster,
+                    cluster::Protocol) -> harness::Observer {
+        return [&cluster](const hdfs::StreamStats&) {
+          return std::vector<double>{
+              cluster.namenode().file_by_path("/data/input.bin") != nullptr
+                  ? 1.0
+                  : 0.0};
+        };
+      }};
+  // With no grace past the arrival window the last arrivals are stuck.
+  for (SimDuration grace : {seconds(200), SimDuration{0}}) {
+    load.stuck_grace = grace;
+    scenario.open_loop = load;
+    std::vector<double> observed;
+    const hdfs::StreamStats stats =
+        harness::run_protocol(scenario, cluster::Protocol::kSmarth, 7,
+                              &observed);
+    EXPECT_EQ(observed, std::vector<double>{0.0});  // no measured file
+    // The same load on the same world, run directly.
+    cluster::Cluster cluster(scenario.make_spec(7));
+    const workload::OpenLoopResult direct =
+        workload::OpenLoopWorkload(cluster::Protocol::kSmarth, load)
+            .run(cluster);
+    ASSERT_GT(direct.completed, 0);
+    EXPECT_EQ(direct.stuck > 0, grace == 0);
+    EXPECT_EQ(stats.file_size, direct.bytes_completed);
+    EXPECT_EQ(stats.started_at, direct.started_at);
+    EXPECT_EQ(stats.finished_at, direct.finished_at);
+    EXPECT_EQ(stats.failed, direct.stuck > 0);
+  }
+}
+
+TEST(Harness, FlightRecorderSamplesTheRunUntilTheObserver) {
+  harness::Scenario scenario = harness::two_rack_scenario(
+      "t", [](std::uint64_t seed) {
+        cluster::ClusterSpec spec = cluster::small_cluster(seed);
+        spec.hdfs.block_size = 4 * kMiB;
+        return spec;
+      },
+      Bandwidth::mbps(50), 8 * kMiB);
+  scenario.flight = metrics::FlightRecorderConfig{};
+  scenario.observe = [](cluster::Cluster&,
+                        cluster::Protocol) -> harness::Observer {
+    return [](const hdfs::StreamStats&) {
+      const metrics::FlightRun& run = metrics::flight_recorder()->runs().back();
+      return std::vector<double>{run.finished ? 1.0 : 0.0,
+                                 static_cast<double>(run.samples.size())};
+    };
+  };
+  std::vector<double> observed;
+  harness::run_protocol(scenario, cluster::Protocol::kHdfs, 7, &observed);
+  ASSERT_EQ(observed.size(), 2u);
+  EXPECT_EQ(observed[0], 1.0);  // finished before the observer ran
+  EXPECT_GT(observed[1], 0.0);  // sampled while the upload ran
+  EXPECT_FALSE(metrics::flight_active());  // uninstalled with the run
 }
 
 TEST(Harness, ContentionScenarioThrottlesExactlyK) {

@@ -25,6 +25,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
 #include "common/flags.hpp"
+#include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
@@ -537,8 +538,7 @@ class RunScope {
 /// One world's result; the single-run table, the open-loop table and the
 /// sweep's SeedRun are all filled from it.
 struct RunOutcome {
-  /// The upload's stats. An open-loop run fills in the makespan and the
-  /// completed bytes, and counts as failed when a job was left stuck.
+  /// The upload's stats, or an open-loop run's as open_loop_stats().
   hdfs::StreamStats stats;
   std::optional<hdfs::ReadStats> read;
   std::optional<workload::OpenLoopResult> open_loop;
@@ -628,12 +628,8 @@ RunOutcome run_world(const Experiment& exp, cluster::Protocol protocol,
   if (exp.open_loop) {
     workload::OpenLoopWorkload wl(protocol,
                                   open_loop_config_from_flags(flags));
-    const workload::OpenLoopResult& r =
-        outcome.open_loop.emplace(wl.run(cluster));
-    outcome.stats.started_at = r.started_at;
-    outcome.stats.finished_at = r.finished_at;
-    outcome.stats.file_size = r.bytes_completed;
-    outcome.stats.failed = r.stuck > 0;
+    outcome.stats =
+        harness::open_loop_stats(outcome.open_loop.emplace(wl.run(cluster)));
   } else {
     if (flags.get_bool("timeline")) {
       sampler = std::make_unique<sim::PeriodicTask>(
