@@ -6,12 +6,12 @@
 // share-nothing sweep pool (harness/sweep.hpp), and then prints the
 // sections in order. A row whose world an earlier row already simulates
 // prints that row's numbers instead of running it again: A1 and A3 reuse
-// Fig. 10's, A7 and E2 Fig. 6's, the balance Figs. 5's and 13's, Figs.
-// 10-12's unthrottled rows Figs. 6-8's default ones, and at 8 GiB Figs.
-// 6-8's default and 100 Mbps rows Fig. 5's. Absolute seconds depend on the
-// simulator's calibration; the shapes (who wins, by what factor, where
-// crossovers sit) are the reproduction target, and
-// bench/paper_seed42.golden.txt pins the output.
+// Fig. 10's, A6, A7 and E2 Fig. 6's, E3 and the balance Fig. 5's, the
+// balance also Fig. 13's, Figs. 10-12's unthrottled rows Figs. 6-8's
+// default ones, and at 8 GiB Figs. 6-8's default and 100 Mbps rows Fig.
+// 5's. Absolute seconds depend on the simulator's calibration; the shapes
+// (who wins, by what factor, where crossovers sit) are the reproduction
+// target, and bench/paper_seed42.golden.txt pins the output.
 //
 //   bench_paper > paper.txt && diff bench/paper_seed42.golden.txt paper.txt
 //
@@ -82,9 +82,9 @@ struct Series {
   int seeds = 1;
   std::vector<Protocol> protocols = {Protocol::kHdfs, Protocol::kSmarth};
   std::vector<harness::Scenario> rows = {};
-  /// Rows, by index, whose world is a row of an earlier series: the pass
+  /// Rows, by index, whose world an earlier series' row runs: the pass
   /// runs that world once, and both rows print its numbers.
-  std::map<std::size_t, const harness::Scenario*> same_world = {};
+  std::map<std::size_t, harness::Scenario*> same_world = {};
   /// The section judges its failed uploads, so one does not fail the pass
   /// by itself: A8's writer crash must end its upload, and A12's undefended
   /// arms may leave jobs stuck.
@@ -100,11 +100,18 @@ struct Series {
   }
 
   /// Adds, as `label`, a row whose world is row `r` of `from`.
-  void add_same_world(const std::string& label, const Series& from,
-                      std::size_t r) {
-    same_world[rows.size()] = &from.rows[r];
+  void add_same_world(const std::string& label, Series& from, std::size_t r) {
+    same_world[rows.size()] = &from.world(r);
     rows.push_back(from.rows[r]);
     rows.back().label = label;
+  }
+
+  /// The row the pass runs for row `r`'s world: row `r` itself, or the
+  /// earlier row it repeats. A section that observes a repeated world sets
+  /// the observer here.
+  harness::Scenario& world(std::size_t r) {
+    const auto same = same_world.find(r);
+    return same == same_world.end() ? rows[r] : *same->second;
   }
 };
 
@@ -266,8 +273,7 @@ Section figure5(int seeds) {
 // gain more than small; from ~27% (150 Mbps, small) up to ~245% (50 Mbps,
 // large). At Fig. 5's largest size the default and 100 Mbps rows are that
 // cluster's rows of Fig. 5 (`fig5`).
-Section figures6to9(int seeds, Bytes file_size,
-                    const std::vector<Series>& fig5) {
+Section figures6to9(int seeds, Bytes file_size, std::vector<Series>& fig5) {
   Section section{
       .title = "Figures 6-9 — uploading time vs cross-rack throttle (8 GB "
                "file)",
@@ -280,7 +286,7 @@ Section figures6to9(int seeds, Bytes file_size,
                   .x_label = "throttle",
                   .seeds = seeds};
     for (double throttle : {50.0, 100.0, 150.0, 200.0, 0.0 /* default */}) {
-      const Series& sizes = fig5[2 * c + (throttle == 100.0)];
+      Series& sizes = fig5[2 * c + (throttle == 100.0)];
       if ((throttle == 0.0 || throttle == 100.0) &&
           sizes.rows.back().file_size == file_size) {
         series.add_same_world(throttle_label(throttle), sizes,
@@ -315,7 +321,7 @@ Section figures6to9(int seeds, Bytes file_size,
 // With no slow node a row is its cluster's default-bandwidth row of
 // Figs. 6-8 (`fig6to8`).
 Section figures10to12(int seeds, Bytes file_size,
-                      const std::vector<Series>& fig6to8) {
+                      std::vector<Series>& fig6to8) {
   Section section{
       .title = "Figures 10-12 — bandwidth contention (8 GB file, k slow "
                "nodes)",
@@ -323,7 +329,7 @@ Section figures10to12(int seeds, Bytes file_size,
               "large@50, Fig. 12(a) small@150, Fig. 12(b) medium@150.",
       .print = print_spaced};
   auto contention = [&](const char* figure, const ClusterCase& cc,
-                        double node_mbps, const Series& unthrottled) {
+                        double node_mbps, Series& unthrottled) {
     Series series{.heading = std::string("--- Fig. ") + figure + ": " +
                              cc.name + " cluster, slow nodes at " +
                              TextTable::num(node_mbps, 0) + " Mbps ---",
@@ -502,7 +508,7 @@ harness::Scenario two_slow(const std::string& label, Bytes file_size,
 // (Alg. 1) and local (Alg. 2) optimization, against HDFS. FNFA transfer is
 // on in every SMARTH row, so "no optimizers" isolates it. The HDFS baseline
 // and both optimizers (the paper's SMARTH) are Fig. 10's row.
-Section ablation_optimizers(int seeds, Bytes file_size, const Series& fig10) {
+Section ablation_optimizers(int seeds, Bytes file_size, Series& fig10) {
   Series variants{.seeds = seeds, .protocols = {Protocol::kSmarth}};
   for (const auto& [name, global_opt, local_opt] :
        {std::tuple{"SMARTH, no optimizers (FNFA only)", false, false},
@@ -552,7 +558,7 @@ void rotate_slow_pair(cluster::Cluster& cluster, std::size_t round) {
 // cost; with a rotating one (§V-B2's moving contention) no exploration
 // leaves the client trusting stale records. The static pair at 0.8 is
 // Fig. 10's row.
-Section ablation_threshold(int seeds, Bytes file_size, const Series& fig10) {
+Section ablation_threshold(int seeds, Bytes file_size, Series& fig10) {
   static constexpr double kThresholds[] = {0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
   Series fixed{.seeds = seeds, .protocols = {Protocol::kSmarth}};
   Series rotating = fixed;
@@ -657,7 +663,7 @@ std::vector<double> max_pipelines(cluster::Cluster&,
 // longer pipelines and fewer concurrent SMARTH pipelines. r = 3 is Fig. 6's
 // 50 Mbps row, which this section also observes.
 Section ablation_replication(int seeds, Bytes file_size, Series& fig6) {
-  fig6.rows[0].observe = after_upload(max_pipelines);
+  fig6.world(0).observe = after_upload(max_pipelines);
   Series series{.seeds = seeds};
   for (int replication : {2, 3, 4}) {
     if (replication == 3) {
@@ -738,17 +744,12 @@ auto staged_readers(int readers) {
   };
 }
 
-/// E1's and E3's lines: the seconds and rate at `values`[k] and [k + 1],
-/// and SMARTH's improvement on those seconds.
-auto seconds_and_rate(std::size_t k) {
-  return [k](const Series& s, std::size_t r, Protocol p) {
-    const std::vector<double>& v = s.at(r, p);
-    return std::vector<std::string>{
-        TextTable::num(v[k]),
-        TextTable::num(v[k + 1], 1),
-        p == Protocol::kSmarth ? improvement(s.at(r, Protocol::kHdfs)[k], v[k])
-                               : "-"};
-  };
+/// E1's and E3's line cells: `seconds`, `rate` and SMARTH's improvement on
+/// HDFS's seconds.
+std::vector<std::string> seconds_and_rate(double seconds, double rate,
+                                          Protocol p, double hdfs_seconds) {
+  return {TextTable::num(seconds), TextTable::num(rate, 1),
+          p == Protocol::kSmarth ? improvement(hdfs_seconds, seconds) : "-"};
 }
 
 // Extension E1, the paper's future work on MapReduce: an ingest while
@@ -770,17 +771,22 @@ Section read_while_write(int seeds, Bytes file_size) {
                   "ingests; paper future work: SMARTH's impact on "
                   "MapReduce-style jobs.",
           .series = {std::move(series)},
-          .print = print_lines({"readers", "protocol", "ingest (s)",
-                                "aggregate read (Mbps)", "improvement (%)"},
-                               Lines::kPerRowAndProtocol,
-                               seconds_and_rate(0))};
+          .print = print_lines(
+              {"readers", "protocol", "ingest (s)", "aggregate read (Mbps)",
+               "improvement (%)"},
+              Lines::kPerRowAndProtocol,
+              [](const Series& s, std::size_t r, Protocol p) {
+                const std::vector<double>& v = s.at(r, p);
+                return seconds_and_rate(v[0], v[1], p,
+                                        s.at(r, Protocol::kHdfs)[0]);
+              })};
 }
 
 // Extension E2, the paper's future work on RAID and SSD: the datanodes'
 // disk swapped. Once Tw never binds the gap is network-shaped; a slow
 // shared disk caps both protocols. The small instance's own disk is Fig. 6's
 // 100 Mbps row (`fig6`).
-Section storage_types(int seeds, Bytes file_size, const Series& fig6) {
+Section storage_types(int seeds, Bytes file_size, Series& fig6) {
   Series series{.x_label = "storage", .seeds = seeds};
   for (const auto& [name, write_mbytes, op_overhead] :
        {std::tuple{"slow shared HDD", 25.0, microseconds(200)},
@@ -820,7 +826,7 @@ constexpr Bytes kWriterBytes = 2 * kGiB;
 /// E3's and A10's observe hook: clients 1..clients-1 join on alternating
 /// racks and start writing `bytes` to `prefix`<client> with the measured
 /// client 0; the observer waits for them and reports the makespan of all
-/// writers and their aggregate rate.
+/// writers.
 auto writers_alongside(std::size_t clients, Bytes bytes,
                        const std::string& prefix) {
   return [clients, bytes, prefix](cluster::Cluster& cluster,
@@ -841,15 +847,13 @@ auto writers_alongside(std::size_t clients, Bytes bytes,
                 c);
           });
     }
-    return [&cluster, clients, bytes, start,
-            others](const hdfs::StreamStats& stats) {
-      const SimTime deadline = stats.finished_at + seconds(100'000);
-      while (others->size() + 1 < clients) {
-        SMARTH_CHECK_MSG(cluster.sim().now() < deadline &&
-                             cluster.sim().run_until(cluster.sim().now() +
-                                                     seconds(1)),
-                         "a concurrent writer hung");
-      }
+    return [&cluster, clients, start, others](const hdfs::StreamStats& stats) {
+      SMARTH_CHECK_MSG(cluster.sim().run_until_done(
+                           [&others, clients] {
+                             return others->size() + 1 >= clients;
+                           },
+                           stats.finished_at + seconds(100'000)),
+                       "a concurrent writer hung");
       SimTime end = stats.finished_at;
       for (const hdfs::StreamStats& other : *others) {
         if (other.failed) {
@@ -858,20 +862,23 @@ auto writers_alongside(std::size_t clients, Bytes bytes,
         }
         end = std::max(end, other.finished_at);
       }
-      return std::vector<double>{
-          to_seconds(end - start),
-          throughput_of(bytes * static_cast<Bytes>(clients), end - start)
-              .mbps()};
+      return std::vector<double>{to_seconds(end - start)};
     };
   };
 }
 
+/// The row of Fig. 5's size sweeps that uploads 2 GiB, E3's one writer.
+constexpr std::size_t kTwoGiBRow = 1;
+
 // Extension E3: concurrent writers. SMARTH's global optimizer and
 // exclusivity guard are per client (§III-B), so writers may pile onto the
-// same fast nodes. Seconds and improvement are makespans.
-Section multiclient(int seeds) {
+// same fast nodes. Seconds and improvement are makespans. One writer is
+// Fig. 5's small-cluster 100 Mbps 2 GiB upload (`fig5`), whose seconds are
+// its makespan.
+Section multiclient(int seeds, Series& fig5) {
   Series series{.seeds = seeds};
-  for (std::size_t clients = 1; clients <= 3; ++clients) {
+  series.add_same_world("1", fig5, kTwoGiBRow);
+  for (std::size_t clients = 2; clients <= 3; ++clients) {
     harness::Scenario row = two_rack(
         std::to_string(clients), cluster::small_cluster, 100, kWriterBytes);
     row.observe = writers_alongside(clients, kWriterBytes, "/f");
@@ -883,10 +890,20 @@ Section multiclient(int seeds) {
           .note = "Makespan of k simultaneous ingests; the per-client "
                   "optimizers and guards interact on shared datanodes.",
           .series = {std::move(series)},
-          .print = print_lines({"clients", "protocol", "makespan (s)",
-                                "aggregate (Mbps)", "improvement (%)"},
-                               Lines::kPerRowAndProtocol,
-                               seconds_and_rate(1))};
+          .print = print_lines(
+              {"clients", "protocol", "makespan (s)", "aggregate (Mbps)",
+               "improvement (%)"},
+              Lines::kPerRowAndProtocol,
+              [](const Series& s, std::size_t r, Protocol p) {
+                // Row r has r + 1 writers. The last value is the makespan:
+                // observed for several, the upload's seconds for one.
+                const double makespan = s.at(r, p).back();
+                const auto writers = static_cast<Bytes>(r + 1);
+                const double bits =
+                    static_cast<double>(kWriterBytes * writers) * 8.0;
+                return seconds_and_rate(makespan, bits / makespan / 1e6, p,
+                                        s.at(r, Protocol::kHdfs).back());
+              })};
 }
 
 /// Min and max GiB stored per datanode and their CV (stddev / mean), once
@@ -983,19 +1000,20 @@ constexpr SimTime kFaultAt = seconds(30);
 // Ablation A6: recovery cost under fault injection (§IV). Datanode 2, a
 // rack0 node likely to serve pipelines, crashes 30 s into the upload; HDFS
 // recovers by Alg. 3, SMARTH by Alg. 4 (every failed pipeline at once).
-Section crash_recovery(int seeds, Bytes file_size) {
+// The clean run is Fig. 6's 100 Mbps row (`fig6`), which this section also
+// observes: without a fault the 2 s ACK timeout never fires.
+Section crash_recovery(int seeds, Bytes file_size, Series& fig6) {
+  constexpr std::size_t k100Mbps = 1;
+  fig6.world(k100Mbps).observe = after_upload(recoveries_and_evictions);
   Series series{.seeds = seeds};
-  for (bool crash : {false, true}) {
-    harness::Scenario row = two_rack(crash ? "crash @ 30 s" : "none",
-                                     fault_cluster, 100, file_size);
-    row.path = "/f";
-    row.observe = with_faults(
-        [crash](faults::FaultInjector& injector) {
-          if (crash) injector.crash(2, kFaultAt);
-        },
-        recoveries_and_evictions);
-    series.rows.push_back(std::move(row));
-  }
+  series.add_same_world("none", fig6, k100Mbps);
+  harness::Scenario crash =
+      two_rack("crash @ 30 s", fault_cluster, 100, file_size);
+  crash.path = "/f";
+  crash.observe = with_faults(
+      [](faults::FaultInjector& injector) { injector.crash(2, kFaultAt); },
+      recoveries_and_evictions);
+  series.rows.push_back(std::move(crash));
   return {.title = "Fault recovery — crash one datanode mid-upload (small "
                    "cluster, 100 Mbps cross-rack, 8 GB)",
           .note = "Clean vs faulted runs for both protocols; recovery "
@@ -1025,20 +1043,14 @@ std::vector<double> salvage(cluster::Cluster& cluster,
         "the upload did not end with its writer's crash: " +
         (stats.failed ? stats.failure_reason : std::string("it completed")));
   }
-  const hdfs::HdfsConfig& cfg = cluster.config();
-  const SimTime deadline =
-      kFaultAt + cfg.lease_hard_limit + cfg.lease_monitor_interval +
-      cfg.lease_recovery_retry_interval *
-          (cfg.lease_recovery_max_attempts + 1) +
-      seconds(30);
   const hdfs::Namenode& namenode = cluster.namenode();
-  for (;;) {
+  const auto closed = [&namenode] {
     const hdfs::FileEntry* entry = namenode.file_by_path("/f");
-    if (entry != nullptr && entry->state == hdfs::FileState::kClosed) break;
-    if (cluster.sim().now() >= deadline) {
-      throw std::runtime_error("lease recovery never closed the file");
-    }
-    cluster.sim().run_until(cluster.sim().now() + milliseconds(250));
+    return entry != nullptr && entry->state == hdfs::FileState::kClosed;
+  };
+  if (!cluster.sim().run_until_done(
+          closed, kFaultAt + hdfs::lease_recovery_wait(cluster.config()))) {
+    throw std::runtime_error("lease recovery never closed the file");
   }
   Bytes readable = 0;
   const auto located =
@@ -1585,9 +1597,9 @@ int main() {
   sections.push_back(ablation_replication(repeats, file_size, fig6.series[0]));
   sections.push_back(read_while_write(repeats, file_size));
   sections.push_back(storage_types(repeats, file_size, fig6.series[0]));
-  sections.push_back(multiclient(repeats));
+  sections.push_back(multiclient(repeats, fig5.series[1]));
   sections.push_back(balance(fig5.series[0], fig13.series[0]));
-  sections.push_back(crash_recovery(repeats, file_size));
+  sections.push_back(crash_recovery(repeats, file_size, fig6.series[0]));
   sections.push_back(writer_crash(repeats, file_size));
   sections.push_back(bitrot_scrub(repeats));
   sections.push_back(namenode_loss(repeats, file_size));

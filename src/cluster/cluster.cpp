@@ -519,17 +519,13 @@ hdfs::StreamStats Cluster::run_upload(const std::string& path, Bytes size,
   std::optional<hdfs::StreamStats> stats;
   upload(path, size, protocol,
          [&stats](const hdfs::StreamStats& s) { stats = s; }, client_index);
-  // Heartbeats run forever; drive the simulation in bounded time slices
-  // until the upload reports completion rather than until the queue drains
-  // (which would never happen). A generous simulated-time ceiling turns
-  // protocol hangs into loud failures instead of spins.
-  const SimTime deadline = sim_->now() + seconds(100'000);
-  while (!stats.has_value()) {
-    SMARTH_CHECK(sim_->run_until(sim_->now() + milliseconds(250)));
-    SMARTH_CHECK_MSG(sim_->now() < deadline,
-                     "upload did not complete within the simulated-time "
-                     "ceiling — protocol hang");
-  }
+  // A generous simulated-time ceiling turns protocol hangs into loud
+  // failures instead of spins.
+  SMARTH_CHECK_MSG(
+      sim_->run_until_done([&stats] { return stats.has_value(); },
+                           sim_->now() + seconds(100'000)),
+      "upload did not complete within the simulated-time ceiling — protocol "
+      "hang");
   return *stats;
 }
 
@@ -566,11 +562,10 @@ hdfs::ReadStats Cluster::run_download(const std::string& path,
   std::optional<hdfs::ReadStats> stats;
   download(path, [&stats](const hdfs::ReadStats& s) { stats = s; },
            client_index);
-  const SimTime deadline = sim_->now() + seconds(100'000);
-  while (!stats.has_value()) {
-    SMARTH_CHECK(sim_->run_until(sim_->now() + milliseconds(250)));
-    SMARTH_CHECK_MSG(sim_->now() < deadline, "download hang");
-  }
+  SMARTH_CHECK_MSG(
+      sim_->run_until_done([&stats] { return stats.has_value(); },
+                           sim_->now() + seconds(100'000)),
+      "download hang");
   return *stats;
 }
 

@@ -296,6 +296,13 @@ struct HdfsConfig {
   }
 };
 
+/// How long a harness waits, from a writer's crash, for lease recovery to
+/// close its file: the hard limit, a monitor round to notice the expiry,
+/// then up to lease_recovery_max_attempts rounds before the last block is
+/// abandoned, each a retry interval plus a monitor round; plus one more
+/// hard limit, since a namenode restart restarts the lease clocks.
+SimDuration lease_recovery_wait(const HdfsConfig& config);
+
 /// A block with its assigned pipeline targets, as returned by addBlock().
 /// The read path reuses it with `targets` = live replica holders sorted by
 /// distance and `length` = the finalized block length.

@@ -434,6 +434,14 @@ bool Simulation::run_until(SimTime t) {
   return true;
 }
 
+bool Simulation::run_until_done(const std::function<bool()>& done,
+                                SimTime deadline) {
+  while (!done() && now_ < deadline) {
+    if (!run_until(now_ + kDoneSlice)) throw_event_limit();
+  }
+  return done();
+}
+
 std::size_t Simulation::run_steps(std::size_t n) {
   // Counted in executed events, so an event run in place counts as a step.
   const std::uint64_t start = executed_;

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -165,6 +166,15 @@ class Simulation {
   bool run_until(SimTime t);
   /// Executes at most `n` events; returns the number executed.
   std::size_t run_steps(std::size_t n);
+  /// Runs run_until slices of kDoneSlice while `done()` is false and
+  /// now() < `deadline`, and returns done(); a slice that hits the event
+  /// limit throws. Drivers poll this way because heartbeats keep a
+  /// cluster's queue alive forever, so it never drains. The slice is fixed,
+  /// not a parameter: a run stops at the first slice boundary where done()
+  /// holds, and whatever follows (a read-back, a "recovered after" time)
+  /// starts from that now(), so the slice is part of every simulated result.
+  bool run_until_done(const std::function<bool()>& done, SimTime deadline);
+  static constexpr SimDuration kDoneSlice = milliseconds(250);
 
   /// In-place events. Where a callback would `post_now(category, f)`, it may
   /// ask may_run_in_place() instead; if true, it posts nothing, carries on,

@@ -161,10 +161,8 @@ OpenLoopResult OpenLoopWorkload::run(cluster::Cluster& cluster) {
   // — a job with no terminal callback by then is stuck (the failure mode the
   // admission-control acceptance forbids), not a reason to wedge the run.
   const SimTime deadline = start + config_.duration + config_.stuck_grace;
-  while (*pending > 0 && cluster.sim().now() < deadline) {
-    SMARTH_CHECK(
-        cluster.sim().run_until(cluster.sim().now() + milliseconds(250)));
-  }
+  cluster.sim().run_until_done([&pending] { return *pending <= 0; },
+                               deadline);
   result->stuck = *pending;
   result->finished_at = cluster.sim().now();
   if (result->stuck > 0) {

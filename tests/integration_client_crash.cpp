@@ -29,23 +29,6 @@ cluster::ClusterSpec crash_spec(std::uint64_t seed) {
   return spec;
 }
 
-/// Drives the cluster until `done` holds or `span` elapses.
-template <typename Pred>
-bool drive_until(Cluster& cluster, SimDuration span, Pred done) {
-  const SimTime deadline = cluster.sim().now() + span;
-  while (cluster.sim().now() < deadline) {
-    if (done()) return true;
-    cluster.sim().run_until(cluster.sim().now() + milliseconds(250));
-  }
-  return done();
-}
-
-SimDuration recovery_budget(const hdfs::HdfsConfig& cfg) {
-  return cfg.lease_hard_limit + cfg.lease_monitor_interval +
-         cfg.lease_recovery_retry_interval *
-             (cfg.lease_recovery_max_attempts + 1);
-}
-
 void crash_mid_block_and_expect_consistent_prefix(Protocol protocol) {
   Cluster cluster(crash_spec(11));
   const std::size_t reader_index =
@@ -57,18 +40,21 @@ void crash_mid_block_and_expect_consistent_prefix(Protocol protocol) {
                  [&stats](const hdfs::StreamStats& s) { stats = s; });
   cluster.crash_client_at(0, seconds(2));
 
-  ASSERT_TRUE(drive_until(cluster, seconds(60),
-                          [&stats] { return stats.has_value(); }));
+  sim::Simulation& sim = cluster.sim();
+  ASSERT_TRUE(sim.run_until_done([&stats] { return stats.has_value(); },
+                                 sim.now() + seconds(60)));
   EXPECT_TRUE(stats->failed);
   EXPECT_TRUE(cluster.client_crashed(0));
 
-  // The file must leave under-construction within the hard limit plus the
-  // recovery retry budget, with no one calling recoverLease.
-  const SimTime recovery_deadline = recovery_budget(cluster.config());
-  ASSERT_TRUE(drive_until(cluster, recovery_deadline + seconds(5), [&] {
+  // The file must leave under-construction within hdfs::lease_recovery_wait,
+  // with no one calling recoverLease.
+  const auto closed = [&cluster] {
     const hdfs::FileEntry* entry = cluster.namenode().file_by_path("/crash");
     return entry != nullptr && entry->state == hdfs::FileState::kClosed;
-  })) << "file still under construction after the recovery budget";
+  };
+  ASSERT_TRUE(sim.run_until_done(
+      closed, sim.now() + hdfs::lease_recovery_wait(cluster.config())))
+      << "file still under construction after the recovery budget";
 
   // Consistency: every live finalized replica of every surviving block
   // matches the length the namenode serves to readers, and only the tail
@@ -140,9 +126,10 @@ TEST(ClientCrash, NewWriterTakesOverPathAfterRecovery) {
             /*overwrite=*/true);
       });
 
-  ASSERT_TRUE(drive_until(cluster,
-                          recovery_budget(cluster.config()) + seconds(20),
-                          [&created] { return created.has_value(); }));
+  ASSERT_TRUE(cluster.sim().run_until_done(
+      [&created] { return created.has_value(); },
+      cluster.sim().now() + hdfs::lease_recovery_wait(cluster.config()) +
+          seconds(20)));
   ASSERT_TRUE(created->ok()) << created->error().to_string();
   const hdfs::FileEntry* entry =
       cluster.namenode().file_by_path("/contended");
@@ -163,11 +150,12 @@ TEST(ClientCrash, RestartedClientWritesAgain) {
   cluster.upload("/w1", 32 * kMiB, Protocol::kHdfs,
                  [&first](const hdfs::StreamStats& s) { first = s; });
   injector.crash_and_rejoin_client(0, seconds(1), seconds(8));
-  ASSERT_TRUE(drive_until(cluster, seconds(40),
-                          [&first] { return first.has_value(); }));
+  sim::Simulation& sim = cluster.sim();
+  ASSERT_TRUE(sim.run_until_done([&first] { return first.has_value(); },
+                                 sim.now() + seconds(40)));
   EXPECT_TRUE(first->failed);
-  ASSERT_TRUE(drive_until(cluster, seconds(10),
-                          [&] { return !cluster.client_crashed(0); }));
+  ASSERT_TRUE(sim.run_until_done([&] { return !cluster.client_crashed(0); },
+                                 sim.now() + seconds(10)));
 
   // Post-reboot the same host uploads a fresh file successfully.
   const hdfs::StreamStats second =

@@ -94,10 +94,8 @@ TEST(FaultToleranceHdfs, RecoveryCountReported) {
   const int head = first_pipeline_head(cluster, "/data/a.bin");
   ASSERT_GE(head, 0);
   cluster.datanode(static_cast<std::size_t>(head)).crash();
-  while (!done) {
-    ASSERT_TRUE(cluster.sim().run_until(cluster.sim().now() + milliseconds(250)));
-    ASSERT_LT(cluster.sim().now(), seconds(10'000));
-  }
+  ASSERT_TRUE(
+      cluster.sim().run_until_done([&done] { return done; }, seconds(10'000)));
   ASSERT_FALSE(stats.failed) << stats.failure_reason;
   EXPECT_GE(stats.recoveries, 1);
 }
@@ -159,9 +157,9 @@ TEST(FaultToleranceSmarth, CrashOfPipelineHeadRecovers) {
   const hdfs::FileEntry* entry =
       cluster.namenode().file_by_path("/data/a.bin");
   ASSERT_NE(entry, nullptr);
-  for (int i = 0; i < 600 && entry->state != hdfs::FileState::kClosed; ++i) {
-    cluster.sim().run_until(cluster.sim().now() + milliseconds(200));
-  }
+  cluster.sim().run_until_done(
+      [entry] { return entry->state == hdfs::FileState::kClosed; },
+      cluster.sim().now() + seconds(120));
   EXPECT_EQ(entry->state, hdfs::FileState::kClosed);
   EXPECT_GE(min_finalized_replicas(cluster, "/data/a.bin"), 2);
 }

@@ -29,17 +29,6 @@ cluster::ClusterSpec nn_spec(std::uint64_t seed, hdfs::DataFidelity fidelity) {
   return spec;
 }
 
-/// Drives the cluster until `done` holds or `span` elapses.
-template <typename Pred>
-bool drive_until(Cluster& cluster, SimDuration span, Pred done) {
-  const SimTime deadline = cluster.sim().now() + span;
-  while (cluster.sim().now() < deadline) {
-    if (done()) return true;
-    cluster.sim().run_until(cluster.sim().now() + milliseconds(250));
-  }
-  return done();
-}
-
 /// Sum of the block lengths the namenode serves to readers.
 Bytes served_bytes(Cluster& cluster, const std::string& path) {
   const auto located =
@@ -166,9 +155,11 @@ TEST(NamenodeRestart, CheckpointBoundsReplayAndTruncatesLog) {
   cluster.restart_namenode();
   // Safe-mode exit implies the datanodes re-registered and re-reported every
   // closed block, so the namespace serves full lengths again.
-  ASSERT_TRUE(drive_until(cluster, seconds(30), [&] {
-    return !cluster.namenode_crashed() && !cluster.namenode().safe_mode();
-  }));
+  ASSERT_TRUE(cluster.sim().run_until_done(
+      [&] {
+        return !cluster.namenode_crashed() && !cluster.namenode().safe_mode();
+      },
+      cluster.sim().now() + seconds(30)));
   EXPECT_EQ(served_bytes(cluster, "/ckpt"), 64 * kMiB);
 }
 
@@ -252,11 +243,15 @@ TEST(NamenodeRestart, LeaseHardExpiryRacingRestartRecoversExactlyOnce) {
   cluster.crash_namenode_at(seconds(9) + milliseconds(500));
   cluster.restart_namenode_at(seconds(11) + milliseconds(500));
 
-  ASSERT_TRUE(drive_until(cluster, seconds(60), [&] {
-    const hdfs::FileEntry* entry = cluster.namenode().file_by_path("/race");
-    return stats.has_value() && !cluster.namenode_crashed() &&
-           entry != nullptr && entry->state == hdfs::FileState::kClosed;
-  })) << "file still under construction after restart + recovery budget";
+  ASSERT_TRUE(cluster.sim().run_until_done(
+      [&] {
+        const hdfs::FileEntry* entry =
+            cluster.namenode().file_by_path("/race");
+        return stats.has_value() && !cluster.namenode_crashed() &&
+               entry != nullptr && entry->state == hdfs::FileState::kClosed;
+      },
+      cluster.sim().now() + seconds(60)))
+      << "file still under construction after restart + recovery budget";
 
   EXPECT_TRUE(stats->failed);
   const hdfs::FileEntry* entry = cluster.namenode().file_by_path("/race");

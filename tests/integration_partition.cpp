@@ -109,11 +109,8 @@ TEST(Partition, MidUploadPartitionRecovers) {
       stats = s;
       done = true;
     });
-    while (!done) {
-      ASSERT_TRUE(
-          cluster.sim().run_until(cluster.sim().now() + milliseconds(250)));
-      ASSERT_LT(cluster.sim().now(), seconds(10'000));
-    }
+    ASSERT_TRUE(cluster.sim().run_until_done([&done] { return done; },
+                                             seconds(10'000)));
     ASSERT_FALSE(stats.failed)
         << cluster::protocol_name(protocol) << ": " << stats.failure_reason;
     EXPECT_GE(stats.recoveries, 1) << cluster::protocol_name(protocol);

@@ -78,10 +78,8 @@ TEST(Read, CompletionCallbackMayStartTheNextRead) {
         });
   };
   read_next(3);
-  const SimTime deadline = cluster.sim().now() + seconds(600);
-  while (finished.size() < 4 && cluster.sim().now() < deadline) {
-    cluster.sim().run_until(cluster.sim().now() + milliseconds(250));
-  }
+  cluster.sim().run_until_done([&finished] { return finished.size() >= 4; },
+                               cluster.sim().now() + seconds(600));
   ASSERT_EQ(finished.size(), 4u);
   EXPECT_EQ(finished.front(), "read with 3 more to start after it");
   EXPECT_EQ(finished.back(), "read with 0 more to start after it");
@@ -140,10 +138,8 @@ TEST(Read, FailoverMidStreamViaTimeout) {
       }
     }
   });
-  while (!done) {
-    ASSERT_TRUE(cluster.sim().run_until(cluster.sim().now() + milliseconds(250)));
-    ASSERT_LT(cluster.sim().now(), seconds(1000));
-  }
+  ASSERT_TRUE(
+      cluster.sim().run_until_done([&done] { return done; }, seconds(1000)));
   ASSERT_FALSE(stats.failed) << stats.failure_reason;
   EXPECT_EQ(stats.bytes_read, 8 * kMiB);
   EXPECT_GE(stats.failovers, 1);

@@ -1,19 +1,23 @@
-// Workload-level integration: multi-file and multi-client uploads through
-// the UploadWorkload scheduler, plus fault plans applied declaratively.
+// Workload-level integration: multi-file and multi-client uploads started
+// from events on one cluster, plus fault plans applied declaratively.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
 #include "faults/fault_injector.hpp"
 #include "workload/fault_plan.hpp"
-#include "workload/upload_workload.hpp"
 
 namespace smarth {
 namespace {
 
 using cluster::Cluster;
 using cluster::Protocol;
-using workload::UploadWorkload;
+using Outcome = std::optional<hdfs::StreamStats>;
 
 cluster::ClusterSpec small_spec(std::uint64_t seed = 42) {
   cluster::ClusterSpec spec = cluster::small_cluster(seed);
@@ -21,14 +25,40 @@ cluster::ClusterSpec small_spec(std::uint64_t seed = 42) {
   return spec;
 }
 
+/// Starts uploading `size` bytes to `path` from client `client` at `at`;
+/// its stats land in `outcome` when it finishes.
+void upload_at(Cluster& cluster, SimTime at, const std::string& path,
+               Bytes size, Protocol protocol, Outcome& outcome,
+               std::size_t client = 0) {
+  cluster.sim().schedule_at(
+      at, "test.upload_start",
+      [&cluster, path, size, protocol, &outcome, client] {
+        cluster.upload(
+            path, size, protocol,
+            [&outcome](const hdfs::StreamStats& s) { outcome = s; }, client);
+      });
+}
+
+/// Runs until every upload in `outcomes` has reported.
+bool run_until_reported(Cluster& cluster,
+                        const std::vector<const Outcome*>& outcomes) {
+  return cluster.sim().run_until_done(
+      [&outcomes] {
+        return std::all_of(outcomes.begin(), outcomes.end(),
+                           [](const Outcome* o) { return o->has_value(); });
+      },
+      cluster.sim().now() + seconds(200'000));
+}
+
 TEST(Workload, SequentialJobsAllComplete) {
   Cluster cluster(small_spec());
-  UploadWorkload workload(Protocol::kSmarth);
-  workload.add("/a", 8 * kMiB, 0).add("/b", 4 * kMiB, seconds(5));
-  const auto results = workload.run(cluster);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(results[0].failed);
-  EXPECT_FALSE(results[1].failed);
+  Outcome a;
+  Outcome b;
+  upload_at(cluster, 0, "/a", 8 * kMiB, Protocol::kSmarth, a);
+  upload_at(cluster, seconds(5), "/b", 4 * kMiB, Protocol::kSmarth, b);
+  ASSERT_TRUE(run_until_reported(cluster, {&a, &b}));
+  EXPECT_FALSE(a->failed);
+  EXPECT_FALSE(b->failed);
   cluster.sim().run_until(cluster.sim().now() + seconds(2));
   EXPECT_TRUE(cluster.file_fully_replicated("/a"));
   EXPECT_TRUE(cluster.file_fully_replicated("/b"));
@@ -36,28 +66,31 @@ TEST(Workload, SequentialJobsAllComplete) {
 
 TEST(Workload, ConcurrentJobsOnOneClient) {
   Cluster cluster(small_spec());
-  UploadWorkload workload(Protocol::kHdfs);
-  workload.add("/a", 8 * kMiB, 0).add("/b", 8 * kMiB, 0);
-  const auto results = workload.run(cluster);
-  EXPECT_FALSE(results[0].failed);
-  EXPECT_FALSE(results[1].failed);
+  Outcome a;
+  Outcome b;
+  upload_at(cluster, 0, "/a", 8 * kMiB, Protocol::kHdfs, a);
+  upload_at(cluster, 0, "/b", 8 * kMiB, Protocol::kHdfs, b);
+  ASSERT_TRUE(run_until_reported(cluster, {&a, &b}));
+  EXPECT_FALSE(a->failed);
+  EXPECT_FALSE(b->failed);
   // Two concurrent streams share the client's NIC, so each upload is slower
   // than it would be alone.
   Cluster solo(small_spec());
   const auto alone = solo.run_upload("/a", 8 * kMiB, Protocol::kHdfs);
-  EXPECT_GT(results[0].elapsed(), alone.elapsed());
+  EXPECT_GT(a->elapsed(), alone.elapsed());
 }
 
 TEST(Workload, MultiClientUploads) {
   Cluster cluster(small_spec());
   const std::size_t second =
       cluster.add_client("/rack1", cluster::small_instance());
-  UploadWorkload workload(Protocol::kSmarth);
-  workload.add(workload::UploadJob{"/a", 8 * kMiB, 0, 0});
-  workload.add(workload::UploadJob{"/b", 8 * kMiB, 0, second});
-  const auto results = workload.run(cluster);
-  EXPECT_FALSE(results[0].failed);
-  EXPECT_FALSE(results[1].failed);
+  Outcome a;
+  Outcome b;
+  upload_at(cluster, 0, "/a", 8 * kMiB, Protocol::kSmarth, a);
+  upload_at(cluster, 0, "/b", 8 * kMiB, Protocol::kSmarth, b, second);
+  ASSERT_TRUE(run_until_reported(cluster, {&a, &b}));
+  EXPECT_FALSE(a->failed);
+  EXPECT_FALSE(b->failed);
   // Each client tracked its own speeds.
   EXPECT_TRUE(cluster.speed_tracker(0).has_records());
   EXPECT_TRUE(cluster.speed_tracker(second).has_records());
@@ -65,11 +98,10 @@ TEST(Workload, MultiClientUploads) {
 
 TEST(Workload, StaggeredStartRespectsStartTime) {
   Cluster cluster(small_spec());
-  UploadWorkload workload(Protocol::kHdfs);
-  workload.add("/late", 4 * kMiB, seconds(30));
-  const auto results = workload.run(cluster);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_GE(results[0].started_at, seconds(30));
+  Outcome late;
+  upload_at(cluster, seconds(30), "/late", 4 * kMiB, Protocol::kHdfs, late);
+  ASSERT_TRUE(run_until_reported(cluster, {&late}));
+  EXPECT_GE(late->started_at, seconds(30));
 }
 
 TEST(Workload, FaultPlanBuilders) {
@@ -90,14 +122,6 @@ TEST(Workload, FaultPlanAppliesToCluster) {
   EXPECT_FALSE(cluster.datanode(2).crashed());
   cluster.sim().run_until(seconds(4));
   EXPECT_TRUE(cluster.datanode(2).crashed());
-}
-
-TEST(Workload, RejectsInvalidJobs) {
-  UploadWorkload workload(Protocol::kHdfs);
-  EXPECT_THROW(workload.add("", 4 * kMiB), std::logic_error);
-  EXPECT_THROW(workload.add("/x", 0), std::logic_error);
-  Cluster cluster(small_spec());
-  EXPECT_THROW(workload.run(cluster), std::logic_error);  // no jobs
 }
 
 }  // namespace

@@ -147,11 +147,9 @@ SoakResult soak_once(
                  [&stats](const hdfs::StreamStats& s) { stats = s; });
 
   const SimTime deadline = seconds(600);
-  while (!stats.has_value() && cluster.sim().now() < deadline) {
-    EXPECT_TRUE(
-        cluster.sim().run_until(cluster.sim().now() + milliseconds(250)));
-  }
-  EXPECT_TRUE(stats.has_value())
+  sim::Simulation& sim = cluster.sim();
+  EXPECT_TRUE(
+      sim.run_until_done([&stats] { return stats.has_value(); }, deadline))
       << "seed " << seed << ": upload neither completed nor failed by "
       << to_seconds(deadline) << "s — the control plane hung";
 
@@ -171,14 +169,12 @@ SoakResult soak_once(
   // restart/failover lands and safe mode exits within its max wait. An
   // upload stuck under construction because the namenode never left safe
   // mode would be a liveness bug, so this is asserted, not just waited for.
-  const SimTime control_deadline = cluster.sim().now() +
-                                   rates.nn_restart_delay +
-                                   soak_spec(seed).hdfs.safe_mode_max_wait +
-                                   seconds(5);
-  while (cluster.sim().now() < control_deadline &&
-         (cluster.namenode_crashed() || cluster.namenode().safe_mode())) {
-    cluster.sim().run_until(cluster.sim().now() + milliseconds(250));
-  }
+  sim.run_until_done(
+      [&cluster] {
+        return !cluster.namenode_crashed() && !cluster.namenode().safe_mode();
+      },
+      sim.now() + rates.nn_restart_delay +
+          soak_spec(seed).hdfs.safe_mode_max_wait + seconds(5));
   EXPECT_FALSE(cluster.namenode_crashed())
       << "seed " << seed << ": namenode never restored after chaos stopped";
   EXPECT_FALSE(cluster.namenode().safe_mode())
@@ -188,24 +184,18 @@ SoakResult soak_once(
 
   // Liveness invariant: no file stays under construction forever. Either
   // the upload closed it, or — when the writer crashed — the lease monitor
-  // must close it at a consistent prefix within the hard limit plus the
-  // recovery retry budget. A file still UC under a *live, renewing* holder
-  // is legitimate (HDFS keeps a lease as long as its process renews).
-  const SimDuration recovery_budget =
-      soak_spec(seed).hdfs.lease_hard_limit +
-      soak_spec(seed).hdfs.lease_monitor_interval +
-      soak_spec(seed).hdfs.lease_recovery_retry_interval *
-          (soak_spec(seed).hdfs.lease_recovery_max_attempts + 1);
-  const SimTime uc_deadline = cluster.sim().now() + recovery_budget;
-  while (cluster.sim().now() < uc_deadline) {
-    const hdfs::FileEntry* entry = cluster.namenode().file_by_path("/soak");
-    if (entry == nullptr || entry->state == hdfs::FileState::kClosed ||
-        !cluster.namenode().lease_manager().hard_expired(
-            entry->lease_holder, cluster.sim().now())) {
-      break;
-    }
-    cluster.sim().run_until(cluster.sim().now() + milliseconds(250));
-  }
+  // must close it at a consistent prefix within hdfs::lease_recovery_wait.
+  // A file still UC under a *live, renewing* holder is legitimate (HDFS
+  // keeps a lease as long as its process renews).
+  sim.run_until_done(
+      [&cluster] {
+        const hdfs::FileEntry* entry =
+            cluster.namenode().file_by_path("/soak");
+        return entry == nullptr || entry->state == hdfs::FileState::kClosed ||
+               !cluster.namenode().lease_manager().hard_expired(
+                   entry->lease_holder, cluster.sim().now());
+      },
+      sim.now() + hdfs::lease_recovery_wait(soak_spec(seed).hdfs));
   if (const hdfs::FileEntry* entry =
           cluster.namenode().file_by_path("/soak")) {
     const bool closed = entry->state == hdfs::FileState::kClosed;
@@ -515,12 +505,8 @@ TEST(ChaosScenario, CrashRejoinFailSlowUploadCompletesWithEvidence) {
   std::optional<hdfs::StreamStats> stats;
   cluster.upload("/evidence", 24 * kMiB, Protocol::kHdfs,
                  [&stats](const hdfs::StreamStats& s) { stats = s; });
-  const SimTime deadline = seconds(600);
-  while (!stats.has_value() && cluster.sim().now() < deadline) {
-    ASSERT_TRUE(
-        cluster.sim().run_until(cluster.sim().now() + milliseconds(250)));
-  }
-  ASSERT_TRUE(stats.has_value());
+  ASSERT_TRUE(cluster.sim().run_until_done(
+      [&stats] { return stats.has_value(); }, seconds(600)));
   EXPECT_FALSE(stats->failed);
   EXPECT_GE(stats->recoveries, 1);
   EXPECT_GE(metrics::global_registry().counter_value("quarantine.events"), 1u);

@@ -23,17 +23,6 @@ namespace {
 using cluster::Cluster;
 using cluster::Protocol;
 
-/// Drives the cluster until `done` holds or `span` elapses.
-template <typename Pred>
-bool drive_until(Cluster& cluster, SimDuration span, Pred done) {
-  const SimTime deadline = cluster.sim().now() + span;
-  while (cluster.sim().now() < deadline) {
-    if (done()) return true;
-    cluster.sim().run_until(cluster.sim().now() + milliseconds(250));
-  }
-  return done();
-}
-
 /// Replays `base` + the log tail past it into a brand-new namenode and
 /// returns the image that namenode captures. No simulation time passes.
 hdfs::NamenodeImage replayed_image(Cluster& cluster,
@@ -99,17 +88,24 @@ TEST(NamenodeReplay, LeaseRecoveryHistoryReplaysBitForBit) {
     cluster.upload("/crash", 48 * kMiB, Protocol::kSmarth,
                    [&stats](const hdfs::StreamStats& s) { stats = s; });
     cluster.crash_client_at(0, seconds(2));
-    ASSERT_TRUE(drive_until(cluster, seconds(30), [&] {
-      return stats.has_value() &&
-             cluster.namenode().lease_expiries() > 0;
-    })) << "seed " << seed << ": recovery never started";
+    sim::Simulation& sim = cluster.sim();
+    ASSERT_TRUE(sim.run_until_done(
+        [&] {
+          return stats.has_value() && cluster.namenode().lease_expiries() > 0;
+        },
+        sim.now() + seconds(30)))
+        << "seed " << seed << ": recovery never started";
     // Mid-recovery snapshot: recovering flag, pending UC blocks, attempts.
     expect_replay_equivalent(cluster, hdfs::NamenodeImage{});
 
-    ASSERT_TRUE(drive_until(cluster, seconds(60), [&] {
-      const hdfs::FileEntry* entry = cluster.namenode().file_by_path("/crash");
-      return entry != nullptr && entry->state == hdfs::FileState::kClosed;
-    })) << "seed " << seed << ": recovery never finished";
+    ASSERT_TRUE(sim.run_until_done(
+        [&] {
+          const hdfs::FileEntry* entry =
+              cluster.namenode().file_by_path("/crash");
+          return entry != nullptr && entry->state == hdfs::FileState::kClosed;
+        },
+        sim.now() + seconds(60)))
+        << "seed " << seed << ": recovery never finished";
     // Post-recovery snapshot: closed at a salvaged prefix, counters settled.
     expect_replay_equivalent(cluster, hdfs::NamenodeImage{});
   }
@@ -162,8 +158,9 @@ TEST(NamenodeReplay, HistoryContainingRestartReplaysBitForBit) {
                  [&stats](const hdfs::StreamStats& s) { stats = s; });
   cluster.crash_namenode_at(seconds(2));
   cluster.restart_namenode_at(seconds(4));
-  ASSERT_TRUE(drive_until(cluster, seconds(120),
-                          [&stats] { return stats.has_value(); }));
+  ASSERT_TRUE(cluster.sim().run_until_done(
+      [&stats] { return stats.has_value(); },
+      cluster.sim().now() + seconds(120)));
   ASSERT_FALSE(stats->failed) << stats->failure_reason;
   EXPECT_EQ(cluster.namenode().restarts(), 1u);
   // Heartbeats renew leases continuously after the restart, so the live

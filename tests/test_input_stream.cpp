@@ -87,10 +87,7 @@ class InputStreamTest : public ::testing::Test {
           done = true;
         });
     reader_->start();
-    while (!done) {
-      if (!sim_.run_until(sim_.now() + milliseconds(100))) break;
-      if (sim_.now() > seconds(500)) break;
-    }
+    sim_.run_until_done([&done] { return done; }, seconds(500));
     return stats;
   }
 

@@ -79,10 +79,8 @@ class RecoveryTest : public ::testing::Test {
         config_.block_size, durable_floor, targets, error_index,
         [&result](Result<RecoveryOutcome> r) { result = std::move(r); });
     recovery.run();
-    while (!result.has_value()) {
-      if (!sim_.run_until(sim_.now() + milliseconds(100))) break;
-      if (sim_.now() > seconds(500)) break;
-    }
+    sim_.run_until_done([&result] { return result.has_value(); },
+                        seconds(500));
     (void)file;
     return result.value();
   }

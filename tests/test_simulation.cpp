@@ -114,6 +114,54 @@ TEST(Simulation, EventLimitThrows) {
   EXPECT_THROW(sim.run(), std::logic_error);
 }
 
+TEST(Simulation, RunUntilDoneStopsAtFirstSliceBoundaryWhereDone) {
+  Simulation sim;
+  // A heartbeat keeps the queue alive, as in every cluster.
+  PeriodicTask heartbeat(sim, milliseconds(100), "test", [] {});
+  heartbeat.start();
+  bool done = false;
+  sim.schedule_at(milliseconds(600), "test", [&] { done = true; });
+  int polls = 0;
+  EXPECT_TRUE(sim.run_until_done(
+      [&] {
+        ++polls;
+        return done;
+      },
+      seconds(10)));
+  // Slices end at 250, 500 and 750 ms; done first holds after the third.
+  EXPECT_EQ(sim.now(), milliseconds(750));
+  EXPECT_EQ(polls, 5);  // one per slice boundary, plus the start and return
+}
+
+TEST(Simulation, RunUntilDoneGivesUpAtDeadline) {
+  Simulation sim;
+  PeriodicTask heartbeat(sim, milliseconds(100), "test", [] {});
+  heartbeat.start();
+  const SimTime deadline = seconds(1) + milliseconds(100);
+  EXPECT_FALSE(sim.run_until_done([] { return false; }, deadline));
+  EXPECT_GE(sim.now(), deadline);
+  EXPECT_EQ(sim.now(), milliseconds(1250));
+}
+
+TEST(Simulation, RunUntilDoneRunsNothingWhenAlreadyDone) {
+  Simulation sim;
+  sim.schedule_at(0, "test", [] {});
+  EXPECT_TRUE(sim.run_until_done([] { return true; }, seconds(10)));
+  EXPECT_EQ(sim.now(), 0);
+  EXPECT_EQ(sim.events_executed(), 0u);
+}
+
+TEST(Simulation, RunUntilDoneThrowsAtEventLimit) {
+  Simulation sim;
+  sim.set_event_limit(10);
+  PeriodicTask heartbeat(sim, milliseconds(10), "test", [] {});
+  heartbeat.start();
+  // The tenth event fires at 100 ms, inside the first slice.
+  EXPECT_THROW(sim.run_until_done([] { return false; }, seconds(10)),
+               std::logic_error);
+  EXPECT_LT(sim.now(), Simulation::kDoneSlice);
+}
+
 TEST(Simulation, CountersTrackActivity) {
   Simulation sim;
   sim.schedule_at(1, "test", [] {});

@@ -549,32 +549,25 @@ struct RunOutcome {
 
 /// Drives the simulation on after the upload's callback. Under
 /// --client-crash, until lease recovery has closed the file: it must never
-/// stay under construction past the hard limit plus the recovery retry
-/// budget. Under --nn-crash, until the scheduled outage and recovery have
-/// landed and the namenode has left safe mode, even when the upload beat the
-/// crash or failed before the recovery ended: the robustness counters and
+/// stay under construction past hdfs::lease_recovery_wait. Under
+/// --nn-crash, until the scheduled outage and recovery have landed and the
+/// namenode has left safe mode, even when the upload beat the crash or
+/// failed before the recovery ended: the robustness counters and
 /// --editlog-out should reflect the whole timeline, and a recovery that
 /// never completes is a bug worth failing on, not silently truncating.
 void drive_after_upload(const Experiment& exp, cluster::Cluster& cluster) {
   sim::Simulation& sim = cluster.sim();
   if (exp.client_crash_at) {
-    const hdfs::HdfsConfig& cfg = cluster.config();
     if (sim.now() <= *exp.client_crash_at) {
       sim.run_until(*exp.client_crash_at + milliseconds(1));
     }
-    const SimTime deadline =
-        sim.now() + cfg.lease_hard_limit + cfg.lease_monitor_interval +
-        cfg.lease_recovery_retry_interval *
-            (cfg.lease_recovery_max_attempts + 2);
-    while (sim.now() < deadline) {
+    const auto closed = [&cluster] {
       const hdfs::FileEntry* entry =
           cluster.namenode().file_by_path("/data/cli.bin");
-      if (entry == nullptr || entry->state == hdfs::FileState::kClosed) break;
-      sim.run_until(sim.now() + milliseconds(250));
-    }
-    const hdfs::FileEntry* entry =
-        cluster.namenode().file_by_path("/data/cli.bin");
-    if (entry != nullptr && entry->state != hdfs::FileState::kClosed) {
+      return entry == nullptr || entry->state == hdfs::FileState::kClosed;
+    };
+    if (!sim.run_until_done(
+            closed, sim.now() + hdfs::lease_recovery_wait(cluster.config()))) {
       std::fprintf(stderr,
                    "lease recovery failed to close the file within the "
                    "recovery budget\n");
@@ -586,14 +579,10 @@ void drive_after_upload(const Experiment& exp, cluster::Cluster& cluster) {
     if (sim.now() <= recovery_start) {
       sim.run_until(recovery_start + milliseconds(1));
     }
-    const auto recovering = [&cluster] {
-      return cluster.namenode_crashed() || cluster.namenode().safe_mode();
+    const auto recovered = [&cluster] {
+      return !cluster.namenode_crashed() && !cluster.namenode().safe_mode();
     };
-    const SimTime deadline = sim.now() + seconds(120);
-    while (recovering() && sim.now() < deadline) {
-      sim.run_until(sim.now() + milliseconds(250));
-    }
-    if (recovering()) {
+    if (!sim.run_until_done(recovered, sim.now() + seconds(120))) {
       std::fprintf(stderr,
                    "namenode recovery did not complete within the budget\n");
       std::exit(1);
