@@ -88,10 +88,7 @@ void Datanode::crash() {
   scanner_->stop();
   rpc_.set_host_down(self_, true);
   // Staging accounting for in-flight pipelines is torn down with the node.
-  for (auto& [pipeline, ctx] : pipelines_) {
-    storage::StagingBuffer& buf = staging_for(ctx.setup.client);
-    buf.release(std::min(ctx.staging_held, buf.used()));
-  }
+  for (auto& [pipeline, ctx] : pipelines_) release_pipeline_staging(ctx);
   pipelines_.clear();
 }
 
@@ -220,6 +217,7 @@ void Datanode::deliver_setup(const PipelineSetup& setup) {
     ctx.downstream = setup.targets[static_cast<std::size_t>(ctx.my_index + 1)];
   }
   ctx.resume_start_seq = setup.resume_offset / config_.transfer_payload();
+  ctx.staging = &staging_for(setup.client);
   const Bytes block_bytes =
       setup.block_bytes > 0 ? setup.block_bytes : config_.block_size;
   const std::int64_t block_transfers =
@@ -319,7 +317,7 @@ void Datanode::process_packet(const WirePacket& packet, SimTime arrived_at) {
   PacketState& st = packet_state(ctx, packet.seq);
   st.payload = packet.payload;
   st.arrived_at = arrived_at;
-  staging_for(ctx.setup.client).reserve_forced(packet.payload);
+  ctx.staging->reserve_forced(packet.payload);
   ctx.staging_held += packet.payload;
 
   // Mirror downstream before the local write completes (cut-through at the
@@ -349,9 +347,12 @@ Datanode::PacketState& Datanode::packet_state(PipelineCtx& ctx,
 void Datanode::release_packet_staging(PipelineCtx& ctx, PacketState& st) {
   if (st.staging_released) return;
   st.staging_released = true;
-  storage::StagingBuffer& buf = staging_for(ctx.setup.client);
-  buf.release(std::min(st.payload, buf.used()));
+  ctx.staging->release(std::min(st.payload, ctx.staging->used()));
   ctx.staging_held -= std::min(st.payload, ctx.staging_held);
+}
+
+void Datanode::release_pipeline_staging(PipelineCtx& ctx) {
+  ctx.staging->release(std::min(ctx.staging_held, ctx.staging->used()));
 }
 
 void Datanode::on_packet_written(PipelineId pipeline,
@@ -599,8 +600,7 @@ Status Datanode::truncate_replica(BlockId block, Bytes length) {
 void Datanode::abort_pipeline(PipelineId pipeline) {
   auto it = pipelines_.find(pipeline);
   if (it == pipelines_.end()) return;
-  storage::StagingBuffer& buf = staging_for(it->second.setup.client);
-  buf.release(std::min(it->second.staging_held, buf.used()));
+  release_pipeline_staging(it->second);
   pipelines_.erase(it);
 }
 
@@ -608,8 +608,7 @@ void Datanode::abort_block(BlockId block) {
   if (crashed_) return;
   for (auto it = pipelines_.begin(); it != pipelines_.end();) {
     if (it->second.setup.block == block) {
-      storage::StagingBuffer& buf = staging_for(it->second.setup.client);
-      buf.release(std::min(it->second.staging_held, buf.used()));
+      release_pipeline_staging(it->second);
       it = pipelines_.erase(it);
     } else {
       ++it;

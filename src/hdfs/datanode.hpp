@@ -182,6 +182,10 @@ class Datanode : public PacketSink {
     std::int64_t written_count = 0;
     std::int64_t acked_count = 0;
     Bytes staging_held = 0;  ///< bytes this pipeline holds in staging
+    /// The writing client's staging buffer, looked up once at setup; valid
+    /// while the pipeline lives (staging_ is cleared only by restart(),
+    /// after crash() has emptied pipelines_).
+    storage::StagingBuffer* staging = nullptr;
     bool fnfa_emitted = false;
     bool finalized = false;
   };
@@ -209,6 +213,8 @@ class Datanode : public PacketSink {
   /// the only way this node finalizes a replica.
   Result<Bytes> finalize_replica(BlockId block);
   void release_packet_staging(PipelineCtx& ctx, PacketState& st);
+  /// Returns everything `ctx` still holds in staging (a torn-down pipeline).
+  void release_pipeline_staging(PipelineCtx& ctx);
   storage::StagingBuffer& staging_for(ClientId client);
   /// Streams read packet `seq` (disk read then network send), then chains
   /// the next one; the disk FIFO interleaves these with pipeline writes.

@@ -100,19 +100,18 @@ bool EventHandle::cancel() {
 
 namespace {
 
-/// One heap slot: the record's time copied beside it, so sift comparisons
-/// read the heap vector alone and touch the pooled records only to break a
-/// tie on seq. (Copying seq too made the entry 24 bytes, and the churn bench
-/// and perfbench bulk_write slower.)
-struct HeapEntry {
+/// One live record of a drained bucket, with its time copied beside it, so
+/// the refill sort reads this vector alone and touches the pooled records
+/// only to break a tie on seq.
+struct Gathered {
   SimTime time;
   EventRecord* rec;
 };
 
-/// Heap comparator: true when `a` fires after `b`, so std::push_heap keeps
-/// the earliest (time, seq) at the front — FIFO among same-time events.
+/// Refill sort order: true when `a` fires after `b` in (time, seq) order,
+/// so std::sort puts the latest record first, the time slots' own order.
 struct FiresLater {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+  bool operator()(const Gathered& a, const Gathered& b) const {
     if (a.time != b.time) return a.time > b.time;
     return a.rec->seq > b.rec->seq;
   }
@@ -123,8 +122,10 @@ struct FiresLater {
 /// Multi-rung ladder queue, after Tang, Goh & Thng's Ladder Queue (ACM
 /// TOMACS 2005). Three tiers, every event in exactly one:
 ///
-///  - `active`, a binary min-heap holding every event with
-///    time < active_end: the bucket being drained;
+///  - `slots`, every event with time < active_end (the bucket being
+///    drained), sorted: one slot per distinct time, latest first, so
+///    back() is the earliest. A slot is the FIFO of its instant's records,
+///    linked through EventRecord::next in seq order;
 ///  - rungs of kBuckets buckets each, coarsest first. A bucket is an
 ///    unsorted intrusive list through EventRecord::next, so inserting costs
 ///    O(1) and no comparison. Each deeper rung covers exactly one bucket of
@@ -132,18 +133,21 @@ struct FiresLater {
 ///  - `overflow`, an unsorted list of the events at or beyond the end of
 ///    rung 0, spread into a new rung 0 once every rung has drained.
 ///
-/// A new event goes to the heap if it is due before active_end, else into
-/// the finest rung whose range contains it, else into overflow. When the
-/// heap drains, the finest rung's next non-empty bucket is taken: with more
-/// than kSplitThreshold live events at more than one time it becomes a new,
-/// finer rung over exactly its range; otherwise its events are heapified.
+/// A new event goes to the slots if it is due before active_end, else into
+/// the finest rung whose range contains it, else into overflow. A new event
+/// carries the largest pending seq, so it joins the tail of its time's FIFO:
+/// an insert scans from back() past the earlier slots and compares no seq.
+/// A pop takes the head of back()'s FIFO. When the slots drain, the finest
+/// rung's next non-empty bucket is taken: with more than kSplitThreshold
+/// live events at more than one time it becomes a new, finer rung over
+/// exactly its range; otherwise its events are sorted once into slots.
 ///
 /// Straddle invariant: a rung ends exactly where its parent bucket ends, so
 /// a finer rung's last bucket may be narrower than its width. Were it to
 /// reach past that end, it could capture events due after an earlier event
 /// already waiting in the parent's next bucket, and pop them out of order.
 /// With it, every unvisited bucket starts at or after active_end, and the
-/// heap top is the global (time, seq) minimum.
+/// head of back()'s FIFO is the global (time, seq) minimum.
 struct Simulation::Impl {
   static constexpr std::size_t kBuckets = 256;
   static constexpr std::size_t kSplitThreshold = 32;
@@ -157,9 +161,16 @@ struct Simulation::Impl {
     std::array<EventRecord*, kBuckets> heads{};
   };
 
+  /// The records due at one instant, oldest (lowest seq) first.
+  struct Slot {
+    SimTime time;
+    EventRecord* first;
+    EventRecord* last;
+  };
+
   PoolRef pool{new EventPool};
 
-  std::vector<HeapEntry> active;  ///< min-heap of the events < active_end
+  std::vector<Slot> slots;  ///< the events < active_end, latest time first
   SimTime active_end = 0;
 
   std::vector<Rung> rungs;  ///< [0, depth) in use; deeper ones kept empty
@@ -167,11 +178,15 @@ struct Simulation::Impl {
 
   EventRecord* overflow = nullptr;  ///< events at or beyond rungs[0].end
 
+  /// Scratch for refill: the live records of the bucket being drained.
+  std::vector<Gathered> gathered;
+
+  EngineCounters counters;
+
   void push(EventRecord* rec) {
     const SimTime t = rec->time;
     if (t < active_end) {
-      active.push_back({t, rec});
-      std::push_heap(active.begin(), active.end(), FiresLater{});
+      insert_slot(rec);
       return;
     }
     for (std::size_t d = depth; d-- > 0;) {
@@ -182,6 +197,26 @@ struct Simulation::Impl {
     }
     rec->next = overflow;
     overflow = rec;
+  }
+
+  /// Appends `rec`, the newest pending record, to the FIFO of its time,
+  /// opening a slot for that time if there is none.
+  void insert_slot(EventRecord* rec) {
+    const SimTime t = rec->time;
+    rec->next = nullptr;
+    std::size_t i = slots.size();
+    while (i > 0 && slots[i - 1].time < t) --i;
+    ++counters.slot_inserts;
+    counters.slots_scanned += slots.size() - i;
+    if (i > 0 && slots[i - 1].time == t) {
+      Slot& slot = slots[i - 1];
+      SMARTH_DCHECK(slot.last->next == nullptr && slot.last->seq < rec->seq);
+      slot.last->next = rec;
+      slot.last = rec;
+      return;
+    }
+    slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(i),
+                 Slot{t, rec, rec});
   }
 
   /// Links `rec` into the bucket of `rung` whose range contains its time.
@@ -198,53 +233,62 @@ struct Simulation::Impl {
   }
 
   /// Earliest live (non-cancelled) record, or nullptr when drained.
-  /// Tombstones met at the heap top or while a bucket or the overflow list
-  /// is drained are recycled on the spot.
+  /// Tombstones met at the front of the slots or while a bucket or the
+  /// overflow list is drained are recycled on the spot.
   EventRecord* peek_live() {
     for (;;) {
       drop_cancelled_top();
-      if (!active.empty()) return active.front().rec;
+      if (!slots.empty()) return slots.back().first;
       if (!refill()) return nullptr;
     }
   }
 
-  /// Recycles the tombstones at the heap top, so the top (if any) is live.
+  /// Recycles the tombstones at the front, so the front (if any) is live.
   void drop_cancelled_top() {
-    while (!active.empty() && active.front().rec->state ==
-                                  EventRecord::State::kCancelled) {
+    while (!slots.empty() &&
+           slots.back().first->state == EventRecord::State::kCancelled) {
       pool->release(pop());
     }
   }
 
-  /// True when a live event is due at or before `t`, judged from the heap
-  /// alone: it is never refilled. Every event due before active_end is in
-  /// the heap, so the answer is exact for t < active_end; beyond that it
+  /// True when a live event is due at or before `t`, judged from the slots
+  /// alone: they are never refilled. Every event due before active_end is
+  /// in a slot, so the answer is exact for t < active_end; beyond that it
   /// conservatively reads true.
   bool live_due_by(SimTime t) {
     drop_cancelled_top();
-    if (active.empty()) return t >= active_end;
-    return active.front().time <= t;
+    if (slots.empty()) return t >= active_end;
+    return slots.back().time <= t;
   }
 
+  /// Takes the head of the earliest slot's FIFO; drops the slot once empty.
   EventRecord* pop() {
-    EventRecord* top = active.front().rec;
-    std::pop_heap(active.begin(), active.end(), FiresLater{});
-    active.pop_back();
+    ++counters.pops;
+    counters.slots_at_pop += slots.size();
+    Slot& slot = slots.back();
+    EventRecord* top = slot.first;
+    slot.first = top->next;
+    if (slot.first == nullptr) {
+      slots.pop_back();
+    } else {
+      SMARTH_DCHECK(slot.first->time == slot.time &&
+                    slot.first->seq > top->seq);
+    }
     return top;
   }
 
-  /// Refills the drained heap from the next non-empty bucket, splitting
+  /// Refills the drained slots from the next non-empty bucket, splitting
   /// crowded buckets into finer rungs and rebuilding rung 0 from overflow
   /// when every rung is spent. False when nothing is pending.
   bool refill() {
-    SMARTH_DCHECK(active.empty());
+    SMARTH_DCHECK(slots.empty());
     for (;;) {
       if (depth == 0) {
         if (overflow == nullptr) return false;
         SimTime min_t = 0;
         SimTime max_t = 0;
         gather(std::exchange(overflow, nullptr), min_t, max_t);
-        if (active.empty()) continue;  // the list held only tombstones
+        if (gathered.empty()) continue;  // the list held only tombstones
         // The narrowest width whose 256 buckets cover [min_t, max_t].
         const SimDuration width =
             (max_t - min_t) / static_cast<SimDuration>(kBuckets) + 1;
@@ -273,7 +317,7 @@ struct Simulation::Impl {
       SimTime min_t = 0;
       SimTime max_t = 0;
       rung.count -= gather(list, min_t, max_t);
-      if (active.size() > kSplitThreshold && min_t != max_t) {
+      if (gathered.size() > kSplitThreshold && min_t != max_t) {
         const SimDuration span = hi - lo;
         open_rung(lo, hi,
                   (span + static_cast<SimDuration>(kBuckets) - 1) /
@@ -281,15 +325,15 @@ struct Simulation::Impl {
         continue;
       }
       active_end = hi;
-      if (active.empty()) continue;  // the bucket held only tombstones
-      std::make_heap(active.begin(), active.end(), FiresLater{});
+      if (gathered.empty()) continue;  // the bucket held only tombstones
+      fill_slots();
       return true;
     }
   }
 
-  /// Moves the live records of `list` into the (empty) heap vector, unsorted,
-  /// and recycles its tombstones. Returns how many records the list held;
-  /// `min_t` and `max_t` bound the live ones' times.
+  /// Moves the live records of `list` into the (empty) gathered vector,
+  /// unsorted, and recycles its tombstones. Returns how many records the
+  /// list held; `min_t` and `max_t` bound the live ones' times.
   std::size_t gather(EventRecord* list, SimTime& min_t, SimTime& max_t) {
     std::size_t records = 0;
     for (EventRecord* rec = list; rec != nullptr; ++records) {
@@ -297,17 +341,56 @@ struct Simulation::Impl {
       if (rec->state == EventRecord::State::kCancelled) {
         pool->release(rec);
       } else {
-        if (active.empty() || rec->time < min_t) min_t = rec->time;
-        if (active.empty() || rec->time > max_t) max_t = rec->time;
-        active.push_back({rec->time, rec});
+        if (gathered.empty() || rec->time < min_t) min_t = rec->time;
+        if (gathered.empty() || rec->time > max_t) max_t = rec->time;
+        gathered.push_back({rec->time, rec});
       }
       rec = next;
     }
     return records;
   }
 
+  /// Sorts the gathered records latest first and builds the slots from
+  /// them. Walking latest first meets each time's records in falling seq,
+  /// so each is pushed at its FIFO's head.
+  void fill_slots() {
+    std::sort(gathered.begin(), gathered.end(), FiresLater{});
+    for (const Gathered& entry : gathered) {
+      EventRecord* rec = entry.rec;
+      if (!slots.empty() && slots.back().time == entry.time) {
+        rec->next = slots.back().first;
+        slots.back().first = rec;
+      } else {
+        rec->next = nullptr;
+        slots.push_back({entry.time, rec, rec});
+      }
+    }
+    gathered.clear();
+    ++counters.refills;
+    SMARTH_DCHECK(slots_well_formed());
+  }
+
+  /// The slots' invariant: times strictly fall toward back() and lie before
+  /// active_end; no FIFO is empty; each FIFO holds its time's records in
+  /// rising seq and ends at `last`.
+  bool slots_well_formed() const {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const Slot& slot = slots[i];
+      if (slot.time >= active_end) return false;
+      if (i > 0 && slots[i - 1].time <= slot.time) return false;
+      if (slot.first == nullptr || slot.last->next != nullptr) return false;
+      for (const EventRecord* rec = slot.first; rec != nullptr;
+           rec = rec->next) {
+        if (rec->time != slot.time) return false;
+        if (rec->next != nullptr && rec->next->seq <= rec->seq) return false;
+        if (rec->next == nullptr && rec != slot.last) return false;
+      }
+    }
+    return true;
+  }
+
   /// Opens a rung one level finer over [start, end) and spreads the
-  /// gathered records of the heap vector into it.
+  /// gathered records into it.
   void open_rung(SimTime start, SimTime end, SimDuration width) {
     SMARTH_DCHECK(start >= active_end && start < end && width > 0);
     if (depth == rungs.size()) rungs.emplace_back();
@@ -318,21 +401,22 @@ struct Simulation::Impl {
     rung.width = width;
     rung.cursor = 0;
     active_end = start;
-    for (const HeapEntry& entry : active) link(rung, entry.rec);
-    active.clear();
+    for (const Gathered& entry : gathered) link(rung, entry.rec);
+    ++counters.rungs_opened;
+    counters.records_spread += gathered.size();
+    gathered.clear();
   }
 
   /// Pending category histogram, for the event-limit diagnostic.
   std::map<std::string, std::uint64_t> category_counts() const {
     std::map<std::string, std::uint64_t> counts;
-    auto tally = [&counts](const EventRecord* rec) {
-      if (rec->state != EventRecord::State::kPending) return;
-      counts[rec->category != nullptr ? rec->category : "event"] += 1;
+    auto tally_list = [&counts](const EventRecord* rec) {
+      for (; rec != nullptr; rec = rec->next) {
+        if (rec->state != EventRecord::State::kPending) continue;
+        counts[rec->category != nullptr ? rec->category : "event"] += 1;
+      }
     };
-    auto tally_list = [&tally](const EventRecord* rec) {
-      for (; rec != nullptr; rec = rec->next) tally(rec);
-    };
-    for (const HeapEntry& entry : active) tally(entry.rec);
+    for (const Slot& slot : slots) tally_list(slot.first);
     for (std::size_t d = 0; d < depth; ++d) {
       for (const EventRecord* head : rungs[d].heads) tally_list(head);
     }
@@ -412,6 +496,7 @@ void Simulation::count_in_place() {
   ++seq_;
   ++scheduled_;
   ++executed_;
+  ++impl_->counters.in_place;
 }
 
 void Simulation::run() {
@@ -456,6 +541,10 @@ bool Simulation::empty() const { return impl_->pool->live == 0; }
 
 std::uint64_t Simulation::events_cancelled() const {
   return impl_->pool->cancelled;
+}
+
+const EngineCounters& Simulation::engine_counters() const {
+  return impl_->counters;
 }
 
 std::string Simulation::pending_category_summary(std::size_t top_n) const {

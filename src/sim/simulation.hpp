@@ -5,16 +5,21 @@
 // callbacks scheduled here.
 //
 // Internally the queue is a multi-rung ladder over pooled, freelist-recycled
-// event records (DESIGN.md §10). A small binary heap holds only the events
-// of the bucket being drained. Everything later sits unsorted in the finest
-// rung of 256 time buckets whose range contains it, or in an overflow list
-// beyond the coarsest rung. A bucket that holds more than a few events at
-// more than one time is split into a finer rung over exactly its own range,
-// instead of being heapified. Each event's callback is constructed in place
-// in its pooled record and invoked there. The observable contract is that of
-// the original binary-heap core (`sim::ReferenceQueue`): strict (time, seq)
-// pop order, schedule_now FIFO among same-time events, and cancellation via
-// EventHandle.
+// event records (DESIGN.md §10). The events of the bucket being drained sit
+// sorted in a short vector of time slots, latest first: one slot per
+// distinct time, each the FIFO of that instant's records. A new event holds
+// the largest pending sequence number, so it joins the tail of its time's
+// FIFO without comparing one, and a pop takes the head of the earliest
+// slot. (A binary heap did this before; its sift compared sequence numbers
+// at every level.) Everything later sits unsorted in the finest rung of 256
+// time buckets whose range contains it, or in an overflow list beyond the
+// coarsest rung. A bucket that holds more than a few events at more than
+// one time is split into a finer rung over exactly its own range, instead
+// of being sorted into slots. Each event's callback is constructed in place
+// in its pooled record and invoked there. The observable contract is that
+// of the original binary-heap core (`sim::ReferenceQueue`): strict
+// (time, seq) pop order, schedule_now FIFO among same-time events, and
+// cancellation via EventHandle.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +42,8 @@ class EventPool;
 /// recycled through a freelist; `gen` is bumped on every recycle so stale
 /// EventHandles read as not-pending instead of aliasing the new occupant.
 /// `next` links the record into the freelist while it is free, and into its
-/// ladder bucket or the overflow list while it is pending.
+/// ladder bucket, the overflow list or its time slot's FIFO while it is
+/// pending.
 struct EventRecord {
   enum class State : std::uint8_t { kFree, kPending, kCancelled, kFiring };
 
@@ -76,6 +82,21 @@ class PoolRef {
   EventPool* pool_ = nullptr;
 };
 }  // namespace detail
+
+/// Deterministic event-core counters: plain increments, identical for the
+/// same seed and configuration on any host, so a structural regression (a
+/// bucket that stops splitting, inserts that scan a whole same-time group)
+/// shows as a changed count, not a noisy wall-clock ratio.
+struct EngineCounters {
+  std::uint64_t pops = 0;           ///< records taken from the slots
+  std::uint64_t slots_at_pop = 0;   ///< sum of the slot count at each pop
+  std::uint64_t slot_inserts = 0;   ///< new records put straight in a slot
+  std::uint64_t slots_scanned = 0;  ///< sum of earlier slots each passed
+  std::uint64_t refills = 0;        ///< buckets sorted into the slots
+  std::uint64_t rungs_opened = 0;
+  std::uint64_t records_spread = 0;  ///< records linked into opened rungs
+  std::uint64_t in_place = 0;        ///< in-place hand-offs (count_in_place)
+};
 
 /// Handle to a scheduled event; allows cancellation. Default-constructed
 /// handles are inert. Liveness is tracked with a generation counter on the
@@ -179,11 +200,12 @@ class Simulation {
   /// In-place events. Where a callback would `post_now(category, f)`, it may
   /// ask may_run_in_place() instead; if true, it posts nothing, carries on,
   /// and ends with count_in_place() and `f()`. True when no other live event
-  /// is due at now() (judged from the heap top alone) and the running loop
-  /// may execute one more event (event limit, run_steps budget): the posted
-  /// event would then run right after this callback, ahead of anything the
-  /// callback posts after it, so running it as the callback's last act keeps
-  /// the (time, seq) order.
+  /// is due at now() (judged from the earliest time slot alone; the slots
+  /// hold every event due before the drained bucket's end) and the running
+  /// loop may execute one more event (event limit, run_steps budget): the
+  /// posted event would then run right after this callback, ahead of
+  /// anything the callback posts after it, so running it as the callback's
+  /// last act keeps the (time, seq) order.
   bool may_run_in_place();
   /// Accounts the in-place event as scheduled and executed and consumes
   /// its sequence number, so every counter reads as if it had been queued.
@@ -194,6 +216,7 @@ class Simulation {
   std::uint64_t events_scheduled() const { return scheduled_; }
   /// Events cancelled before firing (via EventHandle::cancel()).
   std::uint64_t events_cancelled() const;
+  const EngineCounters& engine_counters() const;
 
   /// Backstop against runaway models; 0 disables. Default: 4e9.
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }

@@ -1,12 +1,15 @@
 // Event-core coverage: differential testing of the ladder queue against the
 // pre-refactor reference design (randomized scripts and scripted cases aimed
-// at the rung machinery), tombstone accounting, and the category dump the
-// event limit produces.
+// at the rung machinery), tombstone accounting, the category dump the event
+// limit produces, and the deterministic event-core counters pinned on a fixed
+// churn and a short packet-fidelity upload.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -14,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster.hpp"
+#include "cluster/cluster_spec.hpp"
 #include "sim/reference_queue.hpp"
 #include "sim/simulation.hpp"
 
@@ -498,6 +503,92 @@ TEST(EngineInPlace, InPlaceEventMatchesQueuedOne) {
   EXPECT_EQ(scenario(true), scenario(false));
   EXPECT_EQ(std::get<0>(scenario(true)),
             (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+// --- Deterministic counters -------------------------------------------------
+// The counters depend only on the event sequence, so they are pinned exactly:
+// a structural change to the queue (a bucket that stops splitting, a refill
+// that gathers too much, an insert that scans a whole same-time group) moves
+// them on every host, where a wall-clock ratio would only get noisier.
+
+std::string describe(const EngineCounters& c) {
+  std::ostringstream os;
+  os << "pops=" << c.pops << " slots_at_pop=" << c.slots_at_pop
+     << " slot_inserts=" << c.slot_inserts
+     << " slots_scanned=" << c.slots_scanned << " refills=" << c.refills
+     << " rungs_opened=" << c.rungs_opened
+     << " records_spread=" << c.records_spread << " in_place=" << c.in_place;
+  return os.str();
+}
+
+TEST(EngineCounters, PinnedOnFixedChurn) {
+  // bench_engine_scale's churn, smaller: self-rescheduling chains, each
+  // event posting its successor a pseudo-random 100-10100 ns later.
+  Simulation sim(1);
+  std::uint64_t n = 0;
+  std::function<void()> spawn = [&] {
+    const SimDuration delay =
+        100 + static_cast<SimDuration>((n++ * 2654435761u) % 10'000);
+    sim.post_after(delay, "churn", [&] { spawn(); });
+  };
+  for (int i = 0; i < 4096; ++i) spawn();
+  ASSERT_EQ(sim.run_steps(200'000), 200'000u);
+  const EngineCounters& c = sim.engine_counters();
+  EXPECT_EQ(c.pops, sim.events_executed());
+  EXPECT_EQ(describe(c),
+            "pops=200000 slots_at_pop=1811330 slot_inserts=0 "
+            "slots_scanned=0 refills=42708 rungs_opened=1614 "
+            "records_spread=155856 in_place=0");
+}
+
+TEST(EngineCounters, PinnedOnPacketFidelityUpload) {
+  cluster::ClusterSpec spec = cluster::small_cluster(42);
+  spec.hdfs.block_size = 8 * kMiB;
+  spec.hdfs.fidelity = hdfs::DataFidelity::kPacket;
+  cluster::Cluster cluster(spec);
+  const hdfs::StreamStats stats = cluster.run_upload(
+      "/data/counters.bin", 32 * kMiB, cluster::Protocol::kSmarth);
+  ASSERT_FALSE(stats.failed);
+  const sim::Simulation& sim = cluster.sim();
+  EXPECT_EQ(sim.events_executed(), 19'236u);
+  EXPECT_EQ(describe(sim.engine_counters()),
+            "pops=15324 slots_at_pop=129927 slot_inserts=15226 "
+            "slots_scanned=40042 refills=13 rungs_opened=1 records_spread=14 "
+            "in_place=3912");
+}
+
+TEST(EngineCounters, SameTimeBurstMatchesReferenceAndScansLittle) {
+  // 100k events at one instant, each posting a successor at now and one at
+  // now + 1. A marker far ahead widens rung 0's buckets, so the burst's
+  // bucket holds one time only and is sorted whole, and both successors
+  // land in its slots. Appending to an instant's FIFO must not walk the
+  // instant's records: inserts pass at most one earlier slot on average.
+  constexpr int kBurst = 100'000;
+  constexpr SimTime kAt = 1'000;
+  auto burst = [](auto& core, std::vector<int>& order) {
+    for (int j = 0; j < kBurst; ++j) {
+      at(core, kAt, [&core, &order, j] {
+        order.push_back(j);
+        now(core, [&order, j] { order.push_back(kBurst + j); });
+        after(core, 1, [&order, j] { order.push_back(2 * kBurst + j); });
+      });
+    }
+    at(core, kAt + 1'000'000'000, [&order] { order.push_back(-1); });
+  };
+  std::vector<int> ladder_order;
+  std::vector<int> reference_order;
+  Simulation sim;
+  burst(sim, ladder_order);
+  sim.run();
+  ReferenceQueue ref;
+  burst(ref, reference_order);
+  ref.run();
+  ASSERT_EQ(ladder_order.size(), 3u * kBurst + 1);
+  EXPECT_EQ(ladder_order, reference_order);
+  const EngineCounters& c = sim.engine_counters();
+  EXPECT_EQ(c.slot_inserts, 2u * kBurst);
+  EXPECT_LE(c.slots_scanned, c.slot_inserts);
+  EXPECT_LE(c.slots_at_pop, 2 * c.pops);
 }
 
 TEST(EngineLimit, CategorySummaryCountsPending) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sim/simulation.hpp"
 #include "storage/block_store.hpp"
+#include "storage/crc32c.hpp"
 #include "storage/disk.hpp"
 #include "storage/staging_buffer.hpp"
 
@@ -237,6 +240,32 @@ TEST(StagingBuffer, OverReleaseThrows) {
   StagingBuffer buf(1000);
   EXPECT_TRUE(buf.reserve(100));
   EXPECT_THROW(buf.release(200), std::logic_error);
+}
+
+// --- CRC32C -------------------------------------------------------------------
+
+TEST(Crc32c, CastagnoliCheckValue) {
+  // The standard check value: CRC-32C of the ASCII digits "123456789".
+  EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(crc32c("", 0), 0u);
+}
+
+TEST(Crc32c, SeedChainsIncrementalComputation) {
+  EXPECT_EQ(crc32c("6789", 4, crc32c("12345", 5)), crc32c("123456789", 9));
+}
+
+TEST(Crc32c, OfU64IsCrcOfLittleEndianBytes) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0x0123456789ABCDEF},
+        std::uint64_t{0xFEDCBA9876543210}, ~std::uint64_t{0}}) {
+    unsigned char bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+    EXPECT_EQ(crc32c_of_u64(v), crc32c(bytes, sizeof bytes)) << v;
+  }
+  // Byte order matters: 1 and 1 << 56 differ only in where the set byte is.
+  EXPECT_NE(crc32c_of_u64(1), crc32c_of_u64(std::uint64_t{1} << 56));
 }
 
 }  // namespace
