@@ -6,7 +6,9 @@
 #     section;
 #   - the result table ("protocol ..." for a single or open-loop run, and
 #     each "<protocol> sweep, ..." per-seed table with its "sweep:" line);
-#   - the "improvement:" and "mean improvement:" lines.
+#   - the "improvement:" and "mean improvement:" lines;
+#   - every --timeline chart: its title, its rows, its rule and its time
+#     range line (or the one-line single-sample note).
 #
 # Expects -DSMARTHSIM=<path to the binary>, -DGOLDEN=<golden file> and
 # -DOUT_DIR=<writable dir>. On a mismatch the actual tables are written to
@@ -33,7 +35,8 @@ endif()
 # A robustness section is its title line, the table header and rule, then
 # every "<label>  <number>" row up to the first line of anything else. A
 # result table is its header line, then its rule and every row that starts
-# with a protocol name or a seed.
+# with a protocol name or a seed. A timeline chart is its title line, then
+# every row of '#' and blanks, its rule and the "<from> .. <to>" line.
 string(REPLACE "\n" ";" lines "${out}")
 set(kept "")
 set(robustness "")
@@ -53,6 +56,14 @@ foreach(line IN LISTS lines)
   elseif(state STREQUAL "rows" AND
          line MATCHES "^[A-Za-z][A-Za-z/()-]*( [A-Za-z/()-]+)*  +[0-9]")
     string(APPEND kept "${line}\n")
+  elseif(line MATCHES "^pipeline concurrency[ :]")
+    string(APPEND kept "${line}\n")
+    set(state "chart")
+  elseif(state STREQUAL "chart" AND line MATCHES "^[# ]+$|^-+$")
+    string(APPEND kept "${line}\n")
+  elseif(state STREQUAL "chart" AND line MATCHES " \\.\\. ")
+    string(APPEND kept "${line}\n")
+    set(state "outside")
   elseif(line MATCHES "^(protocol|seed)  ")
     string(APPEND kept "${line}\n")
     set(state "table")
