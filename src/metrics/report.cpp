@@ -1,8 +1,11 @@
 #include "metrics/report.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
+
+#include "common/check.hpp"
 
 namespace smarth::metrics {
 
@@ -146,6 +149,50 @@ std::string render_fault_summary(const Registry& registry) {
     }
   }
   return table.to_string();
+}
+
+std::string render_strip_chart(const std::string& title, const FlightRun& run,
+                               std::size_t column, int width) {
+  SMARTH_CHECK(width > 0);
+  const std::deque<FlightSample>& samples = run.samples;
+  if (samples.empty()) return title + ": (empty)\n";
+  const auto value = [column](const FlightSample& s) {
+    return s.values.at(column);
+  };
+  const SimTime t0 = samples.front().at;
+  const SimTime t1 = samples.back().at;
+  if (t1 == t0) {
+    // All samples share one instant: a bar chart would stretch that instant
+    // across the whole width and pretend the level held for a span. Report
+    // the (final) value at its time instead.
+    return title + ": " + std::to_string(value(samples.back())) + " at " +
+           format_duration(t0) + " (single sample)\n";
+  }
+  const double span = std::max<double>(1.0, static_cast<double>(t1 - t0));
+
+  // Resample to `width` columns (last value wins per column).
+  std::vector<double> columns(static_cast<std::size_t>(width), 0.0);
+  double peak = 1.0;
+  for (const FlightSample& s : samples) {
+    auto col = static_cast<std::size_t>(
+        static_cast<double>(s.at - t0) / span * (width - 1));
+    // Carry the value forward so gaps hold the previous level.
+    std::fill(columns.begin() + static_cast<std::ptrdiff_t>(col),
+              columns.end(), value(s));
+    peak = std::max(peak, value(s));
+  }
+
+  const int levels = static_cast<int>(std::min(8.0, std::ceil(peak)));
+  std::string out = title + " (peak " + std::to_string(peak) + ")\n";
+  for (int level = levels; level >= 1; --level) {
+    const double threshold = peak * level / levels;
+    std::string row;
+    for (double v : columns) row += v >= threshold - 1e-9 ? '#' : ' ';
+    out += row + "\n";
+  }
+  out += std::string(static_cast<std::size_t>(width), '-') + "\n";
+  out += format_duration(t0) + " .. " + format_duration(t1) + "\n";
+  return out;
 }
 
 }  // namespace smarth::metrics

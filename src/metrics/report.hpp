@@ -1,6 +1,7 @@
 // Experiment reporting: HDFS-vs-SMARTH comparison rows, the table renderer
 // that prints the series the paper's figures plot (upload seconds per
-// configuration, plus improvement percentages), and the robustness table.
+// configuration, plus improvement percentages), the robustness table, and
+// the ASCII strip chart of one flight-recorder column.
 #pragma once
 
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "common/table.hpp"
 #include "common/units.hpp"
+#include "trace/flight_recorder.hpp"
 #include "trace/metrics_registry.hpp"
 
 namespace smarth::metrics {
@@ -33,5 +35,14 @@ std::string render_comparison_table(const std::string& x_label,
 /// read from `registry` (one run's, or a sweep's merged snapshot); a row
 /// whose metric was never recorded shows 0.
 std::string render_fault_summary(const Registry& registry);
+
+/// Fixed-width ASCII strip chart of `run`'s values in `column`, titled
+/// `title`: one row per integer level up to the peak (at most 8), each
+/// sample holding until the next and the last one landing in a character
+/// column winning it. Only the samples the ring kept are drawn. A run whose
+/// samples all share one instant renders as a one-line "value at time
+/// (single sample)" note instead; one with no samples as "(empty)".
+std::string render_strip_chart(const std::string& title, const FlightRun& run,
+                               std::size_t column, int width = 72);
 
 }  // namespace smarth::metrics

@@ -1,8 +1,8 @@
-// Tests for the CLI flag parser and the time-series Timeline.
+// Tests for the CLI flag parser and the --timeline strip chart.
 #include <gtest/gtest.h>
 
 #include "common/flags.hpp"
-#include "metrics/timeline.hpp"
+#include "metrics/report.hpp"
 
 namespace smarth {
 namespace {
@@ -87,39 +87,30 @@ TEST(Flags, UsageListsEverything) {
   EXPECT_NE(usage.find("default: small"), std::string::npos);
 }
 
-TEST(Timeline, RecordsAndAggregates) {
-  metrics::Timeline t("x");
-  t.record(0, 1.0);
-  t.record(seconds(10), 3.0);
-  t.record(seconds(20), 0.0);
-  EXPECT_DOUBLE_EQ(t.max_value(), 3.0);
-  EXPECT_DOUBLE_EQ(t.min_value(), 0.0);
-  // 0..10s at 1, 10..20s at 3, 20..30s at 0 => mean 4/3 over 30 s.
-  EXPECT_NEAR(t.time_weighted_mean(seconds(30)), 4.0 / 3.0, 1e-9);
+/// A one-column flight run with the given (time, value) samples.
+metrics::FlightRun run_of(
+    std::initializer_list<std::pair<SimTime, double>> points) {
+  metrics::FlightRun run;
+  for (const auto& [t, v] : points) run.samples.push_back({t, {v}});
+  return run;
 }
 
-TEST(Timeline, OutOfOrderThrows) {
-  metrics::Timeline t("x");
-  t.record(seconds(5), 1.0);
-  EXPECT_THROW(t.record(seconds(4), 1.0), std::logic_error);
-}
-
-TEST(Timeline, AsciiRenderShape) {
-  metrics::Timeline t("pipelines");
-  t.record(0, 1.0);
-  t.record(seconds(5), 3.0);
-  t.record(seconds(10), 2.0);
-  const std::string chart = t.render_ascii(40);
-  EXPECT_NE(chart.find("pipelines"), std::string::npos);
+TEST(StripChart, AsciiRenderShape) {
+  const metrics::FlightRun run =
+      run_of({{0, 1.0}, {seconds(5), 3.0}, {seconds(10), 2.0}});
+  const std::string chart = metrics::render_strip_chart("pipelines", run, 0, 40);
+  EXPECT_NE(chart.find("pipelines (peak 3.000000)"), std::string::npos);
   EXPECT_NE(chart.find('#'), std::string::npos);
   // Bottom level is always filled once values are >= 1.
   EXPECT_NE(chart.find("####"), std::string::npos);
+  // Three levels, a rule of the chart's width and the time range.
+  EXPECT_NE(chart.find(std::string(40, '-') + "\n0 ns .. 10.000 s\n"),
+            std::string::npos);
 }
 
-TEST(Timeline, EmptyRender) {
-  metrics::Timeline t("empty");
-  EXPECT_NE(t.render_ascii().find("(empty)"), std::string::npos);
-  EXPECT_DOUBLE_EQ(t.time_weighted_mean(seconds(1)), 0.0);
+TEST(StripChart, EmptyRender) {
+  EXPECT_EQ(metrics::render_strip_chart("empty", metrics::FlightRun{}, 0),
+            "empty: (empty)\n");
 }
 
 }  // namespace

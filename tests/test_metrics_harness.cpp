@@ -5,7 +5,6 @@
 
 #include "harness/experiment.hpp"
 #include "metrics/report.hpp"
-#include "metrics/timeline.hpp"
 
 namespace smarth {
 namespace {
@@ -184,41 +183,21 @@ TEST(Harness, WarmSpeedRecordsMatchConfiguration) {
   }
 }
 
-TEST(Timeline, SinglePointMeanHoldsValueToHorizon) {
-  metrics::Timeline t("x");
-  t.record(seconds(5), 4.0);
-  // One sample: its value holds from its own time to the horizon.
-  EXPECT_DOUBLE_EQ(t.time_weighted_mean(seconds(10)), 4.0);
-  // Horizon at or before the sample leaves an empty window: mean is 0, and
-  // in particular no division by zero / negative weighting.
-  EXPECT_DOUBLE_EQ(t.time_weighted_mean(seconds(5)), 0.0);
-  EXPECT_DOUBLE_EQ(t.time_weighted_mean(seconds(2)), 0.0);
-}
-
-TEST(Timeline, HorizonBeforeFirstPointIsZero) {
-  metrics::Timeline t("x");
-  t.record(seconds(10), 3.0);
-  t.record(seconds(20), 1.0);
-  EXPECT_DOUBLE_EQ(t.time_weighted_mean(seconds(8)), 0.0);
-  // Horizon inside the series integrates only the covered prefix.
-  EXPECT_DOUBLE_EQ(t.time_weighted_mean(seconds(15)), 3.0);
-}
-
-TEST(Timeline, SingleSampleRendersNoteNotBar) {
-  metrics::Timeline t("pipes");
-  t.record(seconds(5), 4.0);
-  const std::string out = t.render_ascii(20);
+TEST(StripChart, SingleSampleRendersNoteNotBar) {
+  metrics::FlightRun run;
+  run.samples.push_back({seconds(5), {4.0}});
+  const std::string out = metrics::render_strip_chart("pipes", run, 0, 20);
   EXPECT_NE(out.find("single sample"), std::string::npos);
   // No fake full-width bar claiming the level held over a span.
   EXPECT_EQ(out.find("####"), std::string::npos);
 }
 
-TEST(Timeline, DuplicateTimestampsKeepLastValue) {
-  metrics::Timeline t("x");
-  t.record(seconds(1), 2.0);
-  t.record(seconds(1), 6.0);  // same instant: later sample supersedes
-  EXPECT_DOUBLE_EQ(t.time_weighted_mean(seconds(3)), 6.0);
-  EXPECT_NE(t.render_ascii(20).find("single sample"), std::string::npos);
+TEST(StripChart, DuplicateTimestampsKeepLastValue) {
+  metrics::FlightRun run;
+  run.samples.push_back({seconds(1), {2.0}});
+  run.samples.push_back({seconds(1), {6.0}});  // same instant: later wins
+  EXPECT_EQ(metrics::render_strip_chart("x", run, 0, 20),
+            "x: 6.000000 at 1.000 s (single sample)\n");
 }
 
 TEST(Harness, TwoRackScenarioUnlimitedMeansNoThrottle) {
