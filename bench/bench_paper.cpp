@@ -1430,13 +1430,7 @@ std::vector<double> overload_arm(cluster::Cluster& cluster,
       registry.find_histogram("client.addblock_ns");
   const metrics::FlightRecorder& flight = *metrics::flight_recorder();
   const metrics::FlightRun& run = flight.runs().back();
-  const std::vector<metrics::SeriesSpec>& columns = flight.config().series;
-  const auto queue_column = static_cast<std::size_t>(
-      std::find_if(columns.begin(), columns.end(),
-                   [](const metrics::SeriesSpec& column) {
-                     return column.column == "nn.rpc.queue_depth";
-                   }) -
-      columns.begin());
+  const std::size_t queue_column = flight.column("nn.rpc.queue_depth");
   double queue_peak = 0.0;
   for (const metrics::FlightSample& sample : run.samples) {
     queue_peak = std::max(queue_peak, sample.values.at(queue_column));

@@ -78,16 +78,22 @@ double Histogram::upper_bound(std::size_t i) const {
 
 double Histogram::quantile(double q) const {
   SMARTH_CHECK(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return 0.0;
-  const double target = q * static_cast<double>(total_);
+  return quantile_of(counts_, total_, q);
+}
+
+double Histogram::quantile_of(const std::vector<std::uint64_t>& counts,
+                              std::uint64_t total, double q) const {
+  SMARTH_CHECK(counts.size() == counts_.size());
+  if (total == 0) return 0.0;
+  const double target = q * static_cast<double>(total);
   double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const double next = cumulative + static_cast<double>(counts[i]);
     if (next >= target) {
       const double lo = (i == 0) ? 0.0 : bounds_[i - 1];
       const double hi = upper_bound(i);
-      if (!std::isfinite(hi) || counts_[i] == 0) return lo;
-      const double frac = (target - cumulative) / static_cast<double>(counts_[i]);
+      if (!std::isfinite(hi) || counts[i] == 0) return lo;
+      const double frac = (target - cumulative) / static_cast<double>(counts[i]);
       return lo + frac * (hi - lo);
     }
     cumulative = next;

@@ -52,6 +52,11 @@ class Histogram {
 
   /// Approximate quantile by linear interpolation within the hit bucket.
   double quantile(double q) const;
+  /// The same interpolation over `counts`, per-bucket counts laid out like
+  /// this histogram's (e.g. the increase between two snapshots of it) that
+  /// sum to `total`.
+  double quantile_of(const std::vector<std::uint64_t>& counts,
+                     std::uint64_t total, double q) const;
 
   std::string to_string() const;
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "hdfs/output_stream.hpp"
+#include "trace/flight_recorder.hpp"
 #include "trace/metrics_registry.hpp"
 
 namespace smarth::harness {
@@ -28,10 +29,10 @@ struct SeedRun {
   /// outcome recorded in stats/metrics, not this.)
   bool errored = false;
   std::string error;
-  /// Flight-recorder run fragment (FlightRecorder::run_json) when the body
-  /// sampled time series; empty otherwise. Merged in seed order by the
-  /// driver, so the combined export is deterministic.
-  std::string timeseries;
+  /// This seed's flight-recorder run when the body sampled time series;
+  /// empty otherwise. The driver adds the runs to one recorder in seed
+  /// order, so the combined export is deterministic.
+  metrics::FlightRun timeseries;
 };
 
 /// Aggregate of a whole sweep, merged in seed order.
