@@ -166,5 +166,28 @@ TEST(ClientCrash, RestartedClientWritesAgain) {
   EXPECT_EQ(metrics::global_registry().counter_value("faults.client_restarts"), 1u);
 }
 
+TEST(ClientCrash, ReadOnCrashedClientFailsAtOnce) {
+  // A dead host's RPCs are dropped, so its read can never fetch block
+  // locations: it must fail at once, and be counted like any other read.
+  metrics::global_registry().reset();
+  Cluster cluster(crash_spec(41));
+  const hdfs::StreamStats upload =
+      cluster.run_upload("/r", 16 * kMiB, Protocol::kSmarth);
+  ASSERT_FALSE(upload.failed) << upload.failure_reason;
+  cluster.crash_client(0);
+  const SimTime crashed_at = cluster.sim().now();
+
+  const hdfs::ReadStats read = cluster.run_download("/r");
+  EXPECT_TRUE(read.failed);
+  EXPECT_EQ(read.failure_reason, "client crashed");
+  EXPECT_EQ(read.path, "/r");
+  EXPECT_EQ(read.bytes_read, 0);
+  EXPECT_EQ(read.started_at, crashed_at);
+  EXPECT_EQ(read.finished_at, crashed_at);
+  const metrics::Registry& reg = metrics::global_registry();
+  EXPECT_EQ(reg.counter_value("read.reads"), 1u);
+  EXPECT_EQ(reg.counter_value("read.failed_reads"), 1u);
+}
+
 }  // namespace
 }  // namespace smarth
