@@ -1620,17 +1620,12 @@ int main() {
   }
 
   // The pool numbers its runs base_seed + i; with base 0 that is the index
-  // of the job to run. Each job writes only its own slot of `values`: the
-  // upload seconds, then the row's observed numbers.
-  std::vector<std::vector<double>> values(jobs.size());
+  // of the job to run.
   const harness::SweepSummary pass = harness::run_seed_sweep(
       0, static_cast<int>(jobs.size()), /*jobs=*/0,
-      [&jobs, &values](std::uint64_t index, harness::SeedRun& out) {
+      [&jobs](std::uint64_t index) {
         const Job& job = jobs[index];
-        std::vector<double>& mine = values[index];
-        out.stats =
-            harness::run_protocol(*job.row, job.protocol, job.seed, &mine);
-        mine.insert(mine.begin(), to_seconds(out.stats.elapsed()));
+        return harness::run_protocol(*job.row, job.protocol, job.seed);
       });
 
   bool failed = false;
@@ -1667,12 +1662,14 @@ int main() {
         } else {
           for (int i = 0; i < series.seeds; ++i) {
             for (Protocol protocol : series.protocols) {
+              // The upload seconds, then the row's observed numbers.
+              const harness::SeedRun& run = pass.runs[next++];
               std::vector<double>& sum = mean[protocol == Protocol::kSmarth];
-              sum.resize(values[next].size());
-              for (std::size_t k = 0; k < sum.size(); ++k) {
-                sum[k] += values[next][k];
+              sum.resize(run.observed.size() + 1);
+              sum[0] += to_seconds(run.stats.elapsed());
+              for (std::size_t k = 0; k < run.observed.size(); ++k) {
+                sum[k + 1] += run.observed[k];
               }
-              ++next;
             }
           }
           for (std::vector<double>& sum : mean) {

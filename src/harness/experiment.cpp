@@ -1,45 +1,73 @@
 #include "harness/experiment.hpp"
 
 #include "common/check.hpp"
+#include "trace/trace_recorder.hpp"
 
 namespace smarth::harness {
 
-hdfs::StreamStats run_protocol(const Scenario& scenario,
-                               cluster::Protocol protocol,
-                               std::uint64_t seed,
-                               std::vector<double>* observed) {
+namespace {
+
+/// Points the installed trace recorder's clock at one run's simulation for
+/// the guard's lifetime: the recorder outlives the cluster, its clock must
+/// not.
+class TraceClock {
+ public:
+  explicit TraceClock(const sim::Simulation& sim) {
+    if (trace::active()) {
+      trace::recorder()->set_time_source([&sim] { return sim.now(); });
+    }
+  }
+  ~TraceClock() {
+    if (trace::active()) trace::recorder()->set_time_source(nullptr);
+  }
+  TraceClock(const TraceClock&) = delete;
+  TraceClock& operator=(const TraceClock&) = delete;
+};
+
+}  // namespace
+
+Run run_protocol(const Scenario& scenario, cluster::Protocol protocol,
+                 std::uint64_t seed) {
   SMARTH_CHECK_MSG(static_cast<bool>(scenario.make_spec),
                    "scenario has no spec builder");
-  // Declared before the cluster, which detaches from the recorder when it
-  // is destroyed.
+  const char* name = cluster::protocol_name(protocol);
+  // Before the cluster exists: datanodes cache registry references at
+  // construction, which a later reset would dangle.
+  metrics::global_registry().reset();
+  if (trace::active()) trace::recorder()->begin_run(name);
+  // Declared before the cluster, which attaches its sampler to the current
+  // flight run when it is built and detaches when it is destroyed.
   std::optional<metrics::FlightRecorder> flight;
   std::optional<metrics::ScopedFlightInstall> flight_install;
   if (scenario.flight) {
     flight_install.emplace(&flight.emplace(*scenario.flight));
-    flight->begin_run(scenario.label, seed);
+    flight->begin_run(name, seed);
   }
   cluster::Cluster cluster(scenario.make_spec(seed));
+  const TraceClock clock(cluster.sim());
   if (scenario.prepare) scenario.prepare(cluster);
   const Observer observer =
       scenario.observe ? scenario.observe(cluster, protocol) : nullptr;
-  hdfs::StreamStats stats =
-      scenario.open_loop
-          ? open_loop_stats(
-                workload::OpenLoopWorkload(protocol, *scenario.open_loop)
-                    .run(cluster))
-          : cluster.run_upload(scenario.path, scenario.file_size, protocol);
+  Run run;
+  if (scenario.open_loop) {
+    const workload::OpenLoopResult& load = run.open_loop.emplace(
+        workload::OpenLoopWorkload(protocol, *scenario.open_loop)
+            .run(cluster));
+    run.stats.started_at = load.started_at;
+    run.stats.finished_at = load.finished_at;
+    run.stats.file_size = load.bytes_completed;
+    run.stats.failed = load.stuck > 0;
+  } else {
+    run.stats = cluster.run_upload(scenario.path, scenario.file_size, protocol);
+  }
+  if (scenario.settle) scenario.settle(cluster, run.stats);
+  run.events = cluster.sim().events_executed();
+  // While the cluster is alive: the quiescence watchdogs read the live
+  // registry and a firing's dump wants the pending-event summary.
   if (flight) flight->finish_run(cluster.sim().now());
-  if (observer && observed) *observed = observer(stats);
-  return stats;
-}
-
-hdfs::StreamStats open_loop_stats(const workload::OpenLoopResult& result) {
-  hdfs::StreamStats stats;
-  stats.started_at = result.started_at;
-  stats.finished_at = result.finished_at;
-  stats.file_size = result.bytes_completed;
-  stats.failed = result.stuck > 0;
-  return stats;
+  if (observer) run.observed = observer(run.stats);
+  if (flight) run.flight = flight->take_run();
+  return run;
 }
 
 void warm_speed_records(cluster::Cluster& cluster, std::size_t client_index) {

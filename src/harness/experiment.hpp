@@ -1,8 +1,12 @@
-// Experiment runner: builds a fresh cluster per run (each protocol gets an
-// identical, independently seeded world), applies the scenario's traffic
-// shaping / faults, uploads one file (or runs an open-loop load) and reads
-// the row's extra numbers off the same cluster. Every bench_paper row
-// (figures, Table I, ablations, extensions) is a Scenario run through this.
+// Experiment runner: the one per-run lifecycle. Each run builds a fresh
+// cluster (each protocol gets an identical, independently seeded world) on
+// a freshly reset metrics registry, with its trace run and, when asked, its
+// flight-recorder run; applies the scenario's traffic shaping and faults;
+// uploads one file (or runs an open-loop load); lets the scenario settle
+// the run; and reads the row's extra numbers off the same cluster. Every
+// bench_paper row (figures, Table I, ablations, extensions) and every
+// smarthsim world (single run, open loop, sweep seed) is a Scenario run
+// through this.
 #pragma once
 
 #include <functional>
@@ -19,7 +23,7 @@ namespace smarth::harness {
 
 /// Reads a run's extra numbers (first-hop speed, staging high water, read
 /// rate, makespan, ...) once its measured upload has finished, whether it
-/// completed or failed.
+/// completed or failed, and the scenario has settled the run.
 using Observer = std::function<std::vector<double>(const hdfs::StreamStats&)>;
 
 struct Scenario {
@@ -37,27 +41,48 @@ struct Scenario {
   Bytes file_size = 8 * kGiB;
   std::string path = "/data/input.bin";
   /// Optional: an open-loop multi-tenant load that runs in place of the
-  /// measured upload (no file is written at `path`); its outcome reaches
-  /// the observer as open_loop_stats().
+  /// measured upload (no file is written at `path`); the observer gets its
+  /// outcome folded into upload stats (see Run::stats).
   std::optional<workload::OpenLoopConfig> open_loop = {};
   /// Optional: samples the run on a flight recorder of this config. Its run
   /// begins before the cluster is built (the cluster attaches its sampler
   /// then) and ends before the observer, which reads it through
-  /// metrics::flight_recorder().
+  /// metrics::flight_recorder(); Run::flight hands it back.
   std::optional<metrics::FlightRecorderConfig> flight = {};
+  /// Optional: called on the run's own cluster once the measured upload (or
+  /// the open-loop load) has ended, before the flight run finishes. It may
+  /// drive the simulation on (recovery waits, read-backs), so that time is
+  /// sampled and counted in Run::events, and the observer sees a run whose
+  /// quiescence watchdogs have seen all of it.
+  std::function<void(cluster::Cluster&, const hdfs::StreamStats&)> settle =
+      {};
 };
 
-/// Runs one protocol once; throws only on harness misuse or from the
-/// scenario's hooks (a failed upload is reported in the stats). When the
-/// scenario observes, the observer's numbers land in `*observed`.
-hdfs::StreamStats run_protocol(const Scenario& scenario,
-                               cluster::Protocol protocol,
-                               std::uint64_t seed = 42,
-                               std::vector<double>* observed = nullptr);
+/// One run's outcome.
+struct Run {
+  /// The measured upload's stats, or the open-loop load's as one upload:
+  /// its makespan and the bytes of its completed uploads, failed when a job
+  /// was left stuck.
+  hdfs::StreamStats stats;
+  /// The open-loop load's own result, when the scenario ran one.
+  std::optional<workload::OpenLoopResult> open_loop;
+  /// The observer's numbers (empty when the scenario does not observe).
+  std::vector<double> observed;
+  /// Events the run's simulation executed, `settle` included.
+  std::uint64_t events = 0;
+  /// The finished flight-recorder run (empty without Scenario::flight).
+  metrics::FlightRun flight;
+};
 
-/// An open-loop run's outcome as upload stats: the load's makespan and the
-/// bytes of its completed uploads, failed when a job was left stuck.
-hdfs::StreamStats open_loop_stats(const workload::OpenLoopResult& result);
+/// Runs one protocol once: resets the thread's metrics registry (the
+/// registry then holds this run's metrics until the next run resets it),
+/// names the trace run after the protocol when a trace recorder is
+/// installed and points its clock at the run's simulation until the run
+/// ends, and names the flight run after the protocol too. Throws only on
+/// harness misuse or from the scenario's hooks (a failed upload is reported
+/// in the stats).
+Run run_protocol(const Scenario& scenario, cluster::Protocol protocol,
+                 std::uint64_t seed = 42);
 
 /// Pre-warms the SMARTH speed machinery: seeds the client's tracker and the
 /// namenode's speed board with the steady-state client->datanode rates

@@ -31,9 +31,8 @@ SweepSummary run_seed_sweep(std::uint64_t base_seed, int seeds, int jobs,
       if (i >= seeds) return;
       SeedRun& run = sweep.runs[static_cast<std::size_t>(i)];
       run.seed = base_seed + static_cast<std::uint64_t>(i);
-      metrics::global_registry().reset();
       try {
-        body(run.seed, run);
+        static_cast<Run&>(run) = body(run.seed);
         run.metrics = metrics::global_registry();
       } catch (const std::exception& e) {
         run.errored = true;

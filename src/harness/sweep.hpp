@@ -12,27 +12,22 @@
 #include <string>
 #include <vector>
 
-#include "hdfs/output_stream.hpp"
-#include "trace/flight_recorder.hpp"
+#include "harness/experiment.hpp"
 #include "trace/metrics_registry.hpp"
 
 namespace smarth::harness {
 
-/// One seed's outcome, produced on a worker thread.
-struct SeedRun {
+/// One seed's run, produced on a worker thread. A failed *upload* is a
+/// normal outcome recorded in its stats and metrics; `errored` is a
+/// harness-level failure: the body threw. Its flight run, when the body
+/// sampled time series, leaves the worker with it; the driver adds the runs
+/// to one recorder in seed order, so the combined export is deterministic.
+struct SeedRun : Run {
   std::uint64_t seed = 0;
-  hdfs::StreamStats stats;
   /// This seed's metrics registry snapshot.
   metrics::Registry metrics;
-  std::uint64_t events = 0;
-  /// Harness-level failure: the body threw. (A failed *upload* is a normal
-  /// outcome recorded in stats/metrics, not this.)
   bool errored = false;
   std::string error;
-  /// This seed's flight-recorder run when the body sampled time series;
-  /// empty otherwise. The driver adds the runs to one recorder in seed
-  /// order, so the combined export is deterministic.
-  metrics::FlightRun timeseries;
 };
 
 /// Aggregate of a whole sweep, merged in seed order.
@@ -48,12 +43,12 @@ struct SweepSummary {
   double stddev_seconds = 0.0;
 };
 
-/// The per-seed body: build a fresh world for `seed`, run it, fill `out`.
-/// Runs on a worker thread; must not touch anything outside its own world
-/// (process-global mutable state like the Logger level is off limits). The
-/// worker's metrics registry is reset before the body and copied into
-/// `out.metrics` after it returns, once the body's cluster is gone.
-using SeedBody = std::function<void(std::uint64_t seed, SeedRun& out)>;
+/// The per-seed body: runs a fresh world for `seed` through run_protocol,
+/// which resets the worker's metrics registry; the registry is copied into
+/// SeedRun::metrics after the body returns, once its cluster is gone. Runs
+/// on a worker thread; must not touch anything outside its own world
+/// (process-global mutable state like the Logger level is off limits).
+using SeedBody = std::function<Run(std::uint64_t seed)>;
 
 /// Runs `body` for seeds base_seed .. base_seed+seeds-1 across min(jobs,
 /// seeds) worker threads (jobs < 1 means one thread per hardware core).

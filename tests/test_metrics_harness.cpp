@@ -33,8 +33,8 @@ TEST(Harness, RunProtocolProducesCleanStats) {
         return spec;
       },
       Bandwidth::mbps(50), 8 * kMiB);
-  const auto stats =
-      harness::run_protocol(scenario, cluster::Protocol::kHdfs, 7);
+  const hdfs::StreamStats stats =
+      harness::run_protocol(scenario, cluster::Protocol::kHdfs, 7).stats;
   EXPECT_FALSE(stats.failed);
   EXPECT_EQ(stats.blocks, 2);
 }
@@ -64,9 +64,9 @@ TEST(Harness, ObserveReadsTheRunsOwnClusterAfterTheUpload) {
   };
   for (cluster::Protocol protocol :
        {cluster::Protocol::kHdfs, cluster::Protocol::kSmarth}) {
-    std::vector<double> observed;
-    const auto stats = harness::run_protocol(scenario, protocol, 7, &observed);
-    ASSERT_FALSE(stats.failed);
+    const harness::Run run = harness::run_protocol(scenario, protocol, 7);
+    const std::vector<double>& observed = run.observed;
+    ASSERT_FALSE(run.stats.failed);
     ASSERT_EQ(observed.size(), 2u);
     EXPECT_EQ(observed[0], observed[1] * static_cast<double>(8 * kMiB));
   }
@@ -104,11 +104,10 @@ TEST(Harness, OpenLoopLoadRunsInPlaceOfTheUpload) {
   for (SimDuration grace : {seconds(200), SimDuration{0}}) {
     load.stuck_grace = grace;
     scenario.open_loop = load;
-    std::vector<double> observed;
-    const hdfs::StreamStats stats =
-        harness::run_protocol(scenario, cluster::Protocol::kSmarth, 7,
-                              &observed);
-    EXPECT_EQ(observed, std::vector<double>{0.0});  // no measured file
+    const harness::Run run =
+        harness::run_protocol(scenario, cluster::Protocol::kSmarth, 7);
+    const hdfs::StreamStats& stats = run.stats;
+    EXPECT_EQ(run.observed, std::vector<double>{0.0});  // no measured file
     // The same load on the same world, run directly.
     cluster::Cluster cluster(scenario.make_spec(7));
     const workload::OpenLoopResult direct =
@@ -140,8 +139,8 @@ TEST(Harness, FlightRecorderSamplesTheRunUntilTheObserver) {
                                  static_cast<double>(run.samples.size())};
     };
   };
-  std::vector<double> observed;
-  harness::run_protocol(scenario, cluster::Protocol::kHdfs, 7, &observed);
+  const std::vector<double> observed =
+      harness::run_protocol(scenario, cluster::Protocol::kHdfs, 7).observed;
   ASSERT_EQ(observed.size(), 2u);
   EXPECT_EQ(observed[0], 1.0);  // finished before the observer ran
   EXPECT_GT(observed[1], 0.0);  // sampled while the upload ran

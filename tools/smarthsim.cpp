@@ -1,10 +1,11 @@
-// smarthsim — command-line driver for the simulator. For each requested
-// protocol it builds a fresh world from the flags (cluster, throttles, fault
-// injector and every scheduled fault) and runs one upload in it, or the
-// open-loop multi-tenant workload under --clients, and prints a report
+// smarthsim — command-line driver for the simulator. The flags describe one
+// harness::Scenario (cluster, throttles, fault injector and every scheduled
+// fault, recovery waits and read-back), and every world runs through
+// harness::run_protocol: one upload per requested protocol, or the
+// open-loop multi-tenant workload under --clients, followed by a report
 // (optionally with a pipeline-concurrency timeline and protocol-level
-// logging). --sweep-seeds runs that same per-seed body for N seeds on
-// worker threads and merges the results.
+// logging). --sweep-seeds runs the same scenario for N seeds on worker
+// threads and merges the results.
 //
 //   smarthsim --cluster=medium --size-gb=8 --throttle-mbps=50
 //   smarthsim --cluster=hetero --protocol=both --timeline
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -425,6 +427,8 @@ struct Experiment {
   std::optional<SimTime> nn_crash_at;
   SimDuration nn_outage = seconds(3);
   std::optional<faults::ChaosRates> chaos;
+  /// Under --timeseries-out or --timeline: every run's flight recorder.
+  std::optional<metrics::FlightRecorderConfig> flight;
 };
 
 Experiment experiment_from_flags(const FlagSet& flags) {
@@ -464,103 +468,40 @@ Experiment experiment_from_flags(const FlagSet& flags) {
       exp.chaos->fail_slow_factor = *factor;
     }
   }
+  // One recorder config serves both --timeseries-out and --timeline.
+  if (flags.has("timeseries-out") || flags.get_bool("timeline")) {
+    exp.flight = metrics::FlightRecorderConfig{
+        .sample_interval = seconds_f(
+            positive_flag(flags, "sample-interval",
+                          "a positive number of seconds")
+                .value_or(1.0))};
+  }
   return exp;
 }
 
-/// The one world builder: a cluster from the flags plus its fault injector,
-/// with the cross-rack throttle, the slow nodes, --client-crash, --nn-crash,
-/// the fault plan and chaos applied in that order. Same-time events fire in
-/// FIFO order, so the order is part of the result.
-struct World {
-  World(const Experiment& exp, std::uint64_t seed);
+/// The path of the measured upload and of its read-back.
+constexpr const char* kUploadPath = "/data/cli.bin";
 
-  cluster::Cluster cluster;
-  faults::FaultInjector injector;
-};
-
-World::World(const Experiment& exp, std::uint64_t seed)
-    : cluster(spec_from_flags(exp.flags, seed)),
-      injector(cluster, exp.chaos_base + (seed - exp.base_seed)) {
-  const FlagSet& flags = exp.flags;
-  if (const auto throttle = flags.get_double("throttle-mbps");
-      throttle && *throttle > 0) {
-    cluster.throttle_cross_rack(Bandwidth::mbps(*throttle));
+/// Applies --verbose / --log-level with the logger's clock on `cluster`;
+/// main() restores the quiet default after the run. Sweep workers leave the
+/// Logger alone: it is process-global.
+void apply_log_flags(const FlagSet& flags, cluster::Cluster& cluster) {
+  LogLevel level = LogLevel::kWarn;
+  bool chosen = false;
+  if (flags.get_bool("verbose")) {
+    level = LogLevel::kInfo;
+    chosen = true;
   }
-  const auto slow_nodes = flags.get_int("slow-nodes").value_or(0);
-  const double slow_mbps = flags.get_double("slow-mbps").value_or(50);
-  for (std::int64_t i = 0; i < slow_nodes; ++i) {
-    cluster.throttle_datanode(static_cast<std::size_t>(i),
-                              Bandwidth::mbps(slow_mbps));
+  // --log-level wins over --verbose; validated in main() before any run.
+  if (const std::string name = flags.get("log-level"); !name.empty()) {
+    chosen = parse_log_level(name, level);
   }
-  if (exp.client_crash_at) injector.crash_client(0, *exp.client_crash_at);
-  if (exp.nn_crash_at) {
-    const SimTime recovery_at = *exp.nn_crash_at + exp.nn_outage;
-    if (flags.get_bool("nn-failover")) {
-      cluster.enable_standby();
-      injector.crash_and_failover_namenode(*exp.nn_crash_at, recovery_at);
-    } else {
-      injector.crash_and_restart_namenode(*exp.nn_crash_at, recovery_at);
-    }
-  }
-  if (!exp.plan.empty()) exp.plan.apply(injector);
-  if (exp.chaos) {
-    // Warm failover needs a standby tailing the log before the first crash.
-    if (exp.chaos->nn_failover) cluster.enable_standby();
-    injector.start_chaos(*exp.chaos);
+  if (chosen) {
+    Logger::instance().set_level(level);
+    Logger::instance().set_time_source(
+        [&cluster] { return cluster.sim().now(); });
   }
 }
-
-/// Points the trace recorder's clock at one world for the scope's lifetime
-/// and, unless `quiet`, applies --verbose / --log-level with the logger's
-/// clock on the same world. Sweep workers run quiet: the Logger is
-/// process-global.
-class RunScope {
- public:
-  RunScope(const FlagSet& flags, cluster::Cluster& cluster, bool quiet)
-      : quiet_(quiet) {
-    const auto now = [&cluster] { return cluster.sim().now(); };
-    if (trace::active()) trace::recorder()->set_time_source(now);
-    if (quiet_) return;
-    LogLevel level = LogLevel::kWarn;
-    bool chosen = false;
-    if (flags.get_bool("verbose")) {
-      level = LogLevel::kInfo;
-      chosen = true;
-    }
-    // --log-level wins over --verbose; validated in main() before any run.
-    if (const std::string name = flags.get("log-level"); !name.empty()) {
-      chosen = parse_log_level(name, level);
-    }
-    if (chosen) {
-      Logger::instance().set_level(level);
-      Logger::instance().set_time_source(now);
-    }
-  }
-  ~RunScope() {
-    if (!quiet_) {
-      Logger::instance().set_level(LogLevel::kWarn);
-      Logger::instance().set_time_source(nullptr);
-    }
-    // The recorder outlives the world; its clock must not.
-    if (trace::active()) trace::recorder()->set_time_source(nullptr);
-  }
-  RunScope(const RunScope&) = delete;
-  RunScope& operator=(const RunScope&) = delete;
-
- private:
-  bool quiet_;
-};
-
-/// One world's result; the single-run table, the open-loop table and the
-/// sweep's SeedRun are all filled from it.
-struct RunOutcome {
-  /// The upload's stats, or an open-loop run's as open_loop_stats().
-  hdfs::StreamStats stats;
-  std::optional<hdfs::ReadStats> read;
-  std::optional<workload::OpenLoopResult> open_loop;
-  std::uint64_t events = 0;
-  std::string editlog_json;  ///< filled when --editlog-out is set
-};
 
 /// Drives the simulation on after the upload's callback. Under
 /// --client-crash, until lease recovery has closed the file: it must never
@@ -578,7 +519,7 @@ void drive_after_upload(const Experiment& exp, cluster::Cluster& cluster) {
     }
     const auto closed = [&cluster] {
       const hdfs::FileEntry* entry =
-          cluster.namenode().file_by_path("/data/cli.bin");
+          cluster.namenode().file_by_path(kUploadPath);
       return entry == nullptr || entry->state == hdfs::FileState::kClosed;
     };
     if (!sim.run_until_done(
@@ -605,41 +546,81 @@ void drive_after_upload(const Experiment& exp, cluster::Cluster& cluster) {
   }
 }
 
-/// The one per-seed body of every mode: builds the world for `seed`, runs
-/// either the upload (with its drive loops and read-back) or the open-loop
-/// workload, and returns the outcome. Single-run mode calls it directly, so
-/// a SMARTH_CHECK aborts the process; sweep workers call it with `quiet`.
-RunOutcome run_world(const Experiment& exp, cluster::Protocol protocol,
-                     std::uint64_t seed, bool quiet) {
-  const FlagSet& flags = exp.flags;
-  const char* name = cluster::protocol_name(protocol);
-  // Fresh metrics per run. Must happen before the cluster exists: datanodes
-  // cache registry references at construction and a later reset would
-  // dangle them.
-  metrics::global_registry().reset();
-  if (trace::active()) trace::recorder()->begin_run(name);
-  // Also before the cluster exists: its constructor attaches the sampling
-  // task to whichever flight-recorder run is current.
-  if (metrics::flight_active()) {
-    metrics::flight_recorder()->begin_run(name, seed);
-  }
-  World world(exp, seed);
-  cluster::Cluster& cluster = world.cluster;
-  const RunScope scope(flags, cluster, quiet);
+/// What a single run keeps beyond harness::Run: the read-back under
+/// --read-back and the edit log under --editlog-out.
+struct Aftermath {
+  std::optional<hdfs::ReadStats> read;
+  std::string editlog_json;
+};
 
-  RunOutcome outcome;
+/// The flags' world for `seed` as one harness scenario, which single-run,
+/// open-loop and sweep modes all run through harness::run_protocol.
+/// `prepare` applies the cross-rack throttle and the slow nodes; `observe`
+/// arms a fault injector with --client-crash, --nn-crash, the fault plan and
+/// chaos, in that order (same-time events fire in FIFO order, so the order
+/// is part of the result), and its observer keeps the injector until the
+/// run is over; `settle` drives the run through its recoveries and
+/// read-back. `aftermath` is null for sweep seeds, which run quiet and keep
+/// no read-back or edit log.
+harness::Scenario scenario_from_flags(const Experiment& exp,
+                                      std::uint64_t seed,
+                                      Aftermath* aftermath) {
+  const FlagSet& flags = exp.flags;
+  harness::Scenario scenario;
+  scenario.make_spec = [&flags](std::uint64_t s) {
+    return spec_from_flags(flags, s);
+  };
+  scenario.prepare = [&flags, aftermath](cluster::Cluster& cluster) {
+    if (aftermath != nullptr) apply_log_flags(flags, cluster);
+    if (const auto throttle = flags.get_double("throttle-mbps");
+        throttle && *throttle > 0) {
+      cluster.throttle_cross_rack(Bandwidth::mbps(*throttle));
+    }
+    const auto slow_nodes = flags.get_int("slow-nodes").value_or(0);
+    const double slow_mbps = flags.get_double("slow-mbps").value_or(50);
+    for (std::int64_t i = 0; i < slow_nodes; ++i) {
+      cluster.throttle_datanode(static_cast<std::size_t>(i),
+                                Bandwidth::mbps(slow_mbps));
+    }
+  };
+  const std::uint64_t chaos_seed = exp.chaos_base + (seed - exp.base_seed);
+  scenario.observe = [&exp, chaos_seed](cluster::Cluster& cluster,
+                                        cluster::Protocol) {
+    auto injector =
+        std::make_shared<faults::FaultInjector>(cluster, chaos_seed);
+    if (exp.client_crash_at) injector->crash_client(0, *exp.client_crash_at);
+    if (exp.nn_crash_at) {
+      const SimTime recovery_at = *exp.nn_crash_at + exp.nn_outage;
+      if (exp.flags.get_bool("nn-failover")) {
+        cluster.enable_standby();
+        injector->crash_and_failover_namenode(*exp.nn_crash_at, recovery_at);
+      } else {
+        injector->crash_and_restart_namenode(*exp.nn_crash_at, recovery_at);
+      }
+    }
+    if (!exp.plan.empty()) exp.plan.apply(*injector);
+    if (exp.chaos) {
+      // Warm failover needs a standby tailing the log before the first crash.
+      if (exp.chaos->nn_failover) cluster.enable_standby();
+      injector->start_chaos(*exp.chaos);
+    }
+    return harness::Observer([injector](const hdfs::StreamStats&) {
+      return std::vector<double>{};
+    });
+  };
   if (exp.open_loop) {
-    workload::OpenLoopWorkload wl(protocol,
-                                  open_loop_config_from_flags(flags));
-    outcome.stats =
-        harness::open_loop_stats(outcome.open_loop.emplace(wl.run(cluster)));
+    scenario.open_loop = open_loop_config_from_flags(flags);
   } else {
-    const Bytes size =
-        static_cast<Bytes>(flags.get_double("size-gb").value_or(1.0) *
-                           static_cast<double>(kGiB));
-    outcome.stats = cluster.run_upload("/data/cli.bin", size, protocol);
+    scenario.path = kUploadPath;
+    scenario.file_size = static_cast<Bytes>(
+        flags.get_double("size-gb").value_or(1.0) * static_cast<double>(kGiB));
+  }
+  scenario.flight = exp.flight;
+  scenario.settle = [&exp, aftermath](cluster::Cluster& cluster,
+                                      const hdfs::StreamStats& stats) {
     drive_after_upload(exp, cluster);
-    if (flags.get_bool("read-back") && !outcome.stats.failed) {
+    if (aftermath == nullptr) return;
+    if (exp.flags.get_bool("read-back") && !stats.failed) {
       // Let every scheduled rot land before reading: a --bitrot past the
       // upload's end would otherwise never fire (the simulation stops when
       // the last requested operation completes).
@@ -652,26 +633,21 @@ RunOutcome run_world(const Experiment& exp, cluster::Protocol protocol,
       }
       // Read the file back through the checksum-verifying stream; rotted
       // replicas fail over and get reported to the namenode.
-      outcome.read = cluster.run_download("/data/cli.bin");
+      aftermath->read = cluster.run_download(kUploadPath);
     }
-  }
-  outcome.events = cluster.sim().events_executed();
-  if (flags.has("editlog-out")) {
-    outcome.editlog_json = cluster.edit_log().to_json();
-  }
-  // While the cluster is alive: quiescence monitors read the live registry
-  // and a firing's dump wants the pending-event summary.
-  if (metrics::flight_active()) {
-    metrics::flight_recorder()->finish_run(cluster.sim().now());
-  }
-  return outcome;
+    if (exp.flags.has("editlog-out")) {
+      aftermath->editlog_json = cluster.edit_log().to_json();
+    }
+  };
+  return scenario;
 }
 
 /// --sweep-seeds mode: N independent worlds per protocol, one per seed,
 /// spread over --jobs worker threads. Share-nothing: each seed runs the same
-/// body as a single run, on a fresh thread-local metrics registry, so every
-/// per-seed result is identical to running that seed alone and the merged
-/// report is independent of thread scheduling.
+/// scenario as a single run, on a fresh thread-local metrics registry, so
+/// every per-seed result is identical to running that seed alone and the
+/// merged report is independent of thread scheduling. Each seed's flight
+/// run is added to `flight` in seed order.
 int run_sweeps(const Experiment& exp,
                const std::vector<cluster::Protocol>& protocols,
                metrics::FlightRecorder& flight) {
@@ -680,32 +656,19 @@ int run_sweeps(const Experiment& exp,
   const int jobs = static_cast<int>(flags.get_int("jobs").value_or(0));
   const bool faults = faults_active(flags, exp.plan);
   const bool want_summary = flags.get_bool("fault-summary") || faults;
-  // Flight recorder: one per seed (thread_local install), its run added to
-  // `flight` in seed order below so the export is independent of thread
-  // scheduling.
-  const std::string timeseries_out = flags.get("timeseries-out");
-  const bool want_timeseries = !timeseries_out.empty();
 
   int exit_code = 0;
   std::vector<double> mean_by_protocol;
   for (const cluster::Protocol protocol : protocols) {
     harness::SweepSummary sweep = harness::run_seed_sweep(
         exp.base_seed, seeds, jobs,
-        [&](std::uint64_t seed, harness::SeedRun& run) {
-          std::optional<metrics::FlightRecorder> seed_flight;
-          std::optional<metrics::ScopedFlightInstall> flight_install;
-          if (want_timeseries) {
-            flight_install.emplace(&seed_flight.emplace(flight.config()));
-          }
-          const RunOutcome out =
-              run_world(exp, protocol, seed, /*quiet=*/true);
-          run.stats = out.stats;
-          run.events = out.events;
-          if (seed_flight) run.timeseries = seed_flight->take_run();
+        [&](std::uint64_t seed) {
+          return harness::run_protocol(
+              scenario_from_flags(exp, seed, nullptr), protocol, seed);
         });
-    if (want_timeseries) {
+    if (exp.flight) {
       for (harness::SeedRun& run : sweep.runs) {
-        if (!run.errored) flight.add_run(std::move(run.timeseries));
+        if (!run.errored) flight.add_run(std::move(run.flight));
       }
     }
     std::printf("%s sweep, %d seeds from %llu:\n%s",
@@ -727,7 +690,8 @@ int run_sweeps(const Experiment& exp,
     std::printf("mean improvement: %.1f%%\n",
                 (mean_by_protocol[0] / mean_by_protocol[1] - 1.0) * 100.0);
   }
-  if (want_timeseries) write_timeseries(timeseries_out, flight);
+  const std::string timeseries_out = flags.get("timeseries-out");
+  if (!timeseries_out.empty()) write_timeseries(timeseries_out, flight);
   return exit_code;
 }
 
@@ -915,21 +879,12 @@ int main(int argc, char** argv) {
   trace::TraceRecorder recorder;
   if (!trace_out.empty() || want_straggler) trace::install(&recorder);
 
-  // Flight recorder: validate the cadence eagerly (a bad --sample-interval
-  // exits 2 even without --timeseries-out), install only when requested —
-  // a null recorder schedules nothing and costs nothing. One recorder
-  // serves both --timeseries-out and --timeline. Sweep workers install
-  // their own thread_local recorders inside run_sweeps.
+  // Validate the cadence eagerly: a bad --sample-interval exits 2 even
+  // without --timeseries-out.
+  (void)positive_flag(flags, "sample-interval",
+                      "a positive number of seconds");
   const std::string timeseries_out = flags.get("timeseries-out");
   const bool want_timeline = flags.get_bool("timeline");
-  metrics::FlightRecorder flight(metrics::FlightRecorderConfig{
-      .sample_interval = seconds_f(
-          positive_flag(flags, "sample-interval",
-                        "a positive number of seconds")
-              .value_or(1.0))});
-  if (!timeseries_out.empty() || want_timeline) {
-    metrics::install_flight_recorder(&flight);
-  }
 
   const std::string protocol_choice = flags.get("protocol");
   std::vector<cluster::Protocol> protocols;
@@ -974,6 +929,11 @@ int main(int argc, char** argv) {
     }
   }
   const Experiment exp = experiment_from_flags(flags);
+  // Every run's flight run, for --timeseries-out and --timeline. Each run
+  // samples on its own recorder inside harness::run_protocol; a run without
+  // one schedules nothing and costs nothing.
+  metrics::FlightRecorder flight(exp.flight.value_or(
+      metrics::FlightRecorderConfig{}));
   if (sweeping) return run_sweeps(exp, protocols, flight);
 
   const bool faults = faults_active(flags, exp.plan);
@@ -995,11 +955,16 @@ int main(int argc, char** argv) {
   std::string straggler_text;
   int exit_code = 0;
   for (const cluster::Protocol protocol : protocols) {
-    const RunOutcome outcome =
-        run_world(exp, protocol, exp.base_seed, /*quiet=*/false);
+    Aftermath aftermath;
+    harness::Run run = harness::run_protocol(
+        scenario_from_flags(exp, exp.base_seed, &aftermath), protocol,
+        exp.base_seed);
+    Logger::instance().set_level(LogLevel::kWarn);
+    Logger::instance().set_time_source(nullptr);
+    if (exp.flight) flight.add_run(std::move(run.flight));
     const char* name = cluster::protocol_name(protocol);
     if (flags.has("editlog-out")) {
-      editlog_snapshots.emplace_back(name, outcome.editlog_json);
+      editlog_snapshots.emplace_back(name, aftermath.editlog_json);
     }
     if (!metrics_out.empty()) {
       metric_snapshots.emplace_back(
@@ -1013,7 +978,7 @@ int main(int argc, char** argv) {
       straggler_text += std::string(name) + " straggler attribution:\n" +
                         report.text;
     }
-    if (const auto& r = outcome.open_loop) {
+    if (const auto& r = run.open_loop) {
       table.add_row({name, std::to_string(r->jobs),
                      std::to_string(r->completed), std::to_string(r->failed),
                      std::to_string(r->stuck),
@@ -1021,7 +986,7 @@ int main(int argc, char** argv) {
                      TextTable::num(r->latency_quantile(0.50)),
                      TextTable::num(r->latency_quantile(0.95)),
                      TextTable::num(r->latency_quantile(0.99)),
-                     std::to_string(outcome.events)});
+                     std::to_string(run.events)});
       if (!faults && (r->stuck > 0 || r->failed > 0)) {
         std::fprintf(stderr,
                      "%s open-loop run left %d stuck / %d failed jobs with "
@@ -1030,15 +995,15 @@ int main(int argc, char** argv) {
         exit_code = 1;
       }
     } else {
-      const hdfs::StreamStats& stats = outcome.stats;
+      const hdfs::StreamStats& stats = run.stats;
       if (stats.failed) {
         std::fprintf(stderr, "%s upload failed: %s\n", name,
                      stats.failure_reason.c_str());
         if (!faults) exit_code = 1;
       }
-      if (outcome.read && outcome.read->failed) {
+      if (aftermath.read && aftermath.read->failed) {
         std::fprintf(stderr, "%s read-back failed: %s\n", name,
-                     outcome.read->failure_reason.c_str());
+                     aftermath.read->failure_reason.c_str());
         if (!faults) exit_code = 1;
       }
       seconds_by_protocol.push_back(to_seconds(stats.elapsed()));
@@ -1048,7 +1013,7 @@ int main(int argc, char** argv) {
                      std::to_string(stats.pipelines_created),
                      std::to_string(stats.max_concurrent_pipelines),
                      std::to_string(stats.recoveries),
-                     std::to_string(outcome.events)});
+                     std::to_string(run.events)});
       if (want_timeline) {
         std::printf("%s\n", metrics::render_strip_chart(
                                  "pipeline concurrency", flight.runs().back(),
