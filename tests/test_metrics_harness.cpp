@@ -1,10 +1,13 @@
 // Tests for the metrics renderers and the experiment harness: comparison
-// math, table shape, scenario builders, open-loop loads and speed
-// pre-warming.
+// math, table shape, the run lifecycle, scenario builders, open-loop loads
+// and speed pre-warming.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "harness/experiment.hpp"
 #include "metrics/report.hpp"
+#include "trace/trace_recorder.hpp"
 
 namespace smarth {
 namespace {
@@ -145,6 +148,69 @@ TEST(Harness, FlightRecorderSamplesTheRunUntilTheObserver) {
   EXPECT_EQ(observed[0], 1.0);  // finished before the observer ran
   EXPECT_GT(observed[1], 0.0);  // sampled while the upload ran
   EXPECT_FALSE(metrics::flight_active());  // uninstalled with the run
+}
+
+TEST(Harness, RunProtocolOwnsTheRunLifecycle) {
+  harness::Scenario scenario = harness::two_rack_scenario(
+      "t", [](std::uint64_t seed) {
+        cluster::ClusterSpec spec = cluster::small_cluster(seed);
+        spec.hdfs.block_size = 4 * kMiB;
+        return spec;
+      },
+      Bandwidth::mbps(50), 8 * kMiB);
+  scenario.flight = metrics::FlightRecorderConfig{};
+  SimTime settle_from = -1;
+  SimTime settle_until = -1;
+  scenario.settle = [&](cluster::Cluster& cluster,
+                        const hdfs::StreamStats& stats) {
+    EXPECT_FALSE(stats.failed);
+    settle_from = cluster.sim().now();
+    // A second upload left mid-write: its stream is still open when the
+    // run ends, which the streams_stuck watchdog reports.
+    cluster.upload("/late", 256 * kMiB, cluster::Protocol::kHdfs,
+                   [](const hdfs::StreamStats&) {});
+    cluster.sim().run_until(settle_from + seconds(3));
+    settle_until = cluster.sim().now();
+  };
+  scenario.observe = [](cluster::Cluster&,
+                        cluster::Protocol) -> harness::Observer {
+    return [](const hdfs::StreamStats&) {
+      const metrics::FlightRecorder& flight = *metrics::flight_recorder();
+      return std::vector<double>{
+          flight.runs().back().finished ? 1.0 : 0.0,
+          static_cast<double>(flight.firings_of("streams_stuck"))};
+    };
+  };
+  // A metric left behind by an earlier run on this thread.
+  metrics::global_registry().counter("test.stale").add();
+  trace::TraceRecorder recorder;
+  harness::Run run;
+  {
+    const trace::ScopedInstall install(&recorder);
+    run = harness::run_protocol(scenario, cluster::Protocol::kSmarth, 7);
+  }
+  // The registry was reset: it holds this run's metrics only.
+  EXPECT_EQ(metrics::global_registry().find_counter("test.stale"), nullptr);
+  EXPECT_EQ(metrics::global_registry().counter_value("write.uploads"), 1u);
+  // The trace and flight runs are named after the protocol.
+  EXPECT_EQ(recorder.run_names(), std::vector<std::string>{"SMARTH"});
+  EXPECT_EQ(run.flight.name, "SMARTH");
+  EXPECT_EQ(run.flight.seed, 7u);
+  // The hook's simulated time was sampled.
+  ASSERT_GT(settle_until, settle_from);
+  const auto in_settle = std::count_if(
+      run.flight.samples.begin(), run.flight.samples.end(),
+      [&](const metrics::FlightSample& sample) {
+        return sample.at > settle_from && sample.at <= settle_until;
+      });
+  EXPECT_EQ(in_settle, 3);
+  // The observer saw the finished run, its quiescence watchdogs evaluated
+  // after the hook.
+  EXPECT_EQ(run.observed, (std::vector<double>{1.0, 1.0}));
+  EXPECT_TRUE(run.flight.finished);
+  ASSERT_EQ(run.flight.firings.size(), 1u);
+  EXPECT_EQ(run.flight.firings[0].monitor, "streams_stuck");
+  EXPECT_GE(run.flight.firings[0].at, settle_until);
 }
 
 TEST(Harness, ContentionScenarioThrottlesExactlyK) {
