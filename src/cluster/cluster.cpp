@@ -255,11 +255,6 @@ void Cluster::throttle_datanode(std::size_t index, Bandwidth bw) {
   network_->set_node_nic(datanode_id(index), bw);
 }
 
-void Cluster::crash_datanode_at(std::size_t index, SimTime at) {
-  hdfs::Datanode* dn = &datanode(index);
-  sim_->schedule_at(at, "fault.dn_crash", [dn] { dn->crash(); });
-}
-
 void Cluster::crash_client(std::size_t index) {
   SMARTH_CHECK(index < clients_.size());
   ClientRuntime& runtime = clients_[index];
@@ -294,18 +289,6 @@ void Cluster::restart_client(std::size_t index) {
   runtime.dfs->reincarnate(client_ids_.next());
   runtime.dfs->resume_heartbeat();
   SMARTH_INFO("cluster") << "client " << index << " restarted";
-}
-
-void Cluster::crash_client_at(std::size_t index, SimTime at) {
-  SMARTH_CHECK(index < clients_.size());
-  sim_->schedule_at(at, "fault.client_crash",
-                    [this, index] { crash_client(index); });
-}
-
-void Cluster::restart_client_at(std::size_t index, SimTime at) {
-  SMARTH_CHECK(index < clients_.size());
-  sim_->schedule_at(at, "fault.client_restart",
-                    [this, index] { restart_client(index); });
 }
 
 bool Cluster::client_crashed(std::size_t index) const {
@@ -385,18 +368,6 @@ void Cluster::complete_namenode_recovery(const hdfs::NamenodeImage& image,
                          << " complete after "
                          << last_nn_downtime_ / 1'000'000 << " ms downtime ("
                          << tail.size() << " ops replayed)";
-}
-
-void Cluster::crash_namenode_at(SimTime at) {
-  sim_->schedule_at(at, "fault.nn_crash", [this] { crash_namenode(); });
-}
-
-void Cluster::restart_namenode_at(SimTime at) {
-  sim_->schedule_at(at, "fault.nn_restart", [this] { restart_namenode(); });
-}
-
-void Cluster::failover_namenode_at(SimTime at) {
-  sim_->schedule_at(at, "fault.nn_failover", [this] { failover_namenode(); });
 }
 
 void Cluster::enable_standby() {

@@ -71,9 +71,7 @@ class Cluster {
   void throttle_cross_rack(Bandwidth bw);
   void throttle_datanode(std::size_t index, Bandwidth bw);
 
-  // --- Fault injection ---------------------------------------------------------
-  void crash_datanode_at(std::size_t index, SimTime at);
-
+  // --- Fault injection (scheduled by faults::FaultInjector) -------------------
   /// Writer crash: the client host vanishes — its heartbeat stops (so its
   /// lease expires), its RPC endpoint goes down, in-flight transfers from the
   /// host are severed, and every unfinished stream it owned is aborted
@@ -83,8 +81,6 @@ class Cluster {
   /// The crashed host comes back (fresh process: no stream state survives).
   /// Its heartbeat resumes so a new writer on this host can hold leases.
   void restart_client(std::size_t index);
-  void crash_client_at(std::size_t index, SimTime at);
-  void restart_client_at(std::size_t index, SimTime at);
   bool client_crashed(std::size_t index) const;
 
   /// The quarantine list recovery feeds and placement consults, per client.
@@ -105,9 +101,6 @@ class Cluster {
   /// called). Only the ops past the standby's tail position need replaying,
   /// so downtime is strictly below a cold restart's.
   void failover_namenode();
-  void crash_namenode_at(SimTime at);
-  void restart_namenode_at(SimTime at);
-  void failover_namenode_at(SimTime at);
   bool namenode_crashed() const { return namenode_crashed_; }
 
   /// Brings up the warm standby: bootstraps from the active's current image

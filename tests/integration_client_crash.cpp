@@ -35,10 +35,12 @@ void crash_mid_block_and_expect_consistent_prefix(Protocol protocol) {
       cluster.add_client(cluster.spec().client.rack,
                          cluster.spec().client.profile);
 
+  faults::FaultInjector injector(cluster);
+
   std::optional<hdfs::StreamStats> stats;
   cluster.upload("/crash", 64 * kMiB, protocol,
                  [&stats](const hdfs::StreamStats& s) { stats = s; });
-  cluster.crash_client_at(0, seconds(2));
+  injector.crash_client(0, seconds(2));
 
   sim::Simulation& sim = cluster.sim();
   ASSERT_TRUE(sim.run_until_done([&stats] { return stats.has_value(); },
@@ -107,10 +109,12 @@ TEST(ClientCrash, NewWriterTakesOverPathAfterRecovery) {
       cluster.add_client(cluster.spec().client.rack,
                          cluster.spec().client.profile);
 
+  faults::FaultInjector injector(cluster);
+
   std::optional<hdfs::StreamStats> stats;
   cluster.upload("/contended", 64 * kMiB, Protocol::kSmarth,
                  [&stats](const hdfs::StreamStats& s) { stats = s; });
-  cluster.crash_client_at(0, seconds(2));
+  injector.crash_client(0, seconds(2));
 
   // Past the soft limit the second writer re-creates the path. The create
   // first answers `recovery_in_progress` (triggering recovery immediately,

@@ -64,9 +64,10 @@ int min_finalized_replicas(Cluster& cluster, const std::string& path) {
 TEST(FaultToleranceHdfs, CrashMidUploadRecovers) {
   for (std::size_t crash_index : {0u, 4u, 8u}) {
     Cluster cluster(spec_with_small_blocks());
+    faults::FaultInjector injector(cluster);
     // Crash one datanode two (simulated) seconds into the upload; whichever
     // pipelines it serves must recover via Algorithm 3.
-    cluster.crash_datanode_at(crash_index, seconds(2));
+    injector.crash(crash_index, seconds(2));
     const auto stats =
         cluster.run_upload("/data/a.bin", 24 * kMiB, Protocol::kHdfs);
     ASSERT_FALSE(stats.failed)
@@ -130,8 +131,9 @@ TEST(FaultToleranceHdfs, UploadFailsWhenAllReplicasDie) {
 TEST(FaultToleranceSmarth, CrashMidUploadRecovers) {
   for (std::size_t crash_index : {1u, 5u, 7u}) {
     Cluster cluster(spec_with_small_blocks());
+    faults::FaultInjector injector(cluster);
     cluster.throttle_cross_rack(Bandwidth::mbps(40));  // keep pipelines busy
-    cluster.crash_datanode_at(crash_index, seconds(2));
+    injector.crash(crash_index, seconds(2));
     const auto stats =
         cluster.run_upload("/data/a.bin", 24 * kMiB, Protocol::kSmarth);
     ASSERT_FALSE(stats.failed)
@@ -190,7 +192,8 @@ TEST(FaultToleranceSmarth, MultipleCrashesAcrossUpload) {
 
 TEST(FaultToleranceSmarth, DeadNodeExcludedFromLaterPlacement) {
   Cluster cluster(spec_with_small_blocks());
-  cluster.crash_datanode_at(4, seconds(1));
+  faults::FaultInjector injector(cluster);
+  injector.crash(4, seconds(1));
   const auto stats =
       cluster.run_upload("/data/a.bin", 32 * kMiB, Protocol::kSmarth);
   ASSERT_FALSE(stats.failed);
@@ -214,7 +217,8 @@ TEST(FaultTolerance, RecoveredUploadSlowerThanCleanRun) {
   const auto clean_stats =
       clean.run_upload("/data/a.bin", 24 * kMiB, Protocol::kHdfs);
   Cluster faulted(spec);
-  faulted.crash_datanode_at(1, seconds(2));
+  faults::FaultInjector injector(faulted);
+  injector.crash(1, seconds(2));
   const auto faulted_stats =
       faulted.run_upload("/data/a.bin", 24 * kMiB, Protocol::kHdfs);
   ASSERT_FALSE(clean_stats.failed);

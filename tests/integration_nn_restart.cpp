@@ -171,15 +171,14 @@ TEST(NamenodeRestart, FailoverDowntimeStrictlyBelowColdRestart) {
     cluster::ClusterSpec spec = nn_spec(29, hdfs::DataFidelity::kPacket);
     spec.hdfs.checkpoint_interval = 0;
     Cluster cluster(spec);
+    faults::FaultInjector injector(cluster);
     // Slow the pipeline down so the outage lands mid-upload.
     cluster.throttle_cross_rack(Bandwidth::mbps(60));
     if (failover) {
       cluster.enable_standby();
-      cluster.crash_namenode_at(seconds(3));
-      cluster.failover_namenode_at(seconds(5));
+      injector.crash_and_failover_namenode(seconds(3), seconds(5));
     } else {
-      cluster.crash_namenode_at(seconds(3));
-      cluster.restart_namenode_at(seconds(5));
+      injector.crash_and_restart_namenode(seconds(3), seconds(5));
     }
     const hdfs::StreamStats stats =
         cluster.run_upload("/fo", 64 * kMiB, Protocol::kSmarth);
@@ -233,15 +232,16 @@ TEST(NamenodeRestart, LeaseHardExpiryRacingRestartRecoversExactlyOnce) {
   spec.hdfs.lease_hard_limit = seconds(8);
   spec.hdfs.lease_monitor_interval = seconds(1);
   Cluster cluster(spec);
+  faults::FaultInjector injector(cluster);
 
   std::optional<hdfs::StreamStats> stats;
   cluster.upload("/race", 64 * kMiB, Protocol::kHdfs,
                  [&stats](const hdfs::StreamStats& s) { stats = s; });
-  cluster.crash_client_at(0, seconds(2));
+  injector.crash_client(0, seconds(2));
   // Hard expiry would be detected at ~10-11 s; the namenode dies just before
   // and recovers after a 2 s outage.
-  cluster.crash_namenode_at(seconds(9) + milliseconds(500));
-  cluster.restart_namenode_at(seconds(11) + milliseconds(500));
+  injector.crash_and_restart_namenode(seconds(9) + milliseconds(500),
+                                      seconds(11) + milliseconds(500));
 
   ASSERT_TRUE(cluster.sim().run_until_done(
       [&] {

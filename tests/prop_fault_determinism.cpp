@@ -9,6 +9,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
+#include "faults/fault_injector.hpp"
 #include "workload/fault_plan.hpp"
 
 namespace smarth {
@@ -52,13 +53,14 @@ Fingerprint run_once(const Params& p) {
   spec.hdfs.ack_timeout = seconds(2);
   spec.hdfs.datanode_dead_interval = seconds(8);
   Cluster cluster(spec);
+  faults::FaultInjector injector(cluster);
   cluster.throttle_cross_rack(Bandwidth::mbps(60));
 
   switch (p.fault) {
     case FaultKind::kNone:
       break;
     case FaultKind::kCrash:
-      cluster.crash_datanode_at(2, seconds(1));
+      injector.crash(2, seconds(1));
       break;
     case FaultKind::kCorrupt:
       cluster.datanode(4).inject_checksum_error_on_nth_packet(30);

@@ -82,12 +82,13 @@ TEST(NamenodeReplay, CleanUploadsReplayBitForBit) {
 TEST(NamenodeReplay, LeaseRecoveryHistoryReplaysBitForBit) {
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
     Cluster cluster(replay_spec(seed));
+    faults::FaultInjector injector(cluster);
     // Slow the pipeline down so the writer crash lands mid-upload.
     cluster.throttle_cross_rack(Bandwidth::mbps(60));
     std::optional<hdfs::StreamStats> stats;
     cluster.upload("/crash", 48 * kMiB, Protocol::kSmarth,
                    [&stats](const hdfs::StreamStats& s) { stats = s; });
-    cluster.crash_client_at(0, seconds(2));
+    injector.crash_client(0, seconds(2));
     sim::Simulation& sim = cluster.sim();
     ASSERT_TRUE(sim.run_until_done(
         [&] {
@@ -151,13 +152,13 @@ TEST(NamenodeReplay, CheckpointPlusTailEqualsFullReplay) {
 // may re-journal (the log would double-apply on the next replay).
 TEST(NamenodeReplay, HistoryContainingRestartReplaysBitForBit) {
   Cluster cluster(replay_spec(41));
+  faults::FaultInjector injector(cluster);
   // Slow the pipeline down so the outage lands mid-upload.
   cluster.throttle_cross_rack(Bandwidth::mbps(60));
   std::optional<hdfs::StreamStats> stats;
   cluster.upload("/thru", 48 * kMiB, Protocol::kHdfs,
                  [&stats](const hdfs::StreamStats& s) { stats = s; });
-  cluster.crash_namenode_at(seconds(2));
-  cluster.restart_namenode_at(seconds(4));
+  injector.crash_and_restart_namenode(seconds(2), seconds(4));
   ASSERT_TRUE(cluster.sim().run_until_done(
       [&stats] { return stats.has_value(); },
       cluster.sim().now() + seconds(120)));
