@@ -153,6 +153,9 @@ double FlightRecorder::series_value(const SeriesSpec& spec, std::size_t index) {
 void FlightRecorder::sample(SimTime now) {
   if (runs_.empty()) begin_run("run", 0);
   FlightRun& run = runs_.back();
+  // Time driven after finish_run belongs to no run: the sealed run keeps
+  // the samples its watchdogs judged.
+  if (run.finished) return;
 
   FlightSample s;
   s.at = now;

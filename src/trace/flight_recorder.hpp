@@ -132,6 +132,7 @@ class FlightRecorder {
   /// Takes one sample from the thread's global registry, evaluates the tick
   /// monitors and — when the span tracer is active — emits one Chrome-trace
   /// counter event per column so the series render beside the spans.
+  /// Does nothing once the current run is finished.
   void sample(SimTime now);
 
   /// Ends the current run: evaluates the stuck-at-quiescence monitors

@@ -317,6 +317,26 @@ TEST(FlightRecorder, SecondBeginRunSealsAndResetsBaselines) {
   EXPECT_DOUBLE_EQ(rec.runs()[1].samples[0].values[0], 0.0);
 }
 
+TEST(FlightRecorder, SamplesAfterFinishRunAreDropped) {
+  metrics::Registry& reg = metrics::global_registry();
+  reg.reset();
+  FlightRecorder rec(tiny_config());
+  rec.begin_run("RUN", 1);
+  reg.counter("test.progress").add(2);
+  rec.sample(seconds(1));
+  rec.finish_run(seconds(1));
+  // Simulated time driven after the verdict belongs to no run: the sealed
+  // run keeps the samples its watchdogs judged.
+  reg.counter("test.progress").add(3);
+  rec.sample(seconds(2));
+  ASSERT_EQ(rec.runs().size(), 1u);
+  const FlightRun& run = rec.runs()[0];
+  EXPECT_TRUE(run.finished);
+  EXPECT_EQ(run.samples.size(), 1u);
+  EXPECT_EQ(run.samples_taken, 1u);
+  EXPECT_EQ(run.samples.back().at, seconds(1));
+}
+
 TEST(FlightRecorder, DefaultConfigClusterIntegration) {
   // End to end on a real world: the cluster attaches the sampler, goodput,
   // liveness and pipeline-concurrency columns move, no default watchdog
