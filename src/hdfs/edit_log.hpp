@@ -1,7 +1,10 @@
 // The namenode's durable write-ahead journal. Every namespace mutation the
 // namenode survives a restart with is appended here as a typed op; replaying
 // the ops in txid order against an empty (or checkpointed) namespace
-// reconstructs FileEntry/BlockRecord/lease/UC/quarantine state exactly.
+// reconstructs FileEntry/BlockRecord/lease/UC/quarantine state exactly. The
+// ops are applied by Namenode::apply_edit on restart, by the standby's
+// tailer and by every live mutation, so replay runs the code the live
+// namenode ran.
 //
 // What is deliberately NOT journaled — mirroring HDFS — is the replica
 // location map (BlockRecord::reported): locations are soft state rebuilt from

@@ -156,13 +156,7 @@ Result<FileId> Namenode::create(const std::string& path, ClientId client,
   if (path.empty() || path.front() != '/') {
     return Error{"invalid_path", "path must be absolute: " + path};
   }
-  leases_.renew(client, sim_.now());
-  {
-    EditOp op;
-    op.type = EditOpType::kLeaseRenew;
-    op.client = client;
-    journal(std::move(op));
-  }
+  renew_lease(client);
   if (auto it = files_by_path_.find(path); it != files_by_path_.end()) {
     FileEntry& existing = files_.at(it->second);
     if (existing.state == FileState::kUnderConstruction) {
@@ -192,24 +186,18 @@ Result<FileId> Namenode::create(const std::string& path, ClientId client,
     if (!overwrite) {
       return Error{"file_exists", "file already exists: " + path};
     }
-    erase_file(existing.id);
+    EditOp op;
+    op.type = EditOpType::kEraseFile;
+    op.file = existing.id;
+    commit(std::move(op));
   }
   const FileId id = file_ids_.next();
-  FileEntry entry;
-  entry.id = id;
-  entry.path = path;
-  entry.lease_holder = client;
-  files_by_path_.emplace(path, id);
-  files_.emplace(id, std::move(entry));
-  leases_.add(client, id, sim_.now());
-  {
-    EditOp op;
-    op.type = EditOpType::kCreate;
-    op.file = id;
-    op.client = client;
-    op.path = path;
-    journal(std::move(op));
-  }
+  EditOp op;
+  op.type = EditOpType::kCreate;
+  op.file = id;
+  op.client = client;
+  op.path = path;
+  commit(std::move(op));
   SMARTH_DEBUG("namenode") << "created " << path << " as " << id.to_string();
   return id;
 }
@@ -237,13 +225,7 @@ Result<LocatedBlock> Namenode::add_block(
     return Error{"lease_mismatch", "client does not hold the lease on " +
                                        entry.path};
   }
-  leases_.renew(client, sim_.now());
-  {
-    EditOp op;
-    op.type = EditOpType::kLeaseRenew;
-    op.client = client;
-    journal(std::move(op));
-  }
+  renew_lease(client);
   if (block_index >= 0 &&
       block_index < static_cast<std::int64_t>(entry.blocks.size())) {
     // Retry of an addBlock whose response was lost: return the allocation
@@ -273,21 +255,13 @@ Result<LocatedBlock> Namenode::add_block(
   }
 
   const BlockId block = block_ids_.next();
-  BlockRecord record;
-  record.id = block;
-  record.file = file;
-  record.expected_targets = targets;
-  blocks_.emplace(block, std::move(record));
-  entry.blocks.push_back(block);
-  {
-    EditOp op;
-    op.type = EditOpType::kAddBlock;
-    op.file = file;
-    op.block = block;
-    op.client = client;
-    op.nodes = targets;
-    journal(std::move(op));
-  }
+  EditOp op;
+  op.type = EditOpType::kAddBlock;
+  op.file = file;
+  op.block = block;
+  op.client = client;
+  op.nodes = targets;
+  commit(std::move(op));
   if (trace::active()) {
     std::string joined;
     for (NodeId t : targets) {
@@ -337,15 +311,12 @@ Status Namenode::update_block_targets(BlockId block,
   if (it == blocks_.end()) {
     return make_error("block_not_found", "unknown block " + block.to_string());
   }
-  it->second.expected_targets = std::move(targets);
-  {
-    EditOp op;
-    op.type = EditOpType::kUpdateTargets;
-    op.block = block;
-    op.file = it->second.file;
-    op.nodes = it->second.expected_targets;
-    journal(std::move(op));
-  }
+  EditOp op;
+  op.type = EditOpType::kUpdateTargets;
+  op.block = block;
+  op.file = it->second.file;
+  op.nodes = std::move(targets);
+  commit(std::move(op));
   return Status::ok_status();
 }
 
@@ -380,13 +351,7 @@ Result<bool> Namenode::complete(FileId file, ClientId client) {
     }
     return true;  // idempotent
   }
-  leases_.renew(client, sim_.now());
-  {
-    EditOp op;
-    op.type = EditOpType::kLeaseRenew;
-    op.client = client;
-    journal(std::move(op));
-  }
+  renew_lease(client);
   for (BlockId block : entry.blocks) {
     const auto bt = blocks_.find(block);
     SMARTH_CHECK(bt != blocks_.end());
@@ -394,15 +359,11 @@ Result<bool> Namenode::complete(FileId file, ClientId client) {
       return false;  // minimum replication not yet reached; client retries
     }
   }
-  entry.state = FileState::kClosed;
-  leases_.release(client, file);
-  {
-    EditOp op;
-    op.type = EditOpType::kCompleteFile;
-    op.file = file;
-    op.client = client;
-    journal(std::move(op));
-  }
+  EditOp op;
+  op.type = EditOpType::kCompleteFile;
+  op.file = file;
+  op.client = client;
+  commit(std::move(op));
   trace_nn(trace::Category::kRun, "complete", {{"file", entry.path}});
   SMARTH_DEBUG("namenode") << "completed " << entry.path;
   return true;
@@ -531,15 +492,17 @@ void Namenode::report_bad_replica(BlockId block, NodeId node) {
   auto it = blocks_.find(block);
   if (it == blocks_.end()) return;  // stale report on a deleted block
   BlockRecord& record = it->second;
-  const bool fresh = record.corrupt_replicas.count(node) == 0;
-  quarantine_replica(record, node);
-  if (fresh) {
+  // The replica leaves the volatile location map on every report; only the
+  // first report's verdict is durable.
+  record.reported.erase(node);
+  ++replica_epoch_;
+  if (record.corrupt_replicas.count(node) == 0) {
     EditOp op;
     op.type = EditOpType::kQuarantine;
     op.block = block;
     op.file = record.file;
     op.node = node;
-    journal(std::move(op));
+    commit(std::move(op));
     SMARTH_WARN("namenode") << block.to_string() << " on node "
                             << node.value()
                             << " reported corrupt; quarantined ("
@@ -555,12 +518,6 @@ void Namenode::report_bad_replica(BlockId block, NodeId node) {
     ++invalidations_issued_;
     invalidation_executor_(node, block);
   }
-}
-
-void Namenode::quarantine_replica(BlockRecord& record, NodeId node) {
-  record.corrupt_replicas.insert(node);
-  record.reported.erase(node);
-  ++replica_epoch_;
 }
 
 std::size_t Namenode::corrupt_replica_count() const {
@@ -605,13 +562,7 @@ void Namenode::report_client_speeds(ClientId client,
 
 void Namenode::client_heartbeat(ClientId client,
                                 const std::vector<SpeedRecord>& records) {
-  leases_.renew(client, sim_.now());
-  {
-    EditOp op;
-    op.type = EditOpType::kLeaseRenew;
-    op.client = client;
-    journal(std::move(op));
-  }
+  renew_lease(client);
   ++client_heartbeats_;
   if (!records.empty()) report_client_speeds(client, records);
 }
@@ -640,11 +591,8 @@ void Namenode::lease_scan() {
   for (const auto& [holder, file] : leases_.hard_expired_files(now)) {
     if (holder == kRecoveryHolder) continue;
     auto it = files_.find(file);
-    if (it == files_.end()) {
-      leases_.release(holder, file);  // stale lease on a deleted file
-      continue;
-    }
-    if (it->second.state != FileState::kUnderConstruction ||
+    if (it == files_.end() ||
+        it->second.state != FileState::kUnderConstruction ||
         it->second.recovering) {
       continue;
     }
@@ -678,15 +626,13 @@ Status Namenode::start_lease_recovery(FileId file) {
     return make_error("file_closed", entry.path + " is not open");
   }
   if (entry.recovering) return Status::ok_status();  // already in progress
-  entry.recovering = true;
-  ++lease_expiries_;
-  metrics::global_registry().counter("namenode.lease_recoveries").add();
-  trace_nn(trace::Category::kLease, "lease recovery start",
-           {{"file", entry.path}});
-  leases_.reassign(file, entry.lease_holder, kRecoveryHolder, sim_.now());
 
-  LeaseRecoveryState state;
-  state.started_at = sim_.now();
+  // The pending set is computed from the volatile replica map, so replay
+  // cannot rederive it: the explicit block list rides in the op.
+  EditOp op;
+  op.type = EditOpType::kLeaseRecoveryStart;
+  op.file = file;
+  op.client = entry.lease_holder;
   for (BlockId block : entry.blocks) {
     const BlockRecord& record = blocks_.at(block);
     // A block every expected target already reported finalized is durable
@@ -699,30 +645,20 @@ Status Namenode::start_lease_recovery(FileId file) {
       }
     }
     if (fully_reported) continue;
-    state.pending.emplace(block, UcBlockPending{});
+    op.blocks.push_back(block);
   }
+  const std::size_t pending = op.blocks.size();
+  commit(std::move(op));
+  metrics::global_registry().counter("namenode.lease_recoveries").add();
+  trace_nn(trace::Category::kLease, "lease recovery start",
+           {{"file", entry.path}});
   SMARTH_INFO("namenode") << "lease recovery of " << entry.path << ": "
-                          << state.pending.size() << " of "
-                          << entry.blocks.size()
+                          << pending << " of " << entry.blocks.size()
                           << " blocks need synchronization";
-  {
-    // The pending set is computed from the volatile replica map, so replay
-    // cannot rederive it — the explicit block list rides in the op.
-    EditOp op;
-    op.type = EditOpType::kLeaseRecoveryStart;
-    op.file = file;
-    op.client = entry.lease_holder;
-    for (const auto& [block, pending] : state.pending) {
-      op.blocks.push_back(block);
-    }
-    journal(std::move(op));
-  }
-  auto [rt, inserted] = lease_recoveries_.emplace(file, std::move(state));
-  SMARTH_CHECK(inserted);
-  if (rt->second.pending.empty()) {
+  if (pending == 0) {
     maybe_close_recovered(file);
   } else {
-    issue_uc_recoveries(file, rt->second);
+    issue_uc_recoveries(file, lease_recoveries_.at(file));
   }
   return Status::ok_status();
 }
@@ -756,15 +692,11 @@ void Namenode::issue_uc_recoveries(FileId file, LeaseRecoveryState& state) {
         break;
       }
     }
-    ++pending.attempts;
-    pending.retry_at = sim_.now() + config_.lease_recovery_retry_interval;
-    {
-      EditOp op;
-      op.type = EditOpType::kUcAttempt;
-      op.file = file;
-      op.block = block;
-      journal(std::move(op));
-    }
+    EditOp op;
+    op.type = EditOpType::kUcAttempt;
+    op.file = file;
+    op.block = block;
+    commit(std::move(op));  // charges the attempt against `pending`
     if (!primary.valid() || !uc_recovery_executor_) {
       // No live replica candidate right now; the attempt still counts so a
       // permanently dead pipeline cannot wedge the file forever.
@@ -804,8 +736,7 @@ void Namenode::commit_block_synchronization(BlockId block, Bytes length,
   FileEntry& entry = ft->second;
   auto rt = lease_recoveries_.find(file);
   if (!entry.recovering || rt == lease_recoveries_.end()) return;  // stale
-  auto pt = rt->second.pending.find(block);
-  if (pt == rt->second.pending.end()) return;  // duplicate commit
+  if (rt->second.pending.count(block) == 0) return;  // duplicate commit
 
   const auto pos = std::find(entry.blocks.begin(), entry.blocks.end(), block);
   SMARTH_CHECK(pos != entry.blocks.end());
@@ -820,29 +751,24 @@ void Namenode::commit_block_synchronization(BlockId block, Bytes length,
     maybe_close_recovered(file);
     return;
   }
+  EditOp op;
+  op.type = EditOpType::kCommitBlockSync;
+  op.file = file;
+  op.block = block;
+  op.length = length;
+  op.nodes = holders;
+  commit(std::move(op));
+  // Replica locations are volatile: the synchronized holders replace them.
   record.reported.clear();
   ++replica_epoch_;
   for (NodeId dn : holders) {
     if (record.corrupt_replicas.count(dn) > 0) continue;
     record.reported[dn] = length;
   }
-  record.expected_targets = holders;
-  rt->second.pending.erase(pt);
-  ++uc_blocks_recovered_;
-  bytes_salvaged_ += length;
   metrics::global_registry().counter("namenode.uc_blocks_recovered").add();
   metrics::global_registry()
       .counter("namenode.bytes_salvaged")
       .add(static_cast<std::uint64_t>(length));
-  {
-    EditOp op;
-    op.type = EditOpType::kCommitBlockSync;
-    op.file = file;
-    op.block = block;
-    op.length = length;
-    op.nodes = holders;
-    journal(std::move(op));
-  }
   trace_nn(trace::Category::kRecovery, "commitBlockSynchronization",
            {{"block", block.to_string()},
             {"length", std::to_string(length)},
@@ -862,37 +788,25 @@ void Namenode::commit_block_synchronization(BlockId block, Bytes length,
 }
 
 void Namenode::truncate_file_blocks(FileId file, std::size_t first_removed) {
-  FileEntry& entry = files_.at(file);
-  if (first_removed < entry.blocks.size()) {
-    EditOp op;
-    op.type = EditOpType::kTruncateBlocks;
-    op.file = file;
-    op.index = static_cast<std::int64_t>(first_removed);
-    journal(std::move(op));
-  }
-  auto rt = lease_recoveries_.find(file);
-  for (std::size_t i = first_removed; i < entry.blocks.size(); ++i) {
-    const BlockId block = entry.blocks[i];
-    erase_block(block);
-    if (rt != lease_recoveries_.end()) rt->second.pending.erase(block);
-    ++orphans_abandoned_;
-    if (!replaying_) {
-      metrics::global_registry().counter("namenode.orphans_abandoned").add();
-    }
-  }
-  entry.blocks.resize(first_removed);
+  const std::size_t count = files_.at(file).blocks.size();
+  if (first_removed >= count) return;
+  EditOp op;
+  op.type = EditOpType::kTruncateBlocks;
+  op.file = file;
+  op.index = static_cast<std::int64_t>(first_removed);
+  commit(std::move(op));
+  metrics::global_registry()
+      .counter("namenode.orphans_abandoned")
+      .add(count - first_removed);
 }
 
 void Namenode::maybe_close_recovered(FileId file) {
   auto rt = lease_recoveries_.find(file);
   if (rt == lease_recoveries_.end() || !rt->second.pending.empty()) return;
-  {
-    EditOp op;
-    op.type = EditOpType::kCloseRecovered;
-    op.file = file;
-    journal(std::move(op));
-  }
-  close_recovered(file);
+  EditOp op;
+  op.type = EditOpType::kCloseRecovered;
+  op.file = file;
+  commit(std::move(op));
   const FileEntry& entry = files_.at(file);
   Bytes prefix = 0;
   for (BlockId block : entry.blocks) {
@@ -904,39 +818,6 @@ void Namenode::maybe_close_recovered(FileId file) {
   SMARTH_INFO("namenode") << "lease recovery closed " << entry.path << " at "
                           << prefix << " bytes (" << entry.blocks.size()
                           << " blocks)";
-}
-
-void Namenode::close_recovered(FileId file) {
-  FileEntry& entry = files_.at(file);
-  entry.state = FileState::kClosed;
-  entry.recovering = false;
-  entry.closed_by_recovery = true;
-  leases_.release(kRecoveryHolder, file);
-  lease_recoveries_.erase(file);
-}
-
-void Namenode::erase_file(FileId file) {
-  auto it = files_.find(file);
-  if (it == files_.end()) return;
-  {
-    EditOp op;
-    op.type = EditOpType::kEraseFile;
-    op.file = file;
-    journal(std::move(op));
-  }
-  FileEntry& entry = it->second;
-  for (BlockId block : entry.blocks) erase_block(block);
-  leases_.release(entry.lease_holder, entry.id);
-  lease_recoveries_.erase(entry.id);
-  files_by_path_.erase(entry.path);
-  files_.erase(it);
-}
-
-void Namenode::erase_block(BlockId block) {
-  blocks_.erase(block);
-  rereplication_pending_.erase(block);
-  // A replayed report entry for the block now logs it as unknown.
-  ++replica_epoch_;
 }
 
 int Namenode::live_replica_count(const BlockRecord& record) const {
@@ -1052,13 +933,20 @@ const BlockRecord* Namenode::block(BlockId id) const {
 }
 
 // ---------------------------------------------------------------------------
-// Durability: journaling, fsimage capture/restore, replay, crash/restart
+// Durability: commit, fsimage capture/restore, replay, crash/restart
 // ---------------------------------------------------------------------------
 
-void Namenode::journal(EditOp op) {
-  if (edit_log_ == nullptr || replaying_) return;
+void Namenode::commit(EditOp op) {
   op.at = sim_.now();
-  edit_log_->append(std::move(op));
+  apply_edit(op);
+  if (edit_log_ != nullptr) edit_log_->append(std::move(op));
+}
+
+void Namenode::renew_lease(ClientId client) {
+  EditOp op;
+  op.type = EditOpType::kLeaseRenew;
+  op.client = client;
+  commit(std::move(op));
 }
 
 NamenodeImage Namenode::capture_image() const {
@@ -1138,11 +1026,15 @@ void Namenode::restore_image(const NamenodeImage& image) {
 }
 
 void Namenode::apply_edit(const EditOp& op) {
-  // Replay is pure state manipulation: the shared mutation helpers called
-  // below must not re-journal the ops they were journaled from, and no
-  // executor ever fires (commands were already issued by the live run).
-  const bool was_replaying = replaying_;
-  replaying_ = true;
+  // Pure state manipulation at the op's own timestamp: the same code runs
+  // live (through commit), on restart replay and in the standby's tailer,
+  // so it never journals and never invokes an executor.
+  const auto drop_block = [this](BlockId block) {
+    blocks_.erase(block);
+    rereplication_pending_.erase(block);
+    // A replayed report entry for the block now logs it as unknown.
+    ++replica_epoch_;
+  };
   switch (op.type) {
     case EditOpType::kLeaseRenew:
       leases_.renew(op.client, op.at);
@@ -1158,9 +1050,17 @@ void Namenode::apply_edit(const EditOp& op) {
       leases_.add(op.client, op.file, op.at);
       break;
     }
-    case EditOpType::kEraseFile:
-      erase_file(op.file);
+    case EditOpType::kEraseFile: {
+      auto it = files_.find(op.file);
+      if (it == files_.end()) break;
+      const FileEntry& entry = it->second;
+      for (BlockId block : entry.blocks) drop_block(block);
+      leases_.release(entry.lease_holder, entry.id);
+      lease_recoveries_.erase(entry.id);
+      files_by_path_.erase(entry.path);
+      files_.erase(it);
       break;
+    }
     case EditOpType::kAddBlock: {
       block_ids_.ensure_at_least(op.block.value() + 1);
       BlockRecord record;
@@ -1179,8 +1079,7 @@ void Namenode::apply_edit(const EditOp& op) {
       leases_.release(op.client, op.file);
       break;
     case EditOpType::kLeaseRecoveryStart: {
-      FileEntry& entry = files_.at(op.file);
-      entry.recovering = true;
+      files_.at(op.file).recovering = true;
       ++lease_expiries_;
       leases_.reassign(op.file, op.client, kRecoveryHolder, op.at);
       LeaseRecoveryState state;
@@ -1198,29 +1097,43 @@ void Namenode::apply_edit(const EditOp& op) {
       pending.retry_at = op.at + config_.lease_recovery_retry_interval;
       break;
     }
-    case EditOpType::kCommitBlockSync: {
-      // Replica locations (`reported`) are volatile and not reconstructed;
-      // only the durable outcome — the sealed target set and the salvage
-      // accounting — is.
+    case EditOpType::kCommitBlockSync:
+      // Only the durable outcome: the sealed target set and the salvage
+      // accounting. The replica locations are the live caller's.
       blocks_.at(op.block).expected_targets = op.nodes;
       lease_recoveries_.at(op.file).pending.erase(op.block);
       ++uc_blocks_recovered_;
       bytes_salvaged_ += op.length;
       break;
+    case EditOpType::kTruncateBlocks: {
+      FileEntry& entry = files_.at(op.file);
+      const auto first = static_cast<std::size_t>(op.index);
+      auto rt = lease_recoveries_.find(op.file);
+      for (std::size_t i = first; i < entry.blocks.size(); ++i) {
+        drop_block(entry.blocks[i]);
+        if (rt != lease_recoveries_.end()) {
+          rt->second.pending.erase(entry.blocks[i]);
+        }
+        ++orphans_abandoned_;
+      }
+      entry.blocks.resize(first);
+      break;
     }
-    case EditOpType::kTruncateBlocks:
-      truncate_file_blocks(op.file, static_cast<std::size_t>(op.index));
+    case EditOpType::kCloseRecovered: {
+      FileEntry& entry = files_.at(op.file);
+      entry.state = FileState::kClosed;
+      entry.recovering = false;
+      entry.closed_by_recovery = true;
+      leases_.release(kRecoveryHolder, op.file);
+      lease_recoveries_.erase(op.file);
       break;
-    case EditOpType::kCloseRecovered:
-      close_recovered(op.file);
-      break;
+    }
     case EditOpType::kQuarantine:
       if (auto it = blocks_.find(op.block); it != blocks_.end()) {
-        quarantine_replica(it->second, op.node);
+        it->second.corrupt_replicas.insert(op.node);
       }
       break;
   }
-  replaying_ = was_replaying;
 }
 
 void Namenode::crash() {

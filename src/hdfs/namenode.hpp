@@ -105,7 +105,7 @@ class Namenode {
 
   // --- Durability / restart --------------------------------------------------
   /// Attaches the write-ahead journal: every durable namespace mutation from
-  /// here on is appended as a typed op. Null detaches.
+  /// here on is appended as the typed op it was applied from. Null detaches.
   void attach_edit_log(EditLog* log) { edit_log_ = log; }
 
   /// Snapshot of all durable state (namespace, leases, recoveries, id
@@ -116,7 +116,8 @@ class Namenode {
   void restore_image(const NamenodeImage& image);
   /// Applies one journaled op to the namespace — pure state manipulation
   /// using the op's own timestamp; never journals, never invokes executors.
-  /// Used by restart replay and by the warm standby's tailer.
+  /// The only code that changes durable namespace state: used by restart
+  /// replay, by the warm standby's tailer and by every live mutation.
   void apply_edit(const EditOp& op);
 
   /// Control-plane crash: freezes background monitors and marks the process
@@ -337,10 +338,6 @@ class Namenode {
   /// The body of block_received; returns whether the entry took the plain
   /// insert branch (known block, replica not quarantined).
   bool apply_replica(NodeId dn, BlockId block, Bytes length);
-  /// Removes a block from the block map (file erase or truncation).
-  void erase_block(BlockId block);
-  /// Quarantines `node`'s replica of `record` (shared with replay).
-  void quarantine_replica(BlockRecord& record, NodeId node);
 
   bool registered(NodeId dn) const {
     return dn.valid() &&
@@ -362,16 +359,14 @@ class Namenode {
   /// with no durable data — the consistent prefix ends before them).
   void truncate_file_blocks(FileId file, std::size_t first_removed);
   void maybe_close_recovered(FileId file);
-  void erase_file(FileId file);
-  /// Appends `op` (stamped with now) to the attached edit log, unless replay
-  /// is reconstructing state — replayed ops must not be re-journaled.
-  void journal(EditOp op);
+  /// The one live mutation path: stamps `op` with now, applies it through
+  /// apply_edit and appends it to the attached edit log.
+  void commit(EditOp op);
+  void renew_lease(ClientId client);
   /// Leaves automatic safe mode once safe_blocks_fraction() crosses the
   /// configured threshold; manual safe mode is never auto-exited.
   void maybe_exit_safe_mode();
   void enter_safe_mode();
-  /// The state change behind maybe_close_recovered (shared with replay).
-  void close_recovered(FileId file);
 
   sim::Simulation& sim_;
   const net::Topology& topology_;
@@ -387,9 +382,6 @@ class Namenode {
   SimTime last_safe_mode_exit_ = -1;
 
   EditLog* edit_log_ = nullptr;
-  /// True while apply_edit runs under restart(): suppresses journaling from
-  /// the shared mutation helpers (truncate/close/erase).
-  bool replaying_ = false;
   bool crashed_ = false;
   std::uint64_t restarts_ = 0;
   /// Force-exits a safe mode that replica re-reports alone can never satisfy
