@@ -144,6 +144,7 @@ OpenLoopResult OpenLoopWorkload::run(cluster::Cluster& cluster) {
                 reg.gauge("workload.jobs_in_flight").add(-1.0);
                 if (s.failed) {
                   ++result->failed;
+                  result->failures.push_back(s);
                   reg.counter("workload.jobs_failed").add();
                 } else {
                   ++result->completed;

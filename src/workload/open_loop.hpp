@@ -56,6 +56,8 @@ struct OpenLoopResult {
   /// Completed-upload latencies (arrival to completion), seconds, in
   /// completion order.
   std::vector<double> latencies_s;
+  /// Failed uploads' final stats, in completion order.
+  std::vector<hdfs::StreamStats> failures;
 
   double goodput_mibps() const;
   /// Quantile over completed-upload latencies (0 when none completed).

@@ -170,6 +170,46 @@ TEST(ClientCrash, RestartedClientWritesAgain) {
   EXPECT_EQ(metrics::global_registry().counter_value("faults.client_restarts"), 1u);
 }
 
+TEST(ClientCrash, PruningAStreamMidRecoveryDropsItsRecoveryCallbacks) {
+  // The writer crashes while its stream recovers a pipeline (datanode 0 is
+  // dead, so the recovery waits out probe deadlines). The next upload prunes
+  // the aborted stream, and with it the recovery; the recovery's pending
+  // deadline fallbacks must then be dropped, not run on freed memory (the
+  // sanitizer job runs this test under ASan).
+  metrics::global_registry().reset();
+  cluster::ClusterSpec spec = cluster::small_cluster(11);
+  spec.hdfs.block_size = 8 * kMiB;
+  Cluster cluster(spec);
+  const std::size_t second =
+      cluster.add_client(cluster.spec().client.rack,
+                         cluster.spec().client.profile);
+  faults::FaultInjector injector(cluster);
+
+  std::optional<hdfs::StreamStats> first;
+  cluster.upload("/big", 512 * kMiB, Protocol::kHdfs,
+                 [&first](const hdfs::StreamStats& s) { first = s; });
+  injector.crash(0, seconds(3));
+  sim::Simulation& sim = cluster.sim();
+  const metrics::Registry& reg = metrics::global_registry();
+  ASSERT_TRUE(sim.run_until_done(
+      [&reg] { return reg.counter_value("write.recoveries") >= 1; },
+      sim.now() + seconds(60)));
+  ASSERT_FALSE(first.has_value());
+
+  cluster.crash_client(0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->failed);
+  EXPECT_EQ(first->failure_reason, "client crashed");
+
+  std::optional<hdfs::StreamStats> next;
+  cluster.upload("/small", 8 * kMiB, Protocol::kHdfs,
+                 [&next](const hdfs::StreamStats& s) { next = s; }, second);
+  ASSERT_TRUE(sim.run_until_done([&next] { return next.has_value(); },
+                                 sim.now() + seconds(60)));
+  EXPECT_FALSE(next->failed) << next->failure_reason;
+  EXPECT_TRUE(cluster.file_fully_replicated("/small"));
+}
+
 TEST(ClientCrash, ReadOnCrashedClientFailsAtOnce) {
   // A dead host's RPCs are dropped, so its read can never fetch block
   // locations: it must fail at once, and be counted like any other read.

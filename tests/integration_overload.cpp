@@ -5,6 +5,7 @@
 // both protocols and both fidelities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,39 @@ TEST(OverloadIntegration, DefendedOpenLoopShedsButEveryJobCompletes) {
   // Overload still isn't sickness.
   EXPECT_EQ(cluster.namenode().slow_node_reports(), 0u);
   EXPECT_EQ(metrics::global_registry().counter_value("namenode.reregistrations"), 0u);
+}
+
+// The stream's overload wait, end to end: a namenode that keeps shedding a
+// stream's addBlock or complete() past its (shortened) overload_retry_budget
+// fails the upload cleanly with the typed rejection instead of re-polling
+// forever. Pins the first job failed by each of the two waits: its reason
+// and finish time.
+TEST(OverloadIntegration, ShedPastTheOverloadBudgetFailsTheUpload) {
+  metrics::global_registry().reset();
+  cluster::ClusterSpec spec = overload_spec();
+  spec.hdfs.nn_cost_add_block = milliseconds(400);
+  spec.hdfs.nn_cost_meta = milliseconds(1);
+  spec.hdfs.nn_queue_capacity = 4;
+  spec.hdfs.nn_client_addblock_cap = 1;
+  spec.hdfs.overload_retry_budget = seconds(2);
+  Cluster cluster(spec);
+  workload::OpenLoopWorkload wl(Protocol::kSmarth, small_open_loop());
+  const workload::OpenLoopResult result = wl.run(cluster);
+  EXPECT_EQ(result.stuck, 0);
+  ASSERT_EQ(result.failures.size(), static_cast<std::size_t>(result.failed));
+  const auto first_failed_by = [&result](const std::string& reason) {
+    const auto it = std::find_if(
+        result.failures.begin(), result.failures.end(),
+        [&reason](const hdfs::StreamStats& s) {
+          return s.failure_reason == reason;
+        });
+    return it == result.failures.end() ? SimTime{-1} : it->finished_at;
+  };
+  EXPECT_EQ(first_failed_by(
+                "addBlock failed: overloaded: namenode shed addBlock"),
+            SimTime{6'821'115'005});
+  EXPECT_EQ(first_failed_by("overloaded: namenode shed complete"),
+            SimTime{6'889'714'189});
 }
 
 struct OverloadRunDigest {
