@@ -585,6 +585,10 @@ ReplicaProbeResult Datanode::probe_replica(BlockId block) const {
 
 Status Datanode::truncate_replica(BlockId block, Bytes length) {
   if (crashed_) return make_error("crashed", "datanode down");
+  // Stop the block's old writer first, as HDFS's recoverRbw does: when the
+  // client's abort_pipeline notify was lost, that pipeline would otherwise
+  // keep appending its in-flight packets past the sync point.
+  abort_block(block);
   if (!store_.has_replica(block)) {
     // A pipeline member whose upstream died before forwarding anything: it
     // resumes from scratch, so materialize the empty replica here.

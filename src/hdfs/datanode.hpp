@@ -109,6 +109,8 @@ class Datanode : public PacketSink {
 
   // --- Recovery server side (invoked via RPC) --------------------------------
   ReplicaProbeResult probe_replica(BlockId block) const;
+  /// Truncates the replica to the sync point after stopping every pipeline
+  /// still writing it.
   Status truncate_replica(BlockId block, Bytes length);
   /// Drops pipeline state (replica data is kept for recovery).
   void abort_pipeline(PipelineId pipeline);

@@ -347,6 +347,39 @@ TEST_F(DatanodeTest, ResumeSetupContinuesMidBlock) {
   EXPECT_EQ(dns_[0]->fnfa_sent(), 1u);
 }
 
+TEST_F(DatanodeTest, TruncateStopsTheBlocksOldWriter) {
+  // Recovery whose abort_pipeline notifies were lost: the old pipeline is
+  // still open on every node when the truncate lands, and one of its packets
+  // arrives afterwards. Truncation stops the block's old writer (as HDFS's
+  // recoverRbw does), so that packet cannot regrow the replica past the sync
+  // point, and the resumed setup finds the prefix it negotiated.
+  PipelineSetup setup = make_setup(true);
+  send_setup_and_wait(setup);
+  send_block_packets(setup, 2);
+  for (auto& dn : dns_) {
+    ASSERT_TRUE(
+        dn->truncate_replica(setup.block, 2 * config_.packet_payload).ok());
+  }
+  send_block_packets(setup, 1, /*start_seq=*/2);
+  for (const auto& dn : dns_) {
+    const auto replica = dn->block_store().replica(setup.block);
+    ASSERT_TRUE(replica.ok());
+    ASSERT_EQ(replica.value().bytes, 2 * config_.packet_payload);
+  }
+  client_.setup_acks.clear();
+  PipelineSetup resumed = setup;
+  resumed.pipeline = PipelineId{2};
+  resumed.resume_offset = 2 * config_.packet_payload;
+  send_setup_and_wait(resumed);
+  send_block_packets(resumed, 2, /*start_seq=*/2);
+  for (const auto& dn : dns_) {
+    const auto replica = dn->block_store().replica(setup.block);
+    ASSERT_TRUE(replica.ok());
+    EXPECT_EQ(replica.value().bytes, config_.block_size);
+    EXPECT_EQ(replica.value().state, storage::ReplicaState::kFinalized);
+  }
+}
+
 TEST_F(DatanodeTest, HeartbeatsKeepNodeAlive) {
   sim_.run_until(seconds(30));
   EXPECT_TRUE(namenode_->is_alive(dn_nodes_[0]));
