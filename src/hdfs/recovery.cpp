@@ -62,12 +62,12 @@ void BlockRecovery::probe_targets() {
   for (std::size_t i = 0; i < original_targets_.size(); ++i) {
     probe_replica_with_timeout(
         deps_, client_node_, original_targets_[i], block_,
-        [this, gather, i](ReplicaProbeResult result) {
+        guarded([this, gather, i](ReplicaProbeResult result) {
           gather->results[i] = result;
           if (--gather->remaining == 0) {
             on_probes_done(std::move(gather->results));
           }
-        });
+        }));
   }
 }
 
@@ -135,7 +135,7 @@ void BlockRecovery::truncate_survivors() {
   auto gather = std::make_shared<Gather>();
   gather->remaining = alive_.size();
 
-  auto step_done = [this, gather](NodeId node, bool ok) {
+  auto step_done = guarded([this, gather](NodeId node, bool ok) {
     if (!ok) gather->failed.push_back(node);
     if (--gather->remaining == 0) {
       for (NodeId bad : gather->failed) {
@@ -150,7 +150,7 @@ void BlockRecovery::truncate_survivors() {
       }
       request_replacements();
     }
-  };
+  });
 
   for (NodeId node : alive_) {
     Datanode* dn = deps_.datanode_resolver(node);
@@ -184,13 +184,13 @@ void BlockRecovery::request_replacements() {
   rpc::call_with_retry<Result<std::vector<NodeId>>>(
       deps_.rpc, deps_.sim, namenode_retry_policy(deps_.config), client_node_,
       deps_.namenode.node_id(),
-      [this, excluded = std::move(excluded),
+      [&nn = deps_.namenode, block = block_, client = client_,
+       node = client_node_, alive = alive_, excluded = std::move(excluded),
        deprioritized = std::move(deprioritized), needed] {
-        return deps_.namenode.get_additional_datanodes(
-            block_, client_, client_node_, alive_, excluded, needed,
-            deprioritized);
+        return nn.get_additional_datanodes(block, client, node, alive,
+                                           excluded, needed, deprioritized);
       },
-      [this](Result<std::vector<NodeId>> result) {
+      guarded([this](Result<std::vector<NodeId>> result) {
         if (!result.ok() || result.value().empty()) {
           // No spare nodes: continue with the reduced pipeline, as HDFS does
           // when the cluster cannot restore replication during a write.
@@ -202,15 +202,15 @@ void BlockRecovery::request_replacements() {
         }
         replacements_ = result.value();
         transfer_prefix(0);
-      },
-      [this] {
+      }),
+      guarded([this] {
         // Namenode unreachable even after backoff: keep the surviving
         // pipeline rather than killing the write.
         SMARTH_WARN("recovery")
             << "getAdditionalDatanodes timed out for " << block_.to_string()
             << "; continuing under-replicated";
         finish_success();
-      },
+      }),
       "getAdditionalDatanodes");
 }
 
@@ -256,7 +256,7 @@ void BlockRecovery::transfer_prefix(std::size_t replacement_index) {
         primary_dn->transfer_replica(block, dest, offset, std::move(respond));
       },
       deps_.config.replacement_transfer_timeout, "recovery.transfer_timeout",
-      false, [this, replacement_index](bool ok) {
+      false, guarded([this, replacement_index](bool ok) {
         if (!ok) {
           ++attempts_;
           transfer_prefix(replacement_index);
@@ -264,7 +264,7 @@ void BlockRecovery::transfer_prefix(std::size_t replacement_index) {
         }
         attempts_ = 0;
         transfer_prefix(replacement_index + 1);
-      });
+      }));
 }
 
 void BlockRecovery::finish_success() {

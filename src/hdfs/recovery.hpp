@@ -10,6 +10,8 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -52,11 +54,26 @@ class BlockRecovery {
                 Bytes durable_floor, std::vector<NodeId> targets,
                 int error_index, DoneCallback done);
 
-  /// Starts the asynchronous recovery; the object must stay alive until the
-  /// done callback fires (streams own recoveries by unique_ptr).
+  /// Drops every callback still pending: a stream pruned mid-recovery frees
+  /// its recoveries while their probe and transfer deadlines are armed.
+  ~BlockRecovery() { *live_ = false; }
+  BlockRecovery(const BlockRecovery&) = delete;
+  BlockRecovery& operator=(const BlockRecovery&) = delete;
+
+  /// Starts the asynchronous recovery (streams own recoveries by
+  /// unique_ptr).
   void run();
 
  private:
+  /// Wraps an asynchronous continuation so it does nothing once this
+  /// recovery is destroyed.
+  template <typename F>
+  auto guarded(F f) {
+    return [live = live_, f = std::move(f)](auto&&... args) {
+      if (*live) f(std::forward<decltype(args)>(args)...);
+    };
+  }
+
   void probe_targets();
   void on_probes_done(std::vector<ReplicaProbeResult> results);
   void sync_and_replace();
@@ -86,6 +103,8 @@ class BlockRecovery {
   Bytes sync_offset_ = 0;
   int attempts_ = 0;
   bool completed_ = false;
+  /// Liveness token captured by every pending callback.
+  std::shared_ptr<bool> live_ = std::make_shared<bool>(true);
 };
 
 }  // namespace smarth::hdfs

@@ -208,6 +208,8 @@ TEST(ClientCrash, PruningAStreamMidRecoveryDropsItsRecoveryCallbacks) {
                                  sim.now() + seconds(60)));
   EXPECT_FALSE(next->failed) << next->failure_reason;
   EXPECT_TRUE(cluster.file_fully_replicated("/small"));
+  // Past every deadline the pruned recovery had pending.
+  sim.run_until(sim.now() + cluster.config().replacement_transfer_timeout);
 }
 
 TEST(ClientCrash, ReadOnCrashedClientFailsAtOnce) {
