@@ -417,7 +417,7 @@ hdfs::StreamDeps Cluster::make_stream_deps(std::size_t client_index) {
       spec_.hdfs,
       pipeline_ids_,
       [this](NodeId node) { return resolve_datanode(node); },
-      clients_[client_index].quarantine.get()};
+      *clients_[client_index].quarantine};
 }
 
 void Cluster::apply_placement_policy(Protocol protocol) {

@@ -17,13 +17,13 @@
 #include "hdfs/fsimage.hpp"
 #include "hdfs/input_stream.hpp"
 #include "hdfs/namenode.hpp"
-#include "hdfs/output_stream.hpp"
 #include "hdfs/standby.hpp"
 #include "hdfs/transport.hpp"
 #include "net/network.hpp"
 #include "rpc/rpc_bus.hpp"
 #include "sim/periodic_task.hpp"
 #include "sim/simulation.hpp"
+#include "smarth/smarth_stream.hpp"
 #include "smarth/speed_tracker.hpp"
 #include "trace/flight_recorder.hpp"
 
@@ -131,7 +131,7 @@ class Cluster {
               UploadCallback on_done, std::size_t client_index = 0);
   /// The most recently created output stream (nullptr before the first
   /// create() response arrives); exposed for live sampling in examples.
-  hdfs::OutputStreamBase* latest_stream() {
+  core::SmarthOutputStream* latest_stream() {
     return streams_.empty() ? nullptr : streams_.back().get();
   }
 
@@ -204,7 +204,7 @@ class Cluster {
   /// Datanode by NodeId value; null for hosts that are not datanodes.
   std::vector<hdfs::Datanode*> datanode_by_node_;
   std::vector<ClientRuntime> clients_;
-  std::vector<std::unique_ptr<hdfs::OutputStreamBase>> streams_;
+  std::vector<std::unique_ptr<core::SmarthOutputStream>> streams_;
   std::vector<std::unique_ptr<hdfs::DfsInputStream>> readers_;
   /// The stats of the transfers whose completion callbacks are running,
   /// innermost last. Each endpoint reports its own stats member, so this

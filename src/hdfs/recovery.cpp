@@ -178,8 +178,7 @@ void BlockRecovery::request_replacements() {
     return;
   }
   std::vector<NodeId> excluded = dead_;
-  std::vector<NodeId> deprioritized;
-  if (deps_.quarantine != nullptr) deprioritized = deps_.quarantine->active();
+  std::vector<NodeId> deprioritized = deps_.quarantine.active();
 
   rpc::call_with_retry<Result<std::vector<NodeId>>>(
       deps_.rpc, deps_.sim, namenode_retry_policy(deps_.config), client_node_,
@@ -291,11 +290,9 @@ void BlockRecovery::finish_success() {
 }
 
 void BlockRecovery::quarantine_node(NodeId node, const std::string& reason) {
-  if (deps_.quarantine != nullptr) {
-    deps_.quarantine->quarantine(node,
-                                 reason + " during recovery of " +
-                                     block_.to_string());
-  }
+  deps_.quarantine.quarantine(node,
+                              reason + " during recovery of " +
+                                  block_.to_string());
 }
 
 void BlockRecovery::fail(const std::string& reason) {

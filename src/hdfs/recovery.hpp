@@ -82,8 +82,7 @@ class BlockRecovery {
   void transfer_prefix(std::size_t replacement_index);
   void finish_success();
   void fail(const std::string& reason);
-  /// Adds `node` to the client's quarantine list (if one is wired in) and
-  /// counts it for the outcome.
+  /// Adds `node` to the client's quarantine list.
   void quarantine_node(NodeId node, const std::string& reason);
 
   StreamDeps& deps_;

@@ -24,7 +24,7 @@ cluster::ClusterSpec spec_with(Bytes block, Bytes packet,
 
 /// Starts an upload and returns the live stream handle (simulation paused
 /// right after create() resolves).
-hdfs::OutputStreamBase* start_stream(Cluster& cluster, Bytes size) {
+core::SmarthOutputStream* start_stream(Cluster& cluster, Bytes size) {
   cluster.upload("/f", size, Protocol::kHdfs, [](const hdfs::StreamStats&) {});
   cluster.sim().run_until(cluster.sim().now() + milliseconds(50));
   return cluster.latest_stream();
@@ -32,7 +32,7 @@ hdfs::OutputStreamBase* start_stream(Cluster& cluster, Bytes size) {
 
 TEST(StreamGeometry, ExactMultiples) {
   Cluster cluster(spec_with(4 * kMiB, 64 * kKiB));
-  hdfs::OutputStreamBase* stream = start_stream(cluster, 8 * kMiB);
+  core::SmarthOutputStream* stream = start_stream(cluster, 8 * kMiB);
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stream->total_blocks(), 2);
   EXPECT_EQ(stream->block_bytes(0), 4 * kMiB);
@@ -45,7 +45,7 @@ TEST(StreamGeometry, ExactMultiples) {
 TEST(StreamGeometry, PartialLastBlockAndPacket) {
   Cluster cluster(spec_with(4 * kMiB, 64 * kKiB));
   const Bytes size = 4 * kMiB + 100 * kKiB + 17;
-  hdfs::OutputStreamBase* stream = start_stream(cluster, size);
+  core::SmarthOutputStream* stream = start_stream(cluster, size);
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stream->total_blocks(), 2);
   EXPECT_EQ(stream->block_bytes(1), 100 * kKiB + 17);
@@ -56,7 +56,7 @@ TEST(StreamGeometry, PartialLastBlockAndPacket) {
 
 TEST(StreamGeometry, TinyFileSinglePacket) {
   Cluster cluster(spec_with(4 * kMiB, 64 * kKiB));
-  hdfs::OutputStreamBase* stream = start_stream(cluster, 1);
+  core::SmarthOutputStream* stream = start_stream(cluster, 1);
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stream->total_blocks(), 1);
   EXPECT_EQ(stream->packets_in_block(0), 1);
@@ -65,7 +65,7 @@ TEST(StreamGeometry, TinyFileSinglePacket) {
 
 TEST(StreamGeometry, NonPowerOfTwoPacketSize) {
   Cluster cluster(spec_with(1000 * kKiB, 48 * kKiB));
-  hdfs::OutputStreamBase* stream = start_stream(cluster, 1000 * kKiB);
+  core::SmarthOutputStream* stream = start_stream(cluster, 1000 * kKiB);
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stream->packets_in_block(0), (1000 + 47) / 48);
   EXPECT_EQ(stream->packet_payload(0, 20), 1000 * kKiB - 20 * 48 * kKiB);
@@ -112,7 +112,7 @@ TEST(BaselineStream, StopAndWaitNeverOverlapsBlocks) {
   while (!done) {
     ASSERT_TRUE(
         cluster.sim().run_until(cluster.sim().now() + milliseconds(100)));
-    hdfs::OutputStreamBase* stream = cluster.latest_stream();
+    core::SmarthOutputStream* stream = cluster.latest_stream();
     if (stream != nullptr && !stream->finished()) {
       EXPECT_LE(stream->active_pipeline_count(), 1u);
     }
@@ -127,8 +127,7 @@ TEST(BaselineStream, DegenerateScheduleOnePipelinePerBlock) {
   cluster.throttle_cross_rack(Bandwidth::mbps(30));
   const auto stats = cluster.run_upload("/f", 24 * kMiB, Protocol::kHdfs);
   ASSERT_FALSE(stats.failed);
-  const auto* stream =
-      dynamic_cast<const core::SmarthOutputStream*>(cluster.latest_stream());
+  const core::SmarthOutputStream* stream = cluster.latest_stream();
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stream->fnfa_received(), 0u);
   EXPECT_EQ(stream->slot_waits(), 0u);
@@ -152,7 +151,7 @@ TEST(BaselineStream, WindowBoundsOutstandingPackets) {
   // ~19 packets have been acked, so production must sit near 80 + 19 —
   // far below the 256 packets of the whole file.
   cluster.sim().run_until(seconds(1));
-  hdfs::OutputStreamBase* stream = cluster.latest_stream();
+  core::SmarthOutputStream* stream = cluster.latest_stream();
   ASSERT_NE(stream, nullptr);
   const auto acked_bound = static_cast<std::int64_t>(
       Bandwidth::mbps(10).bits_per_second() /

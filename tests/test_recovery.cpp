@@ -45,8 +45,8 @@ class RecoveryTest : public ::testing::Test {
     }
     deps_ = std::make_unique<StreamDeps>(StreamDeps{
         sim_, *transport_, rpc_, *namenode_, config_, pipeline_ids_,
-        [this](NodeId node) -> Datanode* { return datanode_of(node); }});
-    deps_->quarantine = &quarantine_;
+        [this](NodeId node) -> Datanode* { return datanode_of(node); },
+        quarantine_});
   }
 
   Datanode* datanode_of(NodeId node) {

@@ -39,8 +39,7 @@ TEST(SmarthStream, SlotWaitsUnderDeepThrottle) {
     ASSERT_TRUE(
         cluster.sim().run_until(cluster.sim().now() + milliseconds(250)));
     if (stream == nullptr) {
-      stream = dynamic_cast<core::SmarthOutputStream*>(
-          cluster.latest_stream());
+      stream = cluster.latest_stream();
     }
     ASSERT_LT(cluster.sim().now(), seconds(10'000));
   }
@@ -56,8 +55,7 @@ TEST(SmarthStream, OneFnfaPerBlock) {
   cluster.throttle_cross_rack(Bandwidth::mbps(30));
   const auto stats = cluster.run_upload("/f", 24 * kMiB, Protocol::kSmarth);
   ASSERT_FALSE(stats.failed);
-  const auto* stream =
-      dynamic_cast<const core::SmarthOutputStream*>(cluster.latest_stream());
+  const core::SmarthOutputStream* stream = cluster.latest_stream();
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stats.blocks, 6);
   EXPECT_EQ(stream->fnfa_received(), static_cast<std::uint64_t>(stats.blocks));
