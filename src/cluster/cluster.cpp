@@ -470,12 +470,15 @@ void Cluster::upload(const std::string& path, Bytes size, Protocol protocol,
     completing_.pop_back();
   };
   dfs->create_file(path, [this, path, size, protocol, dfs, tracker,
-                          client_index, on_done = std::move(counted)](
+                          client_index, started = sim_->now(),
+                          on_done = std::move(counted)](
                              Result<FileId> result) mutable {
     if (!result.ok()) {
       hdfs::StreamStats stats;
       stats.client = dfs->id();
       stats.file_size = size;
+      stats.started_at = started;
+      stats.finished_at = sim_->now();
       stats.failed = true;
       stats.failure_reason = "create failed: " + result.error().to_string();
       if (on_done) on_done(stats);

@@ -7,21 +7,7 @@ namespace smarth::hdfs {
 BlockReport BlockReporter::next() {
   BlockReport report;
   report.seq = ++seq_;
-  if (snapshot_ == nullptr || store_.version() != snapshot_version_) {
-    // Reports still in flight share the old list; refill it in place only
-    // when none does.
-    if (snapshot_ == nullptr || snapshot_.use_count() > 1) {
-      snapshot_ = std::make_shared<std::vector<BlockReport::Entry>>();
-    }
-    snapshot_->clear();
-    for (const auto& replica : store_.all_replicas()) {
-      if (replica.state == storage::ReplicaState::kFinalized) {
-        snapshot_->emplace_back(replica.block, replica.bytes);
-      }
-    }
-    snapshot_version_ = store_.version();
-  }
-  report.full = snapshot_;
+  report.full = store_.finalized_list();
   std::sort(finalized_.begin(), finalized_.end());
   finalized_.erase(std::unique(finalized_.begin(), finalized_.end()),
                    finalized_.end());

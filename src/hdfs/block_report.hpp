@@ -3,13 +3,13 @@
 // (the self-healing contract: a lost blockReceived is re-asserted on the
 // next beat) and the delta since the previous report, so a namenode that
 // provably holds everything else already applies only the delta
-// (Namenode::block_report). The full list is one shared snapshot, rebuilt
-// only when the store's version moves, not copied on every beat.
+// (Namenode::block_report). The full list is the store's FinalizedList:
+// shared by every report built while the store is unchanged, and filled
+// only when the namenode reads it or just before the store next changes.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -19,13 +19,14 @@
 namespace smarth::hdfs {
 
 struct BlockReport {
-  using Entry = std::pair<BlockId, Bytes>;  ///< finalized block, its length
+  using Entry = storage::FinalizedList::Entry;  ///< finalized block, length
 
   /// 1 for a datanode's first report, then +1 per heartbeat built (lost,
   /// shed and reordered heartbeats show up as gaps at the namenode).
   std::uint64_t seq = 0;
-  /// Every finalized replica, in the store's iteration order.
-  std::shared_ptr<const std::vector<Entry>> full;
+  /// Every finalized replica, in the store's iteration order, as of when
+  /// the report was built.
+  std::shared_ptr<const storage::FinalizedList> full;
   /// The replicas finalized since report seq - 1 was built that are still
   /// finalized, with their current lengths; a subset of `full`.
   std::vector<Entry> delta;
@@ -46,9 +47,6 @@ class BlockReporter {
  private:
   const storage::BlockStore& store_;
   std::uint64_t seq_ = 0;
-  /// The full list as of store version snapshot_version_.
-  std::shared_ptr<std::vector<BlockReport::Entry>> snapshot_;
-  std::uint64_t snapshot_version_ = 0;
   /// Blocks finalized since the last next(), possibly repeated.
   std::vector<BlockId> finalized_;
 };

@@ -244,7 +244,6 @@ void Datanode::deliver_setup(const PipelineSetup& setup) {
                          << (info.ok() ? info.value().bytes : -1) << " want "
                          << setup.resume_offset);
   }
-  store_.reserve(setup.block, block_bytes);
   pipelines_[setup.pipeline] = std::move(ctx);
 
   const PipelineCtx& stored = pipelines_[setup.pipeline];

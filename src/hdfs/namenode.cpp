@@ -432,7 +432,7 @@ void Namenode::block_report(NodeId dn, const BlockReport& report) {
                   it->second.corrupt_replicas.count(dn) == 0;
   }
   const std::vector<BlockReport::Entry>& entries =
-      incremental ? report.delta : *report.full;
+      incremental ? report.delta : report.full->entries();
   bool clean = true;
   for (const auto& [block, length] : entries) {
     clean = apply_replica(dn, block, length) && clean;

@@ -1,5 +1,7 @@
 #include "storage/block_store.hpp"
 
+#include <algorithm>
+
 #include "storage/crc32c.hpp"
 
 namespace smarth::storage {
@@ -15,40 +17,52 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
+const std::vector<FinalizedList::Entry>& FinalizedList::entries() const {
+  if (store_ != nullptr) {
+    for (const auto& replica : store_->all_replicas()) {
+      if (replica.state == ReplicaState::kFinalized) {
+        entries_.emplace_back(replica.block, replica.bytes);
+      }
+    }
+    store_ = nullptr;
+  }
+  return entries_;
+}
+
 BlockStore::BlockStore(Bytes chunk_size) : chunk_size_(chunk_size) {}
+
+BlockStore::~BlockStore() { changing(); }
 
 std::uint64_t BlockStore::chunk_fingerprint(BlockId block, std::size_t chunk) {
   return mix64(static_cast<std::uint64_t>(block.value()) ^
                mix64(static_cast<std::uint64_t>(chunk)));
 }
 
-void BlockStore::resize_chunks(ReplicaEntry& entry, Bytes new_length) {
-  const auto needed = static_cast<std::size_t>(
-      (new_length + chunk_size_ - 1) / chunk_size_);
-  const std::size_t old = entry.chunks.size();
-  entry.chunks.resize(needed);
-  for (std::size_t i = old; i < needed; ++i) {
-    entry.chunks[i].data = chunk_fingerprint(entry.info.block, i);
-    entry.chunks[i].crc = crc32c_of_u64(entry.chunks[i].data);
-  }
+bool BlockStore::rotted_ok(BlockId block, const RottedChunk& c) {
+  return crc32c_of_u64(c.stored) ==
+         crc32c_of_u64(chunk_fingerprint(block, c.chunk));
+}
+
+std::shared_ptr<const FinalizedList> BlockStore::finalized_list() const {
+  if (list_ == nullptr) list_ = std::make_shared<FinalizedList>(*this);
+  return list_;
+}
+
+void BlockStore::changing() {
+  // A report still holds the current list: fill it as the store reads now.
+  if (list_.use_count() > 1) list_->entries();
+  list_.reset();
 }
 
 Status BlockStore::create_replica(BlockId block) {
-  auto [it, inserted] = replicas_.try_emplace(block);
-  if (!inserted) {
+  if (has_replica(block)) {
     return make_error("replica_exists",
                       "replica already present: " + block.to_string());
   }
-  it->second.info.block = block;
-  ++version_;
+  // Before the insert: it may rehash, which reorders iteration.
+  changing();
+  replicas_[block].info.block = block;
   return Status::ok_status();
-}
-
-void BlockStore::reserve(BlockId block, Bytes length) {
-  auto it = replicas_.find(block);
-  if (it == replicas_.end()) return;
-  it->second.chunks.reserve(
-      static_cast<std::size_t>((length + chunk_size_ - 1) / chunk_size_));
 }
 
 Status BlockStore::append(BlockId block, Bytes bytes) {
@@ -64,7 +78,6 @@ Status BlockStore::append(BlockId block, Bytes bytes) {
     return make_error("bad_length", "negative append length");
   }
   it->second.info.bytes += bytes;
-  resize_chunks(it->second, it->second.info.bytes);
   return Status::ok_status();
 }
 
@@ -73,16 +86,17 @@ Result<Bytes> BlockStore::finalize(BlockId block) {
   if (it == replicas_.end()) {
     return Error{"replica_missing", "no replica " + block.to_string()};
   }
+  changing();
   it->second.info.state = ReplicaState::kFinalized;
-  ++version_;
   return it->second.info.bytes;
 }
 
 Status BlockStore::remove(BlockId block) {
-  if (replicas_.erase(block) == 0) {
+  if (!has_replica(block)) {
     return make_error("replica_missing", "no replica " + block.to_string());
   }
-  ++version_;
+  changing();
+  replicas_.erase(block);
   return Status::ok_status();
 }
 
@@ -99,19 +113,20 @@ Status BlockStore::truncate(BlockId block, Bytes length) {
   // Pipeline recovery may reopen a replica a fast node already finalized;
   // it returns to the being-written state until the rebuilt pipeline
   // finalizes it again (HDFS block recovery does the same).
+  changing();
   it->second.info.state = ReplicaState::kBeingWritten;
-  ++version_;
   it->second.info.bytes = length;
   // Drop chunks past the new tail and rewrite the (now partial) tail chunk:
   // recovery re-syncs from a good source, so the tail comes back clean even
   // if it had rotted.
-  it->second.chunks.resize(static_cast<std::size_t>(
-      (length + chunk_size_ - 1) / chunk_size_));
-  if (!it->second.chunks.empty()) {
-    const std::size_t tail = it->second.chunks.size() - 1;
-    it->second.chunks[tail].data = chunk_fingerprint(block, tail);
-    it->second.chunks[tail].crc = crc32c_of_u64(it->second.chunks[tail].data);
-  }
+  const auto tail = static_cast<std::size_t>(
+      length == 0 ? 0 : (length - 1) / chunk_size_);
+  auto& rotted = it->second.rotted;
+  rotted.erase(std::find_if(rotted.begin(), rotted.end(),
+                            [tail](const RottedChunk& c) {
+                              return c.chunk >= tail;
+                            }),
+               rotted.end());
   return Status::ok_status();
 }
 
@@ -154,15 +169,16 @@ std::vector<ReplicaInfo> BlockStore::all_replicas() const {
 }
 
 std::size_t BlockStore::chunk_count(BlockId block) const {
-  auto it = replicas_.find(block);
-  return it == replicas_.end() ? 0 : it->second.chunks.size();
+  const ReplicaInfo* info = find(block);
+  return info == nullptr ? 0
+                         : static_cast<std::size_t>(
+                               (info->bytes + chunk_size_ - 1) / chunk_size_);
 }
 
 Bytes BlockStore::chunk_bytes(BlockId block, std::size_t chunk) const {
-  auto it = replicas_.find(block);
-  if (it == replicas_.end() || chunk >= it->second.chunks.size()) return 0;
+  if (chunk >= chunk_count(block)) return 0;
   const Bytes start = static_cast<Bytes>(chunk) * chunk_size_;
-  const Bytes remaining = it->second.info.bytes - start;
+  const Bytes remaining = find(block)->bytes - start;
   return remaining < chunk_size_ ? remaining : chunk_size_;
 }
 
@@ -171,24 +187,30 @@ Status BlockStore::rot_chunk(BlockId block, std::size_t chunk) {
   if (it == replicas_.end()) {
     return make_error("replica_missing", "no replica " + block.to_string());
   }
-  if (chunk >= it->second.chunks.size()) {
+  if (chunk >= chunk_count(block)) {
     return make_error("bad_chunk", "chunk index out of range for " +
                                        block.to_string());
   }
-  Chunk& c = it->second.chunks[chunk];
-  const bool was_clean = crc32c_of_u64(c.data) == c.crc;
-  // Flip every bit of the stored fingerprint; the recorded CRC no longer
-  // matches, which is exactly what a decayed sector looks like to a verifier.
-  c.data = ~c.data;
+  auto& rotted = it->second.rotted;
+  auto c = std::find_if(rotted.begin(), rotted.end(),
+                        [chunk](const RottedChunk& r) {
+                          return r.chunk >= chunk;
+                        });
+  if (c == rotted.end() || c->chunk != chunk) {
+    c = rotted.insert(c, RottedChunk{chunk, chunk_fingerprint(block, chunk)});
+  }
+  const bool was_clean = rotted_ok(block, *c);
+  // Flip every bit of the stored fingerprint; its CRC no longer matches the
+  // one recorded at write time, which is exactly what a decayed sector looks
+  // like to a verifier.
+  c->stored = ~c->stored;
   if (was_clean) ++chunks_rotted_;
   return Status::ok_status();
 }
 
 bool BlockStore::chunk_ok(BlockId block, std::size_t chunk) const {
-  auto it = replicas_.find(block);
-  if (it == replicas_.end() || chunk >= it->second.chunks.size()) return false;
-  const Chunk& c = it->second.chunks[chunk];
-  return crc32c_of_u64(c.data) == c.crc;
+  return chunk < chunk_count(block) &&
+         verify_range(block, static_cast<Bytes>(chunk) * chunk_size_, 1);
 }
 
 bool BlockStore::verify_range(BlockId block, Bytes offset, Bytes length) const {
@@ -201,9 +223,10 @@ bool BlockStore::verify_range(BlockId block, Bytes offset, Bytes length) const {
   const auto first = static_cast<std::size_t>(offset / chunk_size_);
   const auto last =
       static_cast<std::size_t>((offset + length - 1) / chunk_size_);
-  for (std::size_t i = first; i <= last; ++i) {
-    const Chunk& c = it->second.chunks[i];
-    if (crc32c_of_u64(c.data) != c.crc) return false;
+  for (const RottedChunk& c : it->second.rotted) {
+    if (c.chunk >= first && c.chunk <= last && !rotted_ok(block, c)) {
+      return false;
+    }
   }
   return true;
 }
@@ -212,9 +235,8 @@ std::vector<std::size_t> BlockStore::corrupt_chunks(BlockId block) const {
   std::vector<std::size_t> out;
   auto it = replicas_.find(block);
   if (it == replicas_.end()) return out;
-  for (std::size_t i = 0; i < it->second.chunks.size(); ++i) {
-    const Chunk& c = it->second.chunks[i];
-    if (crc32c_of_u64(c.data) != c.crc) out.push_back(i);
+  for (const RottedChunk& c : it->second.rotted) {
+    if (!rotted_ok(block, c)) out.push_back(c.chunk);
   }
   return out;
 }

@@ -3,17 +3,22 @@
 // finalized. Integration tests use it to verify that every byte uploaded by a
 // client ends up in `replication` finalized replicas.
 //
-// Since PR 4 the store also models at-rest data integrity: every replica
-// carries one synthetic 64-bit fingerprint plus a CRC32C per fixed-size
-// chunk (HDFS keeps a CRC per 512-byte chunk in the replica's .meta file;
-// we use one CRC per simulated chunk). Bit-rot flips the stored fingerprint
-// without updating the CRC, so any later verification — streaming reads,
-// the background scanner, or re-replication source checks — detects the
-// mismatch exactly the way a real checksum verifier would.
+// The store also models at-rest integrity with a CRC32C per fixed-size chunk
+// (HDFS keeps one per 512-byte chunk in the .meta file). A clean chunk's
+// synthetic 64-bit fingerprint and its write-time CRC are pure functions of
+// (block, chunk), so a replica keeps only the chunks bit-rot flipped, usually
+// none. Streaming reads, the scanner and re-replication source checks compare
+// a chunk's stored fingerprint's CRC with the write-time CRC, exactly the way
+// a real checksum verifier detects rot.
+//
+// finalized_list() hands heartbeat block reports the finalized replicas,
+// filled only when read or just before the store next changes.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -30,16 +35,35 @@ struct ReplicaInfo {
   ReplicaState state = ReplicaState::kBeingWritten;
 };
 
+class BlockStore;
+
+/// Every finalized replica of one store, (block, length) in the store's
+/// iteration order, as of when BlockStore::finalized_list() handed it out.
+/// It points back at its store until filled; the store fills it before it
+/// changes or is destroyed while the list is still shared.
+class FinalizedList {
+ public:
+  using Entry = std::pair<BlockId, Bytes>;
+
+  explicit FinalizedList(const BlockStore& store) : store_(&store) {}
+
+  /// The entries, filled from the store on the first call.
+  const std::vector<Entry>& entries() const;
+
+ private:
+  mutable const BlockStore* store_;  ///< null once filled
+  mutable std::vector<Entry> entries_;
+};
+
 class BlockStore {
  public:
   explicit BlockStore(Bytes chunk_size = 64 * kKiB);
+  ~BlockStore();
+  BlockStore(const BlockStore&) = delete;
+  BlockStore& operator=(const BlockStore&) = delete;
 
   /// Starts a replica in kBeingWritten state; fails if it already exists.
   Status create_replica(BlockId block);
-
-  /// Sizes `block`'s chunk table for a replica of `length` bytes, so appends
-  /// up to that length never reallocate it. No-op for an unknown block.
-  void reserve(BlockId block, Bytes length);
 
   /// Appends durably written bytes to an open replica.
   Status append(BlockId block, Bytes bytes);
@@ -66,11 +90,10 @@ class BlockStore {
   Bytes total_bytes() const;
   std::vector<ReplicaInfo> all_replicas() const;
 
-  /// Bumped by every change that may alter the finalized replicas, their
+  /// The finalized replicas as of now, unfilled. The same list is handed
+  /// out until the next change that may alter the finalized replicas, their
   /// lengths or all_replicas()' order: create, remove, finalize, truncate.
-  /// A caller holding a list derived from all_replicas() may reuse it while
-  /// the version is unchanged.
-  std::uint64_t version() const { return version_; }
+  std::shared_ptr<const FinalizedList> finalized_list() const;
 
   // --- chunk-level integrity -----------------------------------------------
 
@@ -88,7 +111,8 @@ class BlockStore {
   /// verification of that chunk fails.
   Status rot_chunk(BlockId block, std::size_t chunk);
 
-  /// True when the chunk's stored fingerprint still matches its CRC.
+  /// True when the CRC of the chunk's stored fingerprint matches the CRC
+  /// recorded when it was written.
   bool chunk_ok(BlockId block, std::size_t chunk) const;
 
   /// Verifies every chunk overlapping [offset, offset + length); true only
@@ -102,14 +126,15 @@ class BlockStore {
   std::uint64_t chunks_rotted() const { return chunks_rotted_; }
 
  private:
-  struct Chunk {
-    std::uint64_t data = 0;  // synthetic payload fingerprint
-    std::uint32_t crc = 0;   // CRC32C recorded at write time
+  /// A chunk whose stored fingerprint rot flipped.
+  struct RottedChunk {
+    std::size_t chunk;
+    std::uint64_t stored;
   };
 
   struct ReplicaEntry {
     ReplicaInfo info;
-    std::vector<Chunk> chunks;
+    std::vector<RottedChunk> rotted;  ///< sorted by chunk
   };
 
   // Deterministic synthetic contents for chunk `chunk` of `block`; rewriting
@@ -117,12 +142,16 @@ class BlockStore {
   // fingerprint.
   static std::uint64_t chunk_fingerprint(BlockId block, std::size_t chunk);
 
-  void resize_chunks(ReplicaEntry& entry, Bytes new_length);
+  static bool rotted_ok(BlockId block, const RottedChunk& c);
+
+  /// Called before every change that may alter the finalized list: fills
+  /// the current list if a report still holds it, and drops it.
+  void changing();
 
   Bytes chunk_size_;
   std::uint64_t chunks_rotted_ = 0;
-  std::uint64_t version_ = 0;
   std::unordered_map<BlockId, ReplicaEntry> replicas_;
+  mutable std::shared_ptr<FinalizedList> list_;
 };
 
 }  // namespace smarth::storage

@@ -1,7 +1,7 @@
 // CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
 // checksum HDFS stores per 512-byte chunk in replica .meta files. The block
-// store keeps one CRC per simulated chunk so bit-rot at rest is detectable
-// by the read path and the background scanner.
+// store computes it only when verifying a rotted chunk; a clean chunk's CRC
+// is implied by (block, chunk), so rot is detectable without a stored table.
 #pragma once
 
 #include <cstddef>

@@ -122,6 +122,21 @@ TEST(OverloadIntegration, ShedPastTheOverloadBudgetFailsTheUpload) {
             SimTime{6'821'115'005});
   EXPECT_EQ(first_failed_by("overloaded: namenode shed complete"),
             SimTime{6'889'714'189});
+  // A shed create() fails without a stream and still carries when its
+  // upload started and when it failed. The late arrivals /openloop/f90-f99
+  // that are shed fail past the 20 s window.
+  int late_shed_creates = 0;
+  for (const hdfs::StreamStats& s : result.failures) {
+    if (s.failure_reason.rfind("create failed", 0) != 0) continue;
+    EXPECT_GT(s.started_at, 0) << s.failure_reason;
+    EXPECT_GE(s.finished_at, s.started_at) << s.failure_reason;
+    if (s.failure_reason.find("/openloop/f9") != std::string::npos &&
+        s.failure_reason.find("/openloop/f9)") == std::string::npos) {
+      ++late_shed_creates;
+      EXPECT_GT(s.finished_at, seconds(20)) << s.failure_reason;
+    }
+  }
+  EXPECT_EQ(late_shed_creates, 8);
 }
 
 struct OverloadRunDigest {

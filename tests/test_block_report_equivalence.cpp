@@ -198,7 +198,7 @@ class BlockReportEquivalence : public ::testing::Test {
       if (incremental) {
         side.nn.block_report(msg.dn, msg.report);
       } else {
-        for (const auto& [block, length] : *msg.report.full) {
+        for (const auto& [block, length] : msg.report.full->entries()) {
           side.nn.block_received(msg.dn, block, length);
         }
       }
@@ -642,8 +642,9 @@ TEST(BlockReporter, SnapshotsAreSharedAndNeverChangeInFlight) {
   ASSERT_TRUE(store.create_replica(BlockId{2}).ok());  // open: not reported
   const BlockReport first = reporter.next();
   EXPECT_EQ(first.seq, 1u);
-  EXPECT_EQ(*first.full, (std::vector<BlockReport::Entry>{{BlockId{1}, 100}}));
-  EXPECT_EQ(first.delta, *first.full);
+  EXPECT_EQ(first.full->entries(),
+            (std::vector<BlockReport::Entry>{{BlockId{1}, 100}}));
+  EXPECT_EQ(first.delta, first.full->entries());
 
   // Nothing changed: the same list, shared, and an empty delta.
   const BlockReport second = reporter.next();
@@ -655,8 +656,8 @@ TEST(BlockReporter, SnapshotsAreSharedAndNeverChangeInFlight) {
   finalize(3, 300);
   const BlockReport third = reporter.next();
   EXPECT_NE(third.full, first.full);
-  EXPECT_EQ(first.full->size(), 1u);
-  EXPECT_EQ(third.full->size(), 2u);
+  EXPECT_EQ(first.full->entries().size(), 1u);
+  EXPECT_EQ(third.full->entries().size(), 2u);
   EXPECT_EQ(third.delta,
             (std::vector<BlockReport::Entry>{{BlockId{3}, 300}}));
 
@@ -672,7 +673,93 @@ TEST(BlockReporter, SnapshotsAreSharedAndNeverChangeInFlight) {
   const BlockReport fourth = reporter.next();
   EXPECT_EQ(fourth.delta,
             (std::vector<BlockReport::Entry>{{BlockId{3}, 300}}));
-  EXPECT_EQ(fourth.full->size(), 2u);
+  EXPECT_EQ(fourth.full->entries().size(), 2u);
+  // Lists handed out before those changes still read as they were built.
+  EXPECT_EQ(first.full->entries(),
+            (std::vector<BlockReport::Entry>{{BlockId{1}, 100}}));
+  EXPECT_EQ(third.full->entries().size(), 2u);
+}
+
+/// What a report built now must read: all_replicas() filtered to the
+/// finalized ones, in the store's order.
+std::vector<BlockReport::Entry> finalized_now(const storage::BlockStore& store) {
+  std::vector<BlockReport::Entry> out;
+  for (const auto& replica : store.all_replicas()) {
+    if (replica.state == storage::ReplicaState::kFinalized) {
+      out.emplace_back(replica.block, replica.bytes);
+    }
+  }
+  return out;
+}
+
+// Reports are read only after every change below: each must still read the
+// store as it was when the report was built, whatever changed since.
+TEST(BlockReporter, HeldReportsReadTheStoreAsBuilt) {
+  storage::BlockStore store;
+  BlockReporter reporter(store);
+  struct Held {
+    BlockReport report;
+    std::vector<BlockReport::Entry> expected;
+    const char* after;
+  };
+  std::vector<Held> held;
+  const auto hold = [&](const char* after) {
+    held.push_back({reporter.next(), finalized_now(store), after});
+  };
+  for (std::int64_t id = 1; id <= 8; ++id) {
+    ASSERT_TRUE(store.create_replica(BlockId{id}).ok());
+    ASSERT_TRUE(store.append(BlockId{id}, 100 * id).ok());
+    if (id % 2 == 1) {
+      ASSERT_TRUE(store.finalize(BlockId{id}).ok());
+    }
+  }
+  hold("setup");
+  // Creates that cross rehashes, one report after each.
+  for (std::int64_t id = 100; id < 300; ++id) {
+    ASSERT_TRUE(store.create_replica(BlockId{id * 7919}).ok());
+    hold("create");
+  }
+  // The creates reordered iteration: the first report's blocks, read in
+  // today's order, differ from the order it was built with.
+  std::vector<BlockReport::Entry> reordered;
+  for (const auto& entry : finalized_now(store)) {
+    if (std::find(held[0].expected.begin(), held[0].expected.end(), entry) !=
+        held[0].expected.end()) {
+      reordered.push_back(entry);
+    }
+  }
+  ASSERT_NE(reordered, held[0].expected) << "no rehash reordered the store";
+  ASSERT_TRUE(store.finalize(BlockId{2}).ok());
+  hold("finalize");
+  ASSERT_TRUE(store.truncate(BlockId{3}, 50).ok());  // reopens it
+  hold("truncate");
+  ASSERT_TRUE(store.finalize(BlockId{3}).ok());
+  hold("finalize at the new length");
+  ASSERT_TRUE(store.remove(BlockId{5}).ok());
+  hold("remove");
+  ASSERT_TRUE(store.remove(BlockId{2}).ok());
+  for (const Held& h : held) {
+    EXPECT_EQ(h.report.full->entries(), h.expected)
+        << "report " << h.report.seq << " built after " << h.after;
+  }
+}
+
+TEST(BlockReporter, AReportOutlivesItsStore) {
+  BlockReport report;
+  std::vector<BlockReport::Entry> expected;
+  {
+    storage::BlockStore store;
+    BlockReporter reporter(store);
+    for (std::int64_t id = 1; id <= 4; ++id) {
+      ASSERT_TRUE(store.create_replica(BlockId{id}).ok());
+      ASSERT_TRUE(store.append(BlockId{id}, 10 * id).ok());
+      ASSERT_TRUE(store.finalize(BlockId{id}).ok());
+    }
+    report = reporter.next();
+    expected = finalized_now(store);
+  }
+  EXPECT_EQ(report.full->entries(), expected);
+  EXPECT_EQ(expected.size(), 4u);
 }
 
 // The safe-mode guard: a file closed by lease recovery can lift the safe
@@ -742,7 +829,7 @@ TEST_F(BlockReportEquivalence, DroppedBlocksInADeltaKeepTheFullOrder) {
   for (std::size_t i = 1; i < blocks.size(); ++i) finalize(dn, blocks[i]);
   const Message report = heartbeat(dn);
   std::vector<BlockId> full_order;
-  for (const auto& [block, length] : *report.report.full) {
+  for (const auto& [block, length] : report.report.full->entries()) {
     if (block != blocks[0]) full_order.push_back(block);
   }
   std::vector<BlockId> delta_order;

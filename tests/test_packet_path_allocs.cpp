@@ -1,7 +1,7 @@
 // Zero-allocation regression test for the packet path. Once pools and queues
 // have grown to their peak, moving messages through the network, requests
 // through a disk and packets through a three-datanode pipeline must not touch
-// the heap at all.
+// the heap at all; and a replica's heap cost must not grow with its length.
 //
 // This binary replaces the global allocation functions with counting
 // wrappers, so it cannot run under AddressSanitizer (which replaces them
@@ -22,19 +22,23 @@
 #include "net/network.hpp"
 #include "rpc/rpc_bus.hpp"
 #include "sim/simulation.hpp"
+#include "storage/block_store.hpp"
 #include "storage/disk.hpp"
 
 namespace {
 
 std::uint64_t g_allocations = 0;
+std::uint64_t g_bytes = 0;  ///< requested, never decremented
 
 void* counted_alloc(std::size_t size) {
   ++g_allocations;
+  g_bytes += size;
   return std::malloc(size == 0 ? 1 : size);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   ++g_allocations;
+  g_bytes += size;
   void* p = nullptr;
   const std::size_t alignment =
       std::max(static_cast<std::size_t>(align), sizeof(void*));
@@ -88,6 +92,14 @@ std::uint64_t allocations_during(Work&& work) {
   const std::uint64_t before = g_allocations;
   work();
   return g_allocations - before;
+}
+
+/// Heap bytes requested while running `work`.
+template <typename Work>
+std::uint64_t bytes_during(Work&& work) {
+  const std::uint64_t before = g_bytes;
+  work();
+  return g_bytes - before;
 }
 
 /// A capture the size of Transport's packet lambdas: a pointer, a node id and
@@ -157,6 +169,26 @@ TEST(PacketPathAllocs, DiskWriteIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(written, 4u * 32u);
+}
+
+// A replica's bookkeeping does not grow with what it stores: one filled by
+// 1,024 packet-sized appends and finalized costs no more heap than a
+// one-chunk replica.
+TEST(PacketPathAllocs, ReplicaHeapDoesNotGrowWithItsLength) {
+  const auto replica_bytes = [](int appends) {
+    storage::BlockStore store;
+    const BlockId block{7};
+    return bytes_during([&] {
+      EXPECT_TRUE(store.create_replica(block).ok());
+      for (int i = 0; i < appends; ++i) {
+        EXPECT_TRUE(store.append(block, 64 * kKiB).ok());
+      }
+      EXPECT_TRUE(store.finalize(block).ok());
+    });
+  };
+  const std::uint64_t one_chunk = replica_bytes(1);
+  EXPECT_GT(one_chunk, 0u);  // the counter sees the replica's own entry
+  EXPECT_LE(replica_bytes(1024), one_chunk);
 }
 
 /// Upstream end of the pipeline: counts what the datanodes send back.
