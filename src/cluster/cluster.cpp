@@ -61,7 +61,6 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
     qc.cost_add_block = spec_.hdfs.nn_cost_add_block;
     qc.queue_capacity = spec_.hdfs.nn_queue_capacity;
     qc.heartbeat_batch_max = spec_.hdfs.nn_heartbeat_batch_max;
-    qc.batch_marginal_cost = spec_.hdfs.nn_batch_marginal_cost;
     qc.per_tenant_addblock_cap = spec_.hdfs.nn_client_addblock_cap;
     nn_service_queue_ = std::make_unique<rpc::ServiceQueue>(*sim_, qc);
     rpc_->set_service_queue(nn_node, nn_service_queue_.get());

@@ -1,6 +1,7 @@
 #include "faults/fault_injector.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -133,32 +134,6 @@ void FaultInjector::flap_node(std::size_t datanode_index, SimTime down_at,
         net->set_node_isolated(node, false);
       });
   mark_busy(datanode_index, up_at);
-}
-
-void FaultInjector::partition_racks(const std::string& rack_a,
-                                    const std::string& rack_b, SimTime sever_at,
-                                    SimTime heal_at) {
-  SMARTH_CHECK_MSG(heal_at > sever_at,
-                   "partition window must have positive length");
-  net::Network* net = &cluster_.network();
-  cluster_.sim().schedule_at(
-      sever_at, "fault.partition", [this, net, rack_a, rack_b] {
-        SMARTH_KV(LogLevel::kInfo, "faults", "partition")
-            .kv("rack_a", rack_a)
-            .kv("rack_b", rack_b);
-        trace_fault("partition", {{"rack_a", rack_a}, {"rack_b", rack_b}});
-        net->set_rack_partition(rack_a, rack_b, true);
-        count_fault("partitions");
-      });
-  cluster_.sim().schedule_at(
-      heal_at, "fault.partition_heal", [net, rack_a, rack_b] {
-        SMARTH_KV(LogLevel::kInfo, "faults", "partition-healed")
-            .kv("rack_a", rack_a)
-            .kv("rack_b", rack_b);
-        trace_fault("partition healed",
-                    {{"rack_a", rack_a}, {"rack_b", rack_b}});
-        net->set_rack_partition(rack_a, rack_b, false);
-      });
 }
 
 void FaultInjector::corrupt_nth_packet(std::size_t datanode_index,

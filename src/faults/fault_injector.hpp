@@ -3,9 +3,10 @@
 //
 //  * Deterministic one-shot injections — crash-and-rejoin, fail-slow windows
 //    (disk and/or NIC throttled by a factor, then restored), NIC flaps
-//    (node isolated then healed), rack partition windows, checksum
-//    corruption, RPC loss/delay — each scheduled at explicit simulated times.
-//    workload::FaultPlan is a declarative list of these one-shots.
+//    (node isolated then healed), checksum corruption, RPC loss/delay — each
+//    scheduled at explicit simulated times. workload::FaultPlan is a
+//    declarative list of these one-shots. Rack partitions are a Network
+//    capability (net::Network::set_rack_partition), driven directly.
 //
 //  * Seeded chaos mode — a periodic tick samples per-datanode Bernoulli
 //    trials from configurable per-minute rates and applies the same
@@ -17,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -80,8 +80,8 @@ struct ChaosRates {
 
 /// Every applied injection (deterministic or chaos) is counted in the metrics
 /// registry as faults.<class>: crashes, restarts, fail_slows, flaps,
-/// partitions, corruptions, client_crashes, client_restarts, bitrot_flips,
-/// nn_crashes, nn_restarts and nn_failovers.
+/// corruptions, client_crashes, client_restarts, bitrot_flips, nn_crashes,
+/// nn_restarts and nn_failovers.
 class FaultInjector {
  public:
   /// `chaos_seed` seeds the injector's private Rng (chaos mode and duration
@@ -103,9 +103,6 @@ class FaultInjector {
                  double disk_factor, double nic_factor);
   /// Link flap: the node's NIC drops every message during [down_at, up_at).
   void flap_node(std::size_t datanode_index, SimTime down_at, SimTime up_at);
-  /// Transient inter-rack partition during [sever_at, heal_at).
-  void partition_racks(const std::string& rack_a, const std::string& rack_b,
-                       SimTime sever_at, SimTime heal_at);
   /// Checksum corruption on the nth packet arriving at the node (1-based).
   void corrupt_nth_packet(std::size_t datanode_index, std::uint64_t nth);
   /// Bit-rot at rest: at time `at`, one pseudo-randomly chosen chunk of one

@@ -25,7 +25,7 @@ void DfsClient::create_file_attempt(const std::string& path,
   auto shared_cb =
       std::make_shared<std::function<void(Result<FileId>)>>(std::move(cb));
   call_namenode<FileId>(
-      rpc_, sim_, config_, node_, nn.node_id(),
+      rpc_, sim_, node_, nn.node_id(),
       [&nn, path, client = id_, overwrite] {
         return nn.create(path, client, overwrite);
       },

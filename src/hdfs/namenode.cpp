@@ -520,12 +520,6 @@ void Namenode::report_bad_replica(BlockId block, NodeId node) {
   }
 }
 
-std::size_t Namenode::corrupt_replica_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, record] : blocks_) n += record.corrupt_replicas.size();
-  return n;
-}
-
 void Namenode::report_slow_datanode(NodeId node, double weight) {
   suspicion_.report(node, weight, sim_.now());
   metrics::global_registry().counter("namenode.slow_node_reports").add();
@@ -575,10 +569,6 @@ void Namenode::enable_lease_recovery(UcRecoveryExecutor executor,
   lease_task_ = std::make_unique<sim::PeriodicTask>(
       sim_, scan_interval, "nn.lease_scan", [this] { lease_scan(); });
   lease_task_->start();
-}
-
-void Namenode::disable_lease_recovery() {
-  if (lease_task_) lease_task_->stop();
 }
 
 void Namenode::lease_scan() {
@@ -847,10 +837,6 @@ void Namenode::enable_rereplication(ReplicationExecutor executor,
       sim_, scan_interval, "nn.rereplication_scan",
       [this] { scan_for_under_replication(); });
   rereplication_task_->start();
-}
-
-void Namenode::disable_rereplication() {
-  if (rereplication_task_) rereplication_task_->stop();
 }
 
 void Namenode::scan_for_under_replication() {

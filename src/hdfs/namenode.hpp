@@ -208,7 +208,6 @@ class Namenode {
   /// freshly placed node (HDFS's under-replicated block queue).
   void enable_rereplication(ReplicationExecutor executor,
                             SimDuration scan_interval = seconds(5));
-  void disable_rereplication();
   std::uint64_t rereplications_scheduled() const {
     return rereplications_scheduled_;
   }
@@ -237,8 +236,6 @@ class Namenode {
   void report_bad_replica(BlockId block, NodeId node);
 
   std::uint64_t invalidations_issued() const { return invalidations_issued_; }
-  /// Total (block, node) pairs currently quarantined.
-  std::size_t corrupt_replica_count() const;
 
   // --- Gray-failure suspicion --------------------------------------------------
   /// Client slowness evidence: a write pipeline evicted `node` as a
@@ -271,7 +268,6 @@ class Namenode {
   /// that exhaust their attempts).
   void enable_lease_recovery(UcRecoveryExecutor executor,
                              SimDuration scan_interval = 0);
-  void disable_lease_recovery();
 
   /// Forces lease recovery of an open file (also invoked internally on
   /// hard expiry and by create-takeover past the soft limit).
@@ -312,7 +308,6 @@ class Namenode {
   const FileEntry* file(FileId id) const;
   const FileEntry* file_by_path(const std::string& path) const;
   const BlockRecord* block(BlockId id) const;
-  std::size_t file_count() const { return files_.size(); }
   std::size_t block_count() const { return blocks_.size(); }
   std::uint64_t heartbeats_received() const { return heartbeats_; }
 

@@ -41,15 +41,15 @@ struct StreamDeps {
   QuarantineList& quarantine;
 };
 
-/// The retry policy of every client-side namenode RPC, from the config's
-/// `rpc_*` knobs.
-inline rpc::RetryPolicy namenode_retry_policy(const HdfsConfig& config) {
+/// The retry policy of every client-side namenode RPC, from HdfsConfig's
+/// fixed `rpc_*` values.
+inline rpc::RetryPolicy namenode_retry_policy() {
   rpc::RetryPolicy policy;
-  policy.timeout = config.rpc_timeout;
-  policy.max_attempts = config.rpc_max_attempts;
-  policy.backoff_base = config.rpc_backoff_base;
-  policy.backoff_max = config.rpc_backoff_max;
-  policy.jitter = config.rpc_backoff_jitter;
+  policy.timeout = HdfsConfig::rpc_timeout;
+  policy.max_attempts = HdfsConfig::rpc_max_attempts;
+  policy.backoff_base = HdfsConfig::rpc_backoff_base;
+  policy.backoff_max = HdfsConfig::rpc_backoff_max;
+  policy.jitter = HdfsConfig::rpc_backoff_jitter;
   return policy;
 }
 
@@ -59,14 +59,13 @@ inline rpc::RetryPolicy namenode_retry_policy(const HdfsConfig& config) {
 /// `label`), and an `overloaded` response is retried with backoff while
 /// attempts remain.
 template <typename T>
-void call_namenode(rpc::RpcBus& bus, sim::Simulation& sim,
-                   const HdfsConfig& config, NodeId client, NodeId namenode,
-                   std::function<Result<T>()> handler,
+void call_namenode(rpc::RpcBus& bus, sim::Simulation& sim, NodeId client,
+                   NodeId namenode, std::function<Result<T>()> handler,
                    std::function<void(Result<T>)> on_response,
                    std::function<void()> on_give_up, const char* label,
                    rpc::CallOptions options, std::string what = {}) {
   rpc::call_with_retry<Result<T>>(
-      bus, sim, namenode_retry_policy(config), client, namenode,
+      bus, sim, namenode_retry_policy(), client, namenode,
       std::move(handler), std::move(on_response), std::move(on_give_up),
       label, options,
       [label, what = std::move(what)] {

@@ -76,7 +76,6 @@ class BlockRecovery {
 
   void probe_targets();
   void on_probes_done(std::vector<ReplicaProbeResult> results);
-  void sync_and_replace();
   void truncate_survivors();
   void request_replacements();
   void transfer_prefix(std::size_t replacement_index);

@@ -1,6 +1,7 @@
 // Wire-level protocol types and tunables shared by the namenode, datanodes
 // and clients. The defaults mirror Hadoop 1.0.3, the version the paper
 // evaluated: 64 MB blocks, 64 KB packets, replication 3, 3-second heartbeats.
+// Only the values some caller varies are settable; the rest are fixed.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,11 @@ enum class DataFidelity { kPacket, kBlock };
 
 /// All tunables of the simulated DFS. One instance is shared by every
 /// component of a cluster.
+///
+/// A data member is a value that some caller varies; every other parameter
+/// is a `static constexpr` at its Hadoop 1.0.3 (or calibrated) value, read
+/// the same way (`config.probe_timeout`) but not assignable. Promote a
+/// constant back to a field when a second caller needs a different value.
 struct HdfsConfig {
   // --- Data layout ----------------------------------------------------------
   Bytes block_size = 64 * kMiB;
@@ -42,15 +48,16 @@ struct HdfsConfig {
   double block_fidelity_tolerance = 0.05;
 
   // --- Wire overheads -------------------------------------------------------
-  Bytes packet_header_wire = 512;  ///< checksums + header per data packet
-  Bytes ack_wire = 64;
-  Bytes setup_wire = 256;
-  Bytes fnfa_wire = 64;
+  /// Checksums + header per data packet.
+  static constexpr Bytes packet_header_wire = 512;
+  static constexpr Bytes ack_wire = 64;
+  static constexpr Bytes setup_wire = 256;
+  static constexpr Bytes fnfa_wire = 64;
 
   // --- Replication / flow control -------------------------------------------
   int replication = 3;
   /// Client-side cap on dataQueue + ackQueue, in packets (Hadoop: 80).
-  int max_outstanding_packets = 80;
+  static constexpr int max_outstanding_packets = 80;
 
   // --- Client-side costs ----------------------------------------------------
   /// Per-packet production time Tc: read from the local source, checksum,
@@ -59,7 +66,7 @@ struct HdfsConfig {
 
   // --- Datanode costs -------------------------------------------------------
   /// Per-packet checksum verification before store/forward.
-  SimDuration checksum_verify_time = microseconds(30);
+  static constexpr SimDuration checksum_verify_time = microseconds(30);
   /// Staging buffer per datanode per client (paper §IV-C: one block).
   Bytes staging_buffer_bytes = 64 * kMiB;
 
@@ -67,7 +74,7 @@ struct HdfsConfig {
   /// Granularity of at-rest CRC32C checksums in the block store. One CRC per
   /// chunk, verified on every read/scrub touching the chunk (HDFS: 512 B per
   /// chunk in .meta files; we checksum at packet granularity).
-  Bytes checksum_chunk_size = 64 * kKiB;
+  static constexpr Bytes checksum_chunk_size = 64 * kKiB;
   /// Background block-scanner byte budget per datanode. 0 disables the
   /// scanner (the default, so latency-calibrated experiments are unaffected);
   /// when enabled, scrub reads go through the shared disk and contend with
@@ -75,10 +82,10 @@ struct HdfsConfig {
   /// budgeted by rate rather than period).
   Bytes scanner_bytes_per_second = 0;
   /// Cadence at which the scanner wakes and spends its accumulated budget.
-  SimDuration scanner_interval = seconds(1);
+  static constexpr SimDuration scanner_interval = seconds(1);
 
   // --- Control plane --------------------------------------------------------
-  SimDuration heartbeat_interval = seconds(3);
+  static constexpr SimDuration heartbeat_interval = seconds(3);
   /// A datanode missing heartbeats for this long is considered dead.
   SimDuration datanode_dead_interval = seconds(15);
 
@@ -91,10 +98,10 @@ struct HdfsConfig {
   SimDuration lease_monitor_interval = seconds(2);
   /// Deadline for one primary-datanode recovery round before the namenode
   /// re-elects a primary and reissues the command.
-  SimDuration lease_recovery_retry_interval = seconds(5);
+  static constexpr SimDuration lease_recovery_retry_interval = seconds(5);
   /// Recovery rounds per UC block before the block is abandoned (and the
   /// file truncated before it) so a dead rack cannot wedge the file forever.
-  int lease_recovery_max_attempts = 6;
+  static constexpr int lease_recovery_max_attempts = 6;
 
   // --- Namenode durability & restart -----------------------------------------
   /// Cadence of fsimage checkpoints (edit-log truncation); 0 disables
@@ -103,56 +110,57 @@ struct HdfsConfig {
   /// Fraction of closed-file blocks that must have at least one live
   /// non-corrupt replica re-reported before a restarted namenode leaves safe
   /// mode and resumes write/replication/invalidation decisions.
-  double safe_mode_threshold = 0.999;
+  static constexpr double safe_mode_threshold = 0.999;
   /// Replay cost per journaled op during restart/failover — makes cold
   /// restart downtime scale with the un-checkpointed log length.
   SimDuration edit_replay_op_cost = microseconds(200);
   /// Process bounce time of a cold namenode restart (exec + image load),
   /// before replay cost is added.
-  SimDuration nn_restart_process_delay = seconds(1);
+  static constexpr SimDuration nn_restart_process_delay = seconds(1);
   /// Promotion time of a warm standby (already caught up to its tail lag),
   /// before replay cost is added. Strictly smaller than a cold restart.
-  SimDuration nn_failover_delay = milliseconds(500);
+  static constexpr SimDuration nn_failover_delay = milliseconds(500);
   /// Cadence at which the standby tails the edit log (its lag bound).
-  SimDuration standby_tail_interval = milliseconds(500);
+  static constexpr SimDuration standby_tail_interval = milliseconds(500);
   /// Hard ceiling on automatic safe mode: past this, the namenode exits with
   /// whatever replica coverage it has (permanently lost replicas — e.g. every
   /// copy of a block rotted — must not wedge the control plane forever).
-  SimDuration safe_mode_max_wait = seconds(60);
+  static constexpr SimDuration safe_mode_max_wait = seconds(60);
   /// Client streams poll a safe-mode namenode at this cadence...
-  SimDuration safe_mode_retry_interval = seconds(1);
+  static constexpr SimDuration safe_mode_retry_interval = seconds(1);
   /// ...and fail the upload after waiting this long in total per allocation.
-  SimDuration safe_mode_retry_budget = seconds(60);
+  static constexpr SimDuration safe_mode_retry_budget = seconds(60);
 
   // --- Failure handling -----------------------------------------------------
   /// No ACK progress on a pipeline for this long => pipeline error.
   SimDuration ack_timeout = seconds(5);
   /// Probe RPC timeout used to tell dead targets from slow ones.
-  SimDuration probe_timeout = milliseconds(800);
+  static constexpr SimDuration probe_timeout = milliseconds(800);
   /// Ceiling on a recovery's replica-prefix copy to a replacement node; a
   /// copy that exceeds it (unreachable target, severed link) is abandoned.
   SimDuration replacement_transfer_timeout = seconds(30);
 
   // --- Control-plane retries (see rpc/retry.hpp) ------------------------------
   /// Per-attempt deadline on namenode RPCs (addBlock, complete, create, …).
-  SimDuration rpc_timeout = seconds(2);
+  static constexpr SimDuration rpc_timeout = seconds(2);
   /// Total attempts per namenode RPC, first try included.
-  int rpc_max_attempts = 4;
-  SimDuration rpc_backoff_base = milliseconds(200);
-  SimDuration rpc_backoff_max = seconds(5);
-  double rpc_backoff_jitter = 0.2;
+  static constexpr int rpc_max_attempts = 4;
+  static constexpr SimDuration rpc_backoff_base = milliseconds(200);
+  static constexpr SimDuration rpc_backoff_max = seconds(5);
+  static constexpr double rpc_backoff_jitter = 0.2;
   /// Recovery rounds a single block may consume before the stream gives up
   /// cleanly (Hadoop's dfs.client.block.write.retries analogue).
-  int recovery_attempts_per_block = 5;
+  static constexpr int recovery_attempts_per_block = 5;
   /// How long a datanode implicated in a failure stays client-quarantined
   /// (deprioritized for new pipelines and replacements).
-  SimDuration quarantine_duration = seconds(60);
+  static constexpr SimDuration quarantine_duration = seconds(60);
 
   // --- Gray-failure defense (hedged reads / slow-node eviction) -------------
   // A fail-slow datanode never misses a heartbeat, so none of the crash
-  // machinery fires; these knobs defend tail latency instead of durability.
-  // All three defenses default off so latency-calibrated experiments and
-  // existing seed timelines are unaffected; benches and chaos subsets opt in.
+  // machinery fires; these defenses guard tail latency instead of
+  // durability. Each defaults off so latency-calibrated experiments and
+  // existing seed timelines are unaffected; benches and chaos subsets opt
+  // in. Their detection parameters are fixed.
 
   /// Hedged reads: when a block read makes no byte progress for the hedge
   /// threshold, race a second replica and keep whichever finishes first.
@@ -161,19 +169,19 @@ struct HdfsConfig {
   /// this multiplier — the PR-5 per-hop latency data reused as a slowness
   /// prior. Falls back to `hedge_static_threshold` until the histogram has
   /// `hedge_min_samples` observations.
-  double hedge_timer_multiplier = 8.0;
-  std::uint64_t hedge_min_samples = 16;
-  SimDuration hedge_static_threshold = milliseconds(500);
+  static constexpr double hedge_timer_multiplier = 8.0;
+  static constexpr std::uint64_t hedge_min_samples = 16;
+  static constexpr SimDuration hedge_static_threshold = milliseconds(500);
   /// Pace trigger: a gray-slow replica still makes steady byte progress, so
   /// the stall timer alone never fires on it. The reader also compares its
   /// mean packet gap against the cluster-wide lower-quartile gap (global
   /// `read.gap_ns` histogram — the quartile keeps the baseline healthy even
   /// when the slow node's own gaps land in it) and hedges when the ratio
   /// exceeds this factor.
-  double hedge_pace_factor = 3.0;
+  static constexpr double hedge_pace_factor = 3.0;
   /// Hedge budget: concurrent hedges per client stream, and total hedges one
   /// file read may launch — a sick cluster must not double its own load.
-  int hedge_max_in_flight = 1;
+  static constexpr int hedge_max_in_flight = 1;
   int hedge_per_read_cap = 16;
 
   /// Write-pipeline slow-node eviction: a mid-block straggler (ACK own-time
@@ -183,24 +191,24 @@ struct HdfsConfig {
   bool slow_node_eviction = false;
   /// A node is a straggler when its own-time exceeds the median own-time of
   /// its pipeline peers by this factor.
-  double eviction_outlier_factor = 4.0;
+  static constexpr double eviction_outlier_factor = 4.0;
   /// ACK samples each pipeline member must contribute within the current
   /// pipeline before the detector may speak — one slow seek is not a pattern.
-  std::uint64_t eviction_min_samples = 12;
+  static constexpr std::uint64_t eviction_min_samples = 12;
   /// Quiet period between evictions on one stream, so a recovering pipeline
   /// is not immediately re-judged on its warm-up ACKs.
-  SimDuration eviction_cooldown = seconds(5);
+  static constexpr SimDuration eviction_cooldown = seconds(5);
 
   /// Namenode suspicion list: eviction and hedge-win reports add this much
   /// to the offending datanode's decaying suspicion score.
-  double suspicion_eviction_weight = 2.0;
-  double suspicion_hedge_weight = 1.0;
+  static constexpr double suspicion_eviction_weight = 2.0;
+  static constexpr double suspicion_hedge_weight = 1.0;
   /// Scores halve every half-life; a node whose decayed score is at or above
   /// the threshold is demoted in placement and SMARTH top-n selection. Decay
   /// is the recovery path: a node that speeds back up stops accruing reports
   /// and drops below the threshold within a few half-lives.
-  SimDuration suspicion_half_life = seconds(30);
-  double suspicion_threshold = 2.0;
+  static constexpr SimDuration suspicion_half_life = seconds(30);
+  static constexpr double suspicion_threshold = 2.0;
 
   // --- Control-plane overload defense ---------------------------------------
   // Multi-tenant load makes the namenode's RPC path the bottleneck long
@@ -225,17 +233,16 @@ struct HdfsConfig {
   /// Bounded RPC queue depth (admission control only).
   int nn_queue_capacity = 256;
   /// Heartbeat/IBR batch processing: up to this many coalesce into one
-  /// service slot, each after the first costing this fraction of a full
-  /// heartbeat.
+  /// service slot, each after the first costing a fixed fraction of a full
+  /// heartbeat (rpc::ServiceQueue::Config::batch_marginal_cost).
   int nn_heartbeat_batch_max = 32;
-  double nn_batch_marginal_cost = 0.25;
   /// Max queued+in-service addBlock ops per client (<= 0 disables) so one
   /// tenant cannot starve the rest.
   int nn_client_addblock_cap = 4;
   /// Stream-level backoff when the RPC layer exhausts its attempts against
   /// an overloaded namenode: re-poll on this interval under this budget
   /// (mirrors the safe-mode wait), then fail the upload cleanly.
-  SimDuration overload_retry_interval = milliseconds(500);
+  static constexpr SimDuration overload_retry_interval = milliseconds(500);
   SimDuration overload_retry_budget = seconds(120);
 
   // --- SMARTH ---------------------------------------------------------------
@@ -247,10 +254,6 @@ struct HdfsConfig {
   /// Enforce the buffer-overflow guard: at most cluster/replication
   /// concurrent pipelines and one pipeline per datanode per client.
   bool enforce_pipeline_cap = true;
-
-  Bytes packet_wire_size(Bytes payload) const {
-    return payload + packet_header_wire;
-  }
 
   // --- Fidelity-aware transfer geometry -------------------------------------
   // The data paths (output/input streams, datanodes, recovery) are written in

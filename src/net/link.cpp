@@ -12,11 +12,6 @@ Link::Link(sim::Simulation& sim, std::string name, Bandwidth capacity,
   SMARTH_CHECK_MSG(latency_ >= 0, "negative link latency on " << name_);
 }
 
-void Link::set_latency(SimDuration latency) {
-  SMARTH_CHECK(latency >= 0);
-  latency_ = latency;
-}
-
 void Link::transmit(Bytes size, DeliveryCallback on_delivered,
                     LinkPriority priority, FlowKey flow) {
   SMARTH_CHECK_MSG(size >= 0, "negative message size on " << name_);

@@ -78,7 +78,6 @@ class Link {
     capacity_ = capacity;
     memo_size_ = -1;
   }
-  void set_latency(SimDuration latency);
 
   /// Enqueues a message; `on_delivered` fires once it is fully serialized and
   /// has propagated. Zero-size messages still pay the latency. Bulk messages

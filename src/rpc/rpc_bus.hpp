@@ -24,8 +24,8 @@
 namespace smarth::rpc {
 
 struct RpcConfig {
-  Bytes request_wire_size = 256;
-  Bytes response_wire_size = 512;
+  static constexpr Bytes request_wire_size = 256;
+  static constexpr Bytes response_wire_size = 512;
   /// Server-side processing time per call.
   SimDuration service_time = microseconds(200);
 };

@@ -39,7 +39,6 @@ ServiceQueue::ServiceQueue(sim::Simulation& sim, Config config)
   SMARTH_CHECK(config_.cost_add_block > 0);
   SMARTH_CHECK(config_.queue_capacity > 0);
   SMARTH_CHECK(config_.heartbeat_batch_max >= 1);
-  SMARTH_CHECK(config_.batch_marginal_cost >= 0.0);
 }
 
 SimDuration ServiceQueue::cost_of(ServiceClass cls) const {

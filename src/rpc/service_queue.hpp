@@ -59,7 +59,7 @@ class ServiceQueue {
     int heartbeat_batch_max = 32;
     /// Marginal cost of each batched heartbeat after the first, as a
     /// fraction of cost_heartbeat.
-    double batch_marginal_cost = 0.25;
+    static constexpr double batch_marginal_cost = 0.25;
     /// Max queued+in-service addBlock ops per tenant; <= 0 disables.
     int per_tenant_addblock_cap = 4;
   };

@@ -217,7 +217,7 @@ void SmarthOutputStream::request_block(std::vector<NodeId> excluded) {
     if (*alive) on_block_allocated(std::move(result));
   };
   hdfs::call_namenode<LocatedBlock>(
-      deps_.rpc, deps_.sim, deps_.config, client_node_, nn.node_id(),
+      deps_.rpc, deps_.sim, client_node_, nn.node_id(),
       [&nn, file = file_, client = client_, node = client_node_,
        excluded = std::move(excluded),
        deprioritized = deps_.quarantine.active(), block_index = next_block_] {
@@ -551,7 +551,7 @@ void SmarthOutputStream::complete_file() {
   if (finished_) return;
   hdfs::Namenode& nn = deps_.namenode;
   hdfs::call_namenode<bool>(
-      deps_.rpc, deps_.sim, deps_.config, client_node_, nn.node_id(),
+      deps_.rpc, deps_.sim, client_node_, nn.node_id(),
       [&nn, file = file_, client = client_] {
         return nn.complete(file, client);
       },

@@ -5,31 +5,24 @@
 namespace smarth::storage {
 
 namespace {
-/// Rotational media read somewhat faster than they write; used when no
-/// explicit read bandwidth is configured.
-constexpr double kDefaultReadRatio = 1.2;
+/// Rotational media read somewhat faster than they write.
+constexpr double kReadRatio = 1.2;
 }  // namespace
 
 DiskDevice::DiskDevice(sim::Simulation& sim, std::string name,
                        Bandwidth write_bandwidth, SimDuration per_op_overhead)
     : sim_(sim), name_(std::move(name)), write_bandwidth_(write_bandwidth),
-      read_bandwidth_(kUnlimitedBandwidth),
       per_op_overhead_(per_op_overhead) {
   SMARTH_CHECK(per_op_overhead_ >= 0);
 }
 
 Bandwidth DiskDevice::read_bandwidth() const {
-  if (!read_bandwidth_.is_unlimited()) return read_bandwidth_;
   return Bandwidth::bits_per_second(write_bandwidth_.bits_per_second() *
-                                    kDefaultReadRatio);
+                                    kReadRatio);
 }
 
 SimDuration DiskDevice::service_time(Bytes size) const {
   return per_op_overhead_ + write_bandwidth_.transmit_time(size);
-}
-
-SimDuration DiskDevice::read_service_time(Bytes size) const {
-  return per_op_overhead_ + read_bandwidth().transmit_time(size);
 }
 
 void DiskDevice::write(Bytes size, WriteCallback on_done) {

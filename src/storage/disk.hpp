@@ -1,6 +1,8 @@
 // A datanode's local disk, modelled as a FIFO write queue with a sustained
 // write bandwidth and a fixed per-operation overhead. The per-packet store
-// time this produces is the paper's `Tw`.
+// time this produces is the paper's `Tw`. Reads share the queue at 1.2 times
+// the current write rate, so a fail-slow window that throttles writes slows
+// reads alike.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +19,6 @@ class DiskDevice {
   /// Captures up to 64 bytes live inline in the pooled request record.
   using WriteCallback = sim::Simulation::Callback;
 
-  /// Reads default to `read_ratio * write_bandwidth` unless set explicitly
-  /// (rotational media typically read somewhat faster than they write).
   DiskDevice(sim::Simulation& sim, std::string name, Bandwidth write_bandwidth,
              SimDuration per_op_overhead);
 
@@ -28,8 +28,8 @@ class DiskDevice {
   const std::string& name() const { return name_; }
   Bandwidth write_bandwidth() const { return write_bandwidth_; }
   void set_write_bandwidth(Bandwidth bw) { write_bandwidth_ = bw; }
+  /// A fixed multiple (1.2) of the current write bandwidth.
   Bandwidth read_bandwidth() const;
-  void set_read_bandwidth(Bandwidth bw) { read_bandwidth_ = bw; }
 
   /// Enqueues a write of `size` bytes; `on_done` fires when it is durable.
   void write(Bytes size, WriteCallback on_done);
@@ -47,7 +47,6 @@ class DiskDevice {
   /// Expected service time for one write of `size` (used by the analytic
   /// model to derive Tw).
   SimDuration service_time(Bytes size) const;
-  SimDuration read_service_time(Bytes size) const;
 
   // --- Statistics -----------------------------------------------------------
   bool busy() const { return current_ != nullptr; }
@@ -75,7 +74,6 @@ class DiskDevice {
   sim::Simulation& sim_;
   std::string name_;
   Bandwidth write_bandwidth_;
-  Bandwidth read_bandwidth_;  ///< unlimited sentinel => derived from write
   SimDuration per_op_overhead_;
 
   /// Request records; an idle disk holds no slab.

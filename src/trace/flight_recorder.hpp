@@ -99,7 +99,8 @@ struct WatchdogFiring {
 struct FlightRecorderConfig {
   SimDuration sample_interval = seconds(1);
   std::size_t ring_capacity = 4096;  ///< samples kept per run (oldest dropped)
-  std::size_t dump_tail = 32;        ///< samples included in a watchdog dump
+  /// Samples included in a watchdog dump.
+  static constexpr std::size_t dump_tail = 32;
   std::vector<SeriesSpec> series = default_series();
   std::vector<WatchdogSpec> watchdogs = default_watchdogs();
 };

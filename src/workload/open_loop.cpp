@@ -12,7 +12,6 @@ namespace smarth::workload {
 
 namespace {
 
-constexpr double kTwoPi = 6.283185307179586;
 /// Fixed salt for the generator's dedicated RNG stream.
 constexpr std::uint64_t kOpenLoopRngSalt = 0x9e3779b97f4a7c15ULL;
 
@@ -43,8 +42,6 @@ OpenLoopWorkload::OpenLoopWorkload(cluster::Protocol protocol,
   SMARTH_CHECK(config_.min_file_size > 0);
   SMARTH_CHECK(config_.size_ranks >= 1);
   SMARTH_CHECK(config_.duration > 0);
-  SMARTH_CHECK(config_.diurnal_amplitude >= 0.0 &&
-               config_.diurnal_amplitude <= 1.0);
 }
 
 std::vector<OpenLoopWorkload::Arrival> OpenLoopWorkload::generate_arrivals(
@@ -58,25 +55,14 @@ std::vector<OpenLoopWorkload::Arrival> OpenLoopWorkload::generate_arrivals(
     cumulative[static_cast<std::size_t>(k - 1)] = total;
   }
 
-  // Poisson arrivals via exponential gaps at the peak rate, thinned down to
-  // the (possibly diurnal) instantaneous rate.
-  const double peak_rate =
-      config_.arrival_rate * (1.0 + config_.diurnal_amplitude);
+  // Poisson arrivals via exponential gaps.
   std::vector<Arrival> arrivals;
   double t_seconds = 0.0;
   const double horizon = to_seconds(config_.duration);
   while (true) {
-    const double gap = -std::log(1.0 - rng.uniform()) / peak_rate;
+    const double gap = -std::log(1.0 - rng.uniform()) / config_.arrival_rate;
     t_seconds += gap;
     if (t_seconds >= horizon) break;
-    if (config_.diurnal_amplitude > 0.0) {
-      const double rate_t =
-          config_.arrival_rate *
-          (1.0 + config_.diurnal_amplitude *
-                     std::sin(kTwoPi * t_seconds * kSecond /
-                              static_cast<double>(config_.diurnal_period)));
-      if (rng.uniform() >= rate_t / peak_rate) continue;  // thinned out
-    }
     Arrival a;
     a.at = static_cast<SimDuration>(t_seconds * kSecond);
     const double u = rng.uniform() * total;
@@ -128,7 +114,8 @@ OpenLoopResult OpenLoopWorkload::run(cluster::Cluster& cluster) {
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const Arrival& a = arrivals[i];
     result->bytes_offered += a.size;
-    const std::string path = config_.path_prefix + std::to_string(i);
+    const std::string path =
+        std::string(config_.path_prefix) + std::to_string(i);
     const SimTime arrive_at = start + a.at;
     cluster.sim().schedule_at(
         arrive_at, "workload.arrival",

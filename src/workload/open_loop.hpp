@@ -1,9 +1,8 @@
 // Open-loop multi-tenant traffic: arrivals keep coming whether or not the
 // cluster keeps up — the load shape that actually saturates a control plane
 // (a closed-loop workload self-throttles: a slow namenode slows its own
-// offered load). Poisson arrivals with an optional diurnal rate profile,
-// Zipf-distributed file sizes, many concurrent clients spread round-robin
-// across the cluster's racks.
+// offered load). Homogeneous Poisson arrivals, Zipf-distributed file sizes,
+// many concurrent clients spread round-robin across the cluster's racks.
 //
 // Determinism: the generator draws from its OWN RNG stream (cluster seed ^ a
 // fixed salt), never from the simulation RNG, so enabling the workload or
@@ -32,16 +31,12 @@ struct OpenLoopConfig {
   int size_ranks = 4;
   /// Arrivals are generated in [0, duration).
   SimDuration duration = seconds(60);
-  /// Diurnal modulation: rate(t) = arrival_rate * (1 + amplitude *
-  /// sin(2*pi*t/period)). 0 disables (homogeneous Poisson).
-  double diurnal_amplitude = 0.0;
-  SimDuration diurnal_period = seconds(600);
   /// After duration + grace, jobs that have produced no terminal callback
   /// are counted as stuck and the run stops. Sized past the overload retry
   /// budget so a defended cluster can drain its backlog first.
   SimDuration stuck_grace = seconds(200);
   /// Path prefix for generated files (job index is appended).
-  std::string path_prefix = "/openloop/f";
+  static constexpr const char* path_prefix = "/openloop/f";
 };
 
 struct OpenLoopResult {

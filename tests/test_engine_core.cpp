@@ -19,7 +19,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_spec.hpp"
-#include "sim/reference_queue.hpp"
+#include "reference_queue.hpp"
 #include "sim/simulation.hpp"
 
 namespace smarth::sim {
@@ -522,8 +522,8 @@ std::string describe(const EngineCounters& c) {
 }
 
 TEST(EngineCounters, PinnedOnFixedChurn) {
-  // bench_engine_scale's churn, smaller: self-rescheduling chains, each
-  // event posting its successor a pseudo-random 100-10100 ns later.
+  // A fixed churn: self-rescheduling chains, each event posting its
+  // successor a pseudo-random 100-10100 ns later.
   Simulation sim(1);
   std::uint64_t n = 0;
   std::function<void()> spawn = [&] {

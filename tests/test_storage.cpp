@@ -32,6 +32,31 @@ TEST(Disk, ServiceTimeIsOverheadPlusBandwidth) {
   EXPECT_EQ(done, expected);
 }
 
+TEST(Disk, ReadRateIsTheWriteRateTimesTheReadRatio) {
+  sim::Simulation sim;
+  DiskDevice disk(sim, "d", Bandwidth::mega_bytes_per_second(100),
+                  microseconds(50));
+  EXPECT_DOUBLE_EQ(disk.read_bandwidth().bytes_per_second(), 120e6);
+  const SimDuration first =
+      microseconds(50) + disk.read_bandwidth().transmit_time(kMiB);
+  EXPECT_LT(first, disk.service_time(kMiB));  // reads outpace writes
+  SimTime done = -1;
+  disk.read(kMiB, [&] { done = sim.now(); });
+  sim.run();
+  EXPECT_EQ(done, first);
+  EXPECT_EQ(disk.bytes_read(), kMiB);
+
+  // A fail-slow window throttles the write rate; the read rate follows.
+  disk.set_write_bandwidth(Bandwidth::mega_bytes_per_second(50));
+  EXPECT_DOUBLE_EQ(disk.read_bandwidth().bytes_per_second(), 60e6);
+  const SimDuration second =
+      microseconds(50) + disk.read_bandwidth().transmit_time(kMiB);
+  EXPECT_GT(second, first);
+  disk.read(kMiB, [&] { done = sim.now(); });
+  sim.run();
+  EXPECT_EQ(done, first + second);
+}
+
 TEST(Disk, FifoOrdering) {
   sim::Simulation sim;
   DiskDevice disk(sim, "d", Bandwidth::mega_bytes_per_second(10),
