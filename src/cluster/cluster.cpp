@@ -460,9 +460,11 @@ void Cluster::upload(const std::string& path, Bytes size, Protocol protocol,
   // the synthesised failure of a create() that never got a stream.
   UploadCallback counted = [this, on_done = std::move(on_done)](
                                const hdfs::StreamStats& stats) {
-    metrics::Registry& reg = metrics::global_registry();
-    reg.counter("write.uploads").add();
-    if (stats.failed) reg.counter("write.failed_uploads").add();
+    metrics::cached_counter(counters_.uploads, "write.uploads").add();
+    if (stats.failed) {
+      metrics::cached_counter(counters_.failed_uploads, "write.failed_uploads")
+          .add();
+    }
     if (!on_done) return;
     completing_.push_back(&stats);
     on_done(stats);
@@ -523,9 +525,11 @@ void Cluster::download(const std::string& path, DownloadCallback on_done,
   // the synthesised failure of a read on a crashed client.
   DownloadCallback counted = [this, on_done = std::move(on_done)](
                                  const hdfs::ReadStats& stats) {
-    metrics::Registry& reg = metrics::global_registry();
-    reg.counter("read.reads").add();
-    if (stats.failed) reg.counter("read.failed_reads").add();
+    metrics::cached_counter(counters_.reads, "read.reads").add();
+    if (stats.failed) {
+      metrics::cached_counter(counters_.failed_reads, "read.failed_reads")
+          .add();
+    }
     if (!on_done) return;
     completing_.push_back(&stats);
     on_done(stats);

@@ -26,6 +26,7 @@
 #include "smarth/smarth_stream.hpp"
 #include "smarth/speed_tracker.hpp"
 #include "trace/flight_recorder.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::cluster {
 
@@ -210,6 +211,14 @@ class Cluster {
   /// innermost last. Each endpoint reports its own stats member, so this
   /// names the endpoints prune_finished_endpoints() must keep.
   std::vector<const void*> completing_;
+  /// The per-transfer outcome counters, each resolved on first use.
+  struct OutcomeCounters {
+    metrics::Counter* uploads = nullptr;
+    metrics::Counter* failed_uploads = nullptr;
+    metrics::Counter* reads = nullptr;
+    metrics::Counter* failed_reads = nullptr;
+  };
+  OutcomeCounters counters_;
   IdGenerator<PipelineId> pipeline_ids_;
   IdGenerator<ClientId> client_ids_;
   IdGenerator<hdfs::ReadId> read_ids_;

@@ -15,21 +15,22 @@ DfsClient::~DfsClient() = default;
 void DfsClient::create_file(const std::string& path,
                             std::function<void(Result<FileId>)> cb,
                             bool overwrite) {
-  create_file_attempt(path, std::move(cb), overwrite, sim_.now());
+  auto call = rpc_.pool<CreateCall>().make();
+  call->path = path;
+  call->overwrite = overwrite;
+  call->started_at = sim_.now();
+  call->cb = std::move(cb);
+  create_file_attempt(std::move(call));
 }
 
-void DfsClient::create_file_attempt(const std::string& path,
-                                    std::function<void(Result<FileId>)> cb,
-                                    bool overwrite, SimTime started_at) {
+void DfsClient::create_file_attempt(sim::Ref<CreateCall> call) {
   Namenode& nn = namenode_;
-  auto shared_cb =
-      std::make_shared<std::function<void(Result<FileId>)>>(std::move(cb));
   call_namenode<FileId>(
       rpc_, sim_, node_, nn.node_id(),
-      [&nn, path, client = id_, overwrite] {
-        return nn.create(path, client, overwrite);
+      [&nn, call, client = id_] {
+        return nn.create(call->path, client, call->overwrite);
       },
-      [this, shared_cb, path, overwrite, started_at](Result<FileId> result) {
+      [this, call](Result<FileId> result) {
         if (!result.ok()) {
           SimDuration budget = 0;
           SimDuration interval = 0;
@@ -49,24 +50,21 @@ void DfsClient::create_file_attempt(const std::string& path,
             budget = config_.overload_retry_budget;
             interval = config_.overload_retry_interval;
           }
-          const SimDuration waited = sim_.now() - started_at;
+          const SimDuration waited = sim_.now() - call->started_at;
           if (budget > 0 && waited < budget) {
-            sim_.schedule_after(
-                interval, "client.create_retry",
-                [this, path, shared_cb, overwrite, started_at] {
-                  create_file_attempt(path, *shared_cb, overwrite, started_at);
-                });
+            sim_.schedule_after(interval, "client.create_retry",
+                                [this, call] { create_file_attempt(call); });
             return;
           }
         }
-        (*shared_cb)(std::move(result));
+        call->cb(std::move(result));
       },
-      [shared_cb, path] {
-        (*shared_cb)(Error{"rpc_timeout",
-                           "create(" + path +
-                               ") gave up after repeated timeouts"});
+      [call] {
+        call->cb(Error{"rpc_timeout", "create(" + call->path +
+                                          ") gave up after repeated timeouts"});
       },
-      "create", {rpc::ServiceClass::kMeta}, "create(" + path + ")");
+      "create", {rpc::ServiceClass::kMeta},
+      [call] { return "create(" + call->path + ")"; });
 }
 
 void DfsClient::start_heartbeat(

@@ -14,6 +14,7 @@
 #include "hdfs/types.hpp"
 #include "rpc/rpc_bus.hpp"
 #include "sim/periodic_task.hpp"
+#include "sim/ref_pool.hpp"
 #include "sim/simulation.hpp"
 
 namespace smarth::hdfs {
@@ -54,9 +55,19 @@ class DfsClient {
   std::uint64_t heartbeats_sent() const { return heartbeats_sent_; }
 
  private:
-  void create_file_attempt(const std::string& path,
-                           std::function<void(Result<FileId>)> cb,
-                           bool overwrite, SimTime started_at);
+  /// One create(), from its first attempt to its outcome: what every
+  /// attempt's closures need, in one record pooled on the bus.
+  struct CreateCall : sim::Pooled<CreateCall> {
+    /// Kept across reuses, so a path that fits its buffer allocates nothing.
+    std::string path;
+    bool overwrite = false;
+    SimTime started_at = 0;
+    std::function<void(Result<FileId>)> cb;
+
+    void clear() { cb = nullptr; }
+  };
+
+  void create_file_attempt(sim::Ref<CreateCall> call);
 
   sim::Simulation& sim_;
   rpc::RpcBus& rpc_;

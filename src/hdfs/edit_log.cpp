@@ -29,7 +29,7 @@ const char* to_string(EditOpType type) {
 std::int64_t EditLog::append(EditOp op) {
   op.txid = next_txid_++;
   ++appended_;
-  metrics::global_registry().counter("namenode.edit_ops_logged").add();
+  metrics::cached_counter(ops_logged_, "namenode.edit_ops_logged").add();
   ops_.push_back(std::move(op));
   return ops_.back().txid;
 }

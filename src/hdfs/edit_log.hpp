@@ -19,6 +19,7 @@
 
 #include "common/ids.hpp"
 #include "common/units.hpp"
+#include "trace/metrics_registry.hpp"
 
 namespace smarth::hdfs {
 
@@ -94,6 +95,8 @@ class EditLog {
   std::deque<EditOp> ops_;
   std::int64_t next_txid_ = 1;
   std::uint64_t appended_ = 0;
+  /// namenode.edit_ops_logged, resolved on first use.
+  metrics::Counter* ops_logged_ = nullptr;
 };
 
 }  // namespace smarth::hdfs

@@ -120,7 +120,7 @@ void FsImageCheckpointer::stop() {
 
 void FsImageCheckpointer::checkpoint_now() {
   if (namenode_.crashed()) return;
-  image_ = namenode_.capture_image();
+  namenode_.capture_image(image_);
   image_.last_txid = log_.last_txid();
   ++checkpoints_;
   std::int64_t floor = image_.last_txid;

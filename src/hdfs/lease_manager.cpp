@@ -54,17 +54,15 @@ std::vector<std::pair<ClientId, FileId>> LeaseManager::hard_expired_files(
   return expired;
 }
 
-std::vector<LeaseImage> LeaseManager::snapshot() const {
-  std::vector<LeaseImage> out;
-  out.reserve(leases_.size());
+void LeaseManager::snapshot(std::vector<LeaseImage>& out) const {
+  out.resize(leases_.size());
+  std::size_t i = 0;
   for (const auto& [holder, lease] : leases_) {
-    LeaseImage image;
+    LeaseImage& image = out[i++];
     image.holder = holder;
     image.last_renewal = lease.last_renewal;
     image.files.assign(lease.files.begin(), lease.files.end());
-    out.push_back(std::move(image));
   }
-  return out;
 }
 
 void LeaseManager::restore(const std::vector<LeaseImage>& leases) {

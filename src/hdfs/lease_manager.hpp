@@ -72,8 +72,9 @@ class LeaseManager {
   SimDuration hard_limit() const { return hard_limit_; }
 
   // --- durability -----------------------------------------------------------
-  /// All leases (including empty heartbeat-only ones), sorted by holder.
-  std::vector<LeaseImage> snapshot() const;
+  /// Writes all leases (including empty heartbeat-only ones), sorted by
+  /// holder, into `out`, reusing its elements' storage.
+  void snapshot(std::vector<LeaseImage>& out) const;
   /// Replaces the lease table with `leases` (fsimage restore). The renewal
   /// counter is telemetry, not namespace state, and is left untouched.
   void restore(const std::vector<LeaseImage>& leases);

@@ -321,7 +321,8 @@ Status Namenode::update_block_targets(BlockId block,
 }
 
 Result<bool> Namenode::complete(FileId file, ClientId client) {
-  metrics::global_registry().counter("namenode.complete_calls").add();
+  metrics::cached_counter(complete_calls_counter_, "namenode.complete_calls")
+      .add();
   if (safe_mode_) {
     // Not an error: the replica reports complete() depends on are still
     // arriving. The client retries, exactly as for minimum-replication waits.
@@ -439,17 +440,10 @@ void Namenode::block_report(NodeId dn, const BlockReport& report) {
   }
   cursor = ReportCursor{report.seq, replica_epoch_, clean};
 
-  if (report_entries_counter_ == nullptr) {
-    report_entries_counter_ =
-        &metrics::global_registry().counter("nn.block_report.entries");
-  }
-  report_entries_counter_->add(entries.size());
+  metrics::cached_counter(report_entries_counter_, "nn.block_report.entries")
+      .add(entries.size());
   if (!incremental) {
-    if (report_full_counter_ == nullptr) {
-      report_full_counter_ =
-          &metrics::global_registry().counter("nn.block_report.full");
-    }
-    report_full_counter_->add();
+    metrics::cached_counter(report_full_counter_, "nn.block_report.full").add();
   }
 }
 
@@ -937,33 +931,52 @@ void Namenode::renew_lease(ClientId client) {
 
 NamenodeImage Namenode::capture_image() const {
   NamenodeImage image;
-  image.files.reserve(files_.size());
-  for (const auto& [id, entry] : files_) image.files.push_back(entry);
-  std::sort(image.files.begin(), image.files.end(),
-            [](const FileEntry& a, const FileEntry& b) { return a.id < b.id; });
-  image.blocks.reserve(blocks_.size());
-  for (const auto& [id, record] : blocks_) {
-    BlockImage b;
+  capture_image(image);
+  return image;
+}
+
+void Namenode::capture_image(NamenodeImage& image) const {
+  image.last_txid = 0;
+  // Each entry is copy-assigned over the one at its sorted position, so a
+  // path or block list that fits the old element's buffer allocates nothing.
+  std::vector<const FileEntry*> files;
+  files.reserve(files_.size());
+  for (const auto& [id, entry] : files_) files.push_back(&entry);
+  std::sort(
+      files.begin(), files.end(),
+      [](const FileEntry* a, const FileEntry* b) { return a->id < b->id; });
+  image.files.resize(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) image.files[i] = *files[i];
+
+  std::vector<const BlockRecord*> blocks;
+  blocks.reserve(blocks_.size());
+  for (const auto& [id, record] : blocks_) blocks.push_back(&record);
+  std::sort(
+      blocks.begin(), blocks.end(),
+      [](const BlockRecord* a, const BlockRecord* b) { return a->id < b->id; });
+  image.blocks.resize(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const BlockRecord& record = *blocks[i];
+    BlockImage& b = image.blocks[i];
     b.id = record.id;
     b.file = record.file;
     b.expected_targets = record.expected_targets;
     b.corrupt_replicas.assign(record.corrupt_replicas.begin(),
                               record.corrupt_replicas.end());
-    image.blocks.push_back(std::move(b));
   }
-  std::sort(
-      image.blocks.begin(), image.blocks.end(),
-      [](const BlockImage& a, const BlockImage& b) { return a.id < b.id; });
-  image.leases = leases_.snapshot();
+
+  leases_.snapshot(image.leases);
+  image.recoveries.resize(lease_recoveries_.size());
+  std::size_t i = 0;
   for (const auto& [file, state] : lease_recoveries_) {
-    RecoveryImage r;
+    RecoveryImage& r = image.recoveries[i++];
     r.file = file;
     r.started_at = state.started_at;
+    r.pending.clear();
     for (const auto& [block, pending] : state.pending) {
       r.pending.push_back(UcPendingImage{block, pending.retry_at,
                                          pending.attempts});
     }
-    image.recoveries.push_back(std::move(r));
   }
   image.file_ids_issued = file_ids_.issued();
   image.block_ids_issued = block_ids_.issued();
@@ -971,7 +984,6 @@ NamenodeImage Namenode::capture_image() const {
   image.uc_blocks_recovered = uc_blocks_recovered_;
   image.bytes_salvaged = bytes_salvaged_;
   image.orphans_abandoned = orphans_abandoned_;
-  return image;
 }
 
 void Namenode::restore_image(const NamenodeImage& image) {

@@ -112,6 +112,10 @@ class Namenode {
   /// high-water marks, outcome counters). Excludes replica locations and
   /// datanode liveness — both are soft state rebuilt from block reports.
   NamenodeImage capture_image() const;
+  /// The same snapshot written into `image`, reusing its strings and vectors
+  /// (the checkpointer's image between checkpoints); `image.last_txid` is
+  /// zeroed, as in a fresh capture.
+  void capture_image(NamenodeImage& image) const;
   /// Replaces durable state with `image` (volatile state untouched).
   void restore_image(const NamenodeImage& image);
   /// Applies one journaled op to the namespace — pure state manipulation
@@ -405,9 +409,11 @@ class Namenode {
   /// report (the epoch triggers, DESIGN.md §13). A cursor from an older
   /// epoch makes that datanode's next report apply in full.
   std::uint64_t replica_epoch_ = 0;
-  /// nn.block_report.entries / .full, resolved on first use.
+  /// nn.block_report.entries / .full and namenode.complete_calls, resolved
+  /// on first use.
   metrics::Counter* report_entries_counter_ = nullptr;
   metrics::Counter* report_full_counter_ = nullptr;
+  metrics::Counter* complete_calls_counter_ = nullptr;
 
   LeaseManager leases_;
   /// Reserved holder expired writers' files are reassigned to while the

@@ -3,9 +3,12 @@
 // (hdfs::BlockRecovery), the client's namenode calls and the metrics layer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "common/ids.hpp"
 #include "common/units.hpp"
@@ -41,35 +44,29 @@ struct StreamDeps {
   QuarantineList& quarantine;
 };
 
-/// The retry policy of every client-side namenode RPC, from HdfsConfig's
-/// fixed `rpc_*` values.
-inline rpc::RetryPolicy namenode_retry_policy() {
-  rpc::RetryPolicy policy;
-  policy.timeout = HdfsConfig::rpc_timeout;
-  policy.max_attempts = HdfsConfig::rpc_max_attempts;
-  policy.backoff_base = HdfsConfig::rpc_backoff_base;
-  policy.backoff_max = HdfsConfig::rpc_backoff_max;
-  policy.jitter = HdfsConfig::rpc_backoff_jitter;
-  return policy;
-}
-
-/// A client -> namenode call_with_retry under namenode_retry_policy, for an
-/// op admission control may shed. A shed call comes back as the typed
-/// rejection Error{"overloaded", "namenode shed <what>"} (`what` defaults to
-/// `label`), and an `overloaded` response is retried with backoff while
-/// attempts remain.
-template <typename T>
+/// A client -> namenode call_with_retry under the default RetryPolicy, for
+/// an op admission control may shed. A shed call comes back as the typed
+/// rejection Error{"overloaded", "namenode shed <what>"}, where <what> is
+/// `describe()` (a callable returning the op's std::string description,
+/// built only when the op is shed) or, without one, `label`; an `overloaded`
+/// response is retried with backoff while attempts remain.
+template <typename T, typename Handler, typename OnResponse, typename OnGiveUp,
+          typename Describe = std::nullptr_t>
 void call_namenode(rpc::RpcBus& bus, sim::Simulation& sim, NodeId client,
-                   NodeId namenode, std::function<Result<T>()> handler,
-                   std::function<void(Result<T>)> on_response,
-                   std::function<void()> on_give_up, const char* label,
-                   rpc::CallOptions options, std::string what = {}) {
+                   NodeId namenode, Handler&& handler, OnResponse&& on_response,
+                   OnGiveUp&& on_give_up, const char* label,
+                   rpc::CallOptions options, Describe describe = nullptr) {
   rpc::call_with_retry<Result<T>>(
-      bus, sim, namenode_retry_policy(), client, namenode,
-      std::move(handler), std::move(on_response), std::move(on_give_up),
-      label, options,
-      [label, what = std::move(what)] {
-        const std::string op = what.empty() ? label : what;
+      bus, sim, rpc::RetryPolicy{}, client, namenode,
+      std::forward<Handler>(handler), std::forward<OnResponse>(on_response),
+      std::forward<OnGiveUp>(on_give_up), label, options,
+      [label, describe = std::move(describe)]() mutable {
+        std::string op;
+        if constexpr (std::is_null_pointer_v<Describe>) {
+          op = label;
+        } else {
+          op = describe();
+        }
         return Result<T>(Error{"overloaded", "namenode shed " + op});
       },
       [](const Result<T>& r) {

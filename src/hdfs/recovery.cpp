@@ -181,7 +181,7 @@ void BlockRecovery::request_replacements() {
   std::vector<NodeId> deprioritized = deps_.quarantine.active();
 
   rpc::call_with_retry<Result<std::vector<NodeId>>>(
-      deps_.rpc, deps_.sim, namenode_retry_policy(), client_node_,
+      deps_.rpc, deps_.sim, rpc::RetryPolicy{}, client_node_,
       deps_.namenode.node_id(),
       [&nn = deps_.namenode, block = block_, client = client_,
        node = client_node_, alive = alive_, excluded = std::move(excluded),

@@ -140,14 +140,10 @@ struct HdfsConfig {
   /// copy that exceeds it (unreachable target, severed link) is abandoned.
   SimDuration replacement_transfer_timeout = seconds(30);
 
-  // --- Control-plane retries (see rpc/retry.hpp) ------------------------------
-  /// Per-attempt deadline on namenode RPCs (addBlock, complete, create, …).
-  static constexpr SimDuration rpc_timeout = seconds(2);
-  /// Total attempts per namenode RPC, first try included.
-  static constexpr int rpc_max_attempts = 4;
-  static constexpr SimDuration rpc_backoff_base = milliseconds(200);
-  static constexpr SimDuration rpc_backoff_max = seconds(5);
-  static constexpr double rpc_backoff_jitter = 0.2;
+  // --- Control-plane retries -------------------------------------------------
+  // Namenode RPCs (addBlock, complete, create, …) retry under the default
+  // rpc::RetryPolicy (rpc/retry.hpp), the one source of those values.
+
   /// Recovery rounds a single block may consume before the stream gives up
   /// cleanly (Hadoop's dfs.client.block.write.retries analogue).
   static constexpr int recovery_attempts_per_block = 5;

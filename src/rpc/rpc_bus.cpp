@@ -1,5 +1,7 @@
 #include "rpc/rpc_bus.hpp"
 
+#include <string>
+
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "trace/metrics_registry.hpp"
@@ -33,9 +35,24 @@ ServiceQueue* RpcBus::service_queue(NodeId server) const {
   return idx < queues_.size() ? queues_[idx] : nullptr;
 }
 
+metrics::Counter& RpcBus::counter(const char* label, const char* what) {
+  for (const NamedCounter& named : counters_) {
+    if (named.label == label && named.what == what) return *named.counter;
+  }
+  std::string name = "rpc.";
+  if (label != nullptr) {
+    name += label;
+    name += '.';
+  }
+  name += what;
+  metrics::Counter& counter = metrics::global_registry().counter(name);
+  counters_.push_back({label, what, &counter});
+  return counter;
+}
+
 bool RpcBus::dropped(NodeId host, NodeId client, NodeId server) {
   if (!host_down(host)) return false;
-  metrics::global_registry().counter("rpc.calls_dropped").add();
+  counter(nullptr, "calls_dropped").add();
   SMARTH_DEBUG("rpc") << "dropped call " << client.value() << " -> "
                       << server.value() << " (endpoint down)";
   return true;
@@ -48,7 +65,7 @@ void RpcBus::send_control(NodeId from, NodeId to, Bytes size,
     Rng& rng = network_.simulation().rng();
     if (chaos_.loss_probability > 0.0 &&
         rng.uniform() < chaos_.loss_probability) {
-      metrics::global_registry().counter("rpc.messages_lost").add();
+      counter(nullptr, "messages_lost").add();
       SMARTH_DEBUG("rpc") << "chaos lost control message " << from.value()
                           << " -> " << to.value();
       return;
@@ -58,7 +75,7 @@ void RpcBus::send_control(NodeId from, NodeId to, Bytes size,
       extra += rng.uniform_int(0, chaos_.delay_jitter - 1);
     }
     if (extra > 0) {
-      metrics::global_registry().counter("rpc.messages_delayed").add();
+      counter(nullptr, "messages_delayed").add();
     }
   }
   if (extra > 0) {

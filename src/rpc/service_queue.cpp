@@ -1,6 +1,7 @@
 #include "rpc/service_queue.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <utility>
 
 #include "common/check.hpp"
@@ -9,27 +10,9 @@
 
 namespace smarth::rpc {
 
-namespace {
-
-metrics::Counter& reg_counter(metrics::Counter*& handle, const char* name) {
-  if (handle == nullptr) handle = &metrics::global_registry().counter(name);
-  return *handle;
-}
-
-metrics::LatencyHistogram& reg_histogram(metrics::LatencyHistogram*& handle,
-                                         const char* name) {
-  if (handle == nullptr) handle = &metrics::global_registry().histogram(name);
-  return *handle;
-}
-
-}  // namespace
-
 void ServiceQueue::update_depth_gauge() {
-  if (metrics_.queue_depth == nullptr) {
-    metrics_.queue_depth = &metrics::global_registry().gauge(
-        "nn.rpc.queue_depth");
-  }
-  metrics_.queue_depth->set(static_cast<double>(depth()));
+  metrics::cached_gauge(metrics_.queue_depth, "nn.rpc.queue_depth")
+      .set(static_cast<double>(depth()));
 }
 
 ServiceQueue::ServiceQueue(sim::Simulation& sim, Config config)
@@ -39,6 +22,16 @@ ServiceQueue::ServiceQueue(sim::Simulation& sim, Config config)
   SMARTH_CHECK(config_.cost_add_block > 0);
   SMARTH_CHECK(config_.queue_capacity > 0);
   SMARTH_CHECK(config_.heartbeat_batch_max >= 1);
+}
+
+ServiceQueue::~ServiceQueue() {
+  for (const Op& op : batch_) op.job->discard();
+  for (const sim::RingQueue<Op>* queue :
+       {&fifo_, &bands_[0], &bands_[1], &bands_[2]}) {
+    for (std::size_t i = 0; i < queue->size(); ++i) {
+      (*queue)[i].job->discard();
+    }
+  }
 }
 
 SimDuration ServiceQueue::cost_of(ServiceClass cls) const {
@@ -74,26 +67,28 @@ std::size_t ServiceQueue::depth() const {
 
 void ServiceQueue::shed_op(Op op, bool cap_rejection) {
   ++counters_.shed_total;
-  reg_counter(metrics_.shed, "nn.rpc.shed").add();
+  metrics::cached_counter(metrics_.shed, "nn.rpc.shed").add();
   if (op.cls == ServiceClass::kHeartbeat) {
     ++counters_.shed_heartbeats;
-    reg_counter(metrics_.shed_heartbeats, "nn.rpc.shed_heartbeats").add();
+    metrics::cached_counter(metrics_.shed_heartbeats, "nn.rpc.shed_heartbeats")
+        .add();
   } else if (op.cls == ServiceClass::kAddBlock) {
     ++counters_.shed_add_blocks;
-    reg_counter(metrics_.shed_add_blocks, "nn.rpc.shed_add_blocks").add();
+    metrics::cached_counter(metrics_.shed_add_blocks, "nn.rpc.shed_add_blocks")
+        .add();
   }
   if (cap_rejection) {
     ++counters_.addblock_cap_rejections;
-    reg_counter(metrics_.addblock_cap_rejections,
-                "nn.rpc.addblock_cap_rejections")
+    metrics::cached_counter(metrics_.addblock_cap_rejections,
+                            "nn.rpc.addblock_cap_rejections")
         .add();
   }
-  if (op.shed) op.shed();
+  op.job->shed();
 }
 
 void ServiceQueue::enqueue(Op op) {
   ++counters_.admitted;
-  reg_counter(metrics_.admitted, "nn.rpc.admitted").add();
+  metrics::cached_counter(metrics_.admitted, "nn.rpc.admitted").add();
   if (config_.admission_control && op.cls == ServiceClass::kAddBlock &&
       op.tenant >= 0) {
     ++tenant_add_blocks_[op.tenant];
@@ -107,10 +102,8 @@ void ServiceQueue::enqueue(Op op) {
   update_depth_gauge();
 }
 
-void ServiceQueue::submit(ServiceClass cls, std::int64_t tenant,
-                          std::function<void()> serve,
-                          std::function<void()> shed) {
-  Op op{cls, tenant, std::move(serve), std::move(shed), sim_.now()};
+void ServiceQueue::submit(ServiceClass cls, std::int64_t tenant, Job* job) {
+  Op op{cls, tenant, job, sim_.now()};
   if (!config_.admission_control) {
     enqueue(std::move(op));  // unbounded FIFO: the undefended namenode
     return;
@@ -186,9 +179,11 @@ void ServiceQueue::maybe_serve() {
       if (n > 1) {
         ++counters_.heartbeat_batches;
         counters_.heartbeats_batched += static_cast<std::uint64_t>(n);
-        reg_counter(metrics_.heartbeat_batches, "nn.rpc.heartbeat_batches")
+        metrics::cached_counter(metrics_.heartbeat_batches,
+                                "nn.rpc.heartbeat_batches")
             .add();
-        reg_counter(metrics_.heartbeats_batched, "nn.rpc.heartbeats_batched")
+        metrics::cached_counter(metrics_.heartbeats_batched,
+                                "nn.rpc.heartbeats_batched")
             .add(static_cast<std::uint64_t>(n));
       }
     } else {
@@ -200,7 +195,8 @@ void ServiceQueue::maybe_serve() {
   busy_ = true;
   update_depth_gauge();
   const SimTime start = sim_.now();
-  auto& wait_hist = reg_histogram(metrics_.queue_wait, "nn.rpc.queue_wait_ns");
+  auto& wait_hist =
+      metrics::cached_histogram(metrics_.queue_wait, "nn.rpc.queue_wait_ns");
   for (const Op& op : batch_) {
     wait_hist.observe(static_cast<double>(start - op.enqueued_at));
   }
@@ -208,7 +204,8 @@ void ServiceQueue::maybe_serve() {
 }
 
 void ServiceQueue::finish_batch() {
-  auto& sojourn_hist = reg_histogram(metrics_.sojourn, "nn.rpc.sojourn_ns");
+  auto& sojourn_hist =
+      metrics::cached_histogram(metrics_.sojourn, "nn.rpc.sojourn_ns");
   const SimTime done = sim_.now();
   // Handlers may submit more ops; busy_ keeps them queued until the batch
   // is cleared.
@@ -220,7 +217,7 @@ void ServiceQueue::finish_batch() {
       if (it != tenant_add_blocks_.end() && it->second > 0) --it->second;
     }
     ++counters_.served;
-    if (op.serve) op.serve();
+    op.job->serve();
   }
   batch_.clear();
   busy_ = false;

@@ -23,12 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/simulation.hpp"
 #include "trace/metrics_registry.hpp"
 
@@ -75,15 +74,30 @@ class ServiceQueue {
     std::uint64_t heartbeats_batched = 0;
   };
 
-  ServiceQueue(sim::Simulation& sim, Config config);
+  /// One queued op's owner (the RpcBus's pooled call record). The queue
+  /// holds it by pointer and calls exactly one of its methods, once:
+  /// serve() after the op's turn in the queue plus its service cost, shed()
+  /// at once if admission control rejects it, or discard() if the queue is
+  /// destroyed with the op still held. A shed notification is simply
+  /// dropped, which is the point: a shed heartbeat's handler never executes,
+  /// so it cannot feed suspicion or re-registration.
+  class Job {
+   public:
+    virtual void serve() = 0;
+    virtual void shed() = 0;
+    virtual void discard() = 0;
 
-  /// Submits one op. Exactly one of `serve` / `shed` eventually runs:
-  /// `serve` after the op's turn in the queue plus its service cost, `shed`
-  /// immediately if admission control rejects it (may be null — a shed
-  /// notification is simply dropped, which is the point: a shed heartbeat's
-  /// handler never executes, so it cannot feed suspicion or re-registration).
-  void submit(ServiceClass cls, std::int64_t tenant, std::function<void()> serve,
-              std::function<void()> shed);
+   protected:
+    ~Job() = default;
+  };
+
+  ServiceQueue(sim::Simulation& sim, Config config);
+  ~ServiceQueue();
+  ServiceQueue(const ServiceQueue&) = delete;
+  ServiceQueue& operator=(const ServiceQueue&) = delete;
+
+  /// Submits one op; see Job for what runs when.
+  void submit(ServiceClass cls, std::int64_t tenant, Job* job);
 
   const Counters& counters() const { return counters_; }
   /// Ops currently queued (not counting the batch in service).
@@ -92,11 +106,10 @@ class ServiceQueue {
 
  private:
   struct Op {
-    ServiceClass cls;
-    std::int64_t tenant;
-    std::function<void()> serve;
-    std::function<void()> shed;
-    SimTime enqueued_at;
+    ServiceClass cls = ServiceClass::kDefault;
+    std::int64_t tenant = -1;
+    Job* job = nullptr;
+    SimTime enqueued_at = 0;
   };
 
   SimDuration cost_of(ServiceClass cls) const;
@@ -117,9 +130,9 @@ class ServiceQueue {
   /// The ops in service; reused across slots (busy_ rules out a second one).
   std::vector<Op> batch_;
   /// Undefended mode: strict arrival-order FIFO across classes.
-  std::deque<Op> fifo_;
+  sim::RingQueue<Op> fifo_;
   /// Admission mode: one band per priority level (index = priority).
-  std::deque<Op> bands_[3];
+  sim::RingQueue<Op> bands_[3];
   /// Queued + in-service addBlock ops per tenant.
   std::unordered_map<std::int64_t, int> tenant_add_blocks_;
 

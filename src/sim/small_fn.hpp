@@ -1,5 +1,6 @@
 // A move-only callable with small-buffer storage, used for the callbacks of
-// pooled hot-path records (events, in-flight messages, disk requests).
+// pooled hot-path records (events, in-flight messages, disk requests, RPC
+// call records).
 //
 // std::function costs a heap allocation for any capture larger than two
 // pointers, and the event core schedules tens of millions of callbacks per
@@ -9,7 +10,9 @@
 // completions are all SmallFn<64>: a packet's transport capture (56 bytes)
 // rides in its in-flight message record from send to arrival, and its disk
 // completion in the disk's request record (DESIGN.md §10 traces the record
-// lifecycle and the measured allocations per event). Move-only by design: a
+// lifecycle and the measured allocations per event). The signature defaults
+// to `void()`; the RPC records also keep typed handlers such as
+// `SmallFn<64, Resp()>` and `SmallFn<64, void(Resp)>`. Move-only by design: a
 // callback has exactly one owner (its record) and most useful captures own
 // moved-in state anyway.
 #pragma once
@@ -21,18 +24,23 @@
 
 namespace smarth::sim {
 
-template <std::size_t Capacity>
-class SmallFn {
+template <std::size_t Capacity, typename Sig = void()>
+class SmallFn;
+
+template <std::size_t Capacity, typename R, typename... Args>
+class SmallFn<Capacity, R(Args...)> {
   static_assert(Capacity >= sizeof(void*), "capacity must hold a pointer");
+
+  template <typename F>
+  static constexpr bool kCallable =
+      !std::is_same_v<std::decay_t<F>, SmallFn> &&
+      std::is_invocable_r_v<R, std::decay_t<F>&, Args...>;
 
  public:
   SmallFn() = default;
   SmallFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  template <typename F, typename = std::enable_if_t<kCallable<F>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
     emplace(std::forward<F>(f));
   }
@@ -52,10 +60,7 @@ class SmallFn {
   /// Replaces the target with `f`, constructed directly in this SmallFn's
   /// storage: the pooled-record owners build callbacks in place this way,
   /// with no intermediate SmallFn to relocate.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  template <typename F, typename = std::enable_if_t<kCallable<F>>>
   SmallFn& operator=(F&& f) {
     reset();
     emplace(std::forward<F>(f));
@@ -70,7 +75,9 @@ class SmallFn {
   explicit operator bool() const { return ops_ != nullptr; }
 
   /// Invokes the target. Precondition: non-null.
-  void operator()() { ops_->invoke(storage_); }
+  R operator()(Args... args) {
+    return ops_->invoke(storage_, std::forward<Args>(args)...);
+  }
 
   void reset() {
     if (ops_ != nullptr) {
@@ -81,7 +88,7 @@ class SmallFn {
 
  private:
   struct Ops {
-    void (*invoke)(void*);
+    R (*invoke)(void*, Args&&...);
     /// Move-constructs the target from `src` storage into `dst` storage and
     /// destroys the source — relocation between inline slots.
     void (*relocate)(void* dst, void* src);
@@ -99,7 +106,9 @@ class SmallFn {
   template <typename F>
   static const Ops* inline_ops() {
     static constexpr Ops ops = {
-        [](void* p) { (*static_cast<F*>(p))(); },
+        [](void* p, Args&&... args) -> R {
+          return (*static_cast<F*>(p))(std::forward<Args>(args)...);
+        },
         [](void* dst, void* src) {
           F* from = static_cast<F*>(src);
           ::new (dst) F(std::move(*from));
@@ -115,7 +124,9 @@ class SmallFn {
   template <typename F>
   static const Ops* heap_ops() {
     static constexpr Ops ops = {
-        [](void* p) { (**static_cast<F**>(p))(); },
+        [](void* p, Args&&... args) -> R {
+          return (**static_cast<F**>(p))(std::forward<Args>(args)...);
+        },
         [](void* dst, void* src) {
           *static_cast<F**>(dst) = *static_cast<F**>(src);
         },

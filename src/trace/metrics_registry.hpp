@@ -115,4 +115,22 @@ class Registry {
 /// below the cost of the simulation events surrounding it.
 Registry& global_registry();
 
+/// The global registry's metric `name` through a caller-held handle, resolved
+/// on first use so the metric appears only once something records into it.
+/// Like every cached reference, the handle assumes the registry is not reset
+/// while its holder records (a cluster's components are built after it).
+inline Counter& cached_counter(Counter*& handle, const char* name) {
+  if (handle == nullptr) handle = &global_registry().counter(name);
+  return *handle;
+}
+inline Gauge& cached_gauge(Gauge*& handle, const char* name) {
+  if (handle == nullptr) handle = &global_registry().gauge(name);
+  return *handle;
+}
+inline LatencyHistogram& cached_histogram(LatencyHistogram*& handle,
+                                          const char* name) {
+  if (handle == nullptr) handle = &global_registry().histogram(name);
+  return *handle;
+}
+
 }  // namespace smarth::metrics

@@ -240,6 +240,52 @@ TEST(NamenodeReplay, HistoryContainingRestartReplaysBitForBit) {
   expect_replay_equivalent(cluster, hdfs::NamenodeImage{});
 }
 
+// The checkpointer captures into its previous image, reusing its strings and
+// vectors. Whatever changed in between (a lease recovery started, then
+// finished with the file's block list truncated, then files overwritten), the
+// reused image must equal a fresh capture.
+TEST(NamenodeReplay, ReusedImageEqualsFreshCapture) {
+  Cluster cluster(replay_spec(12));
+  faults::FaultInjector injector(cluster);
+  hdfs::Namenode& nn = cluster.namenode();
+  hdfs::NamenodeImage reused;
+  const auto expect_fresh = [&](const char* when) {
+    nn.capture_image(reused);
+    const hdfs::NamenodeImage fresh = nn.capture_image();
+    EXPECT_TRUE(reused == fresh) << when << "\nreused:\n" << reused.to_json()
+                                 << "\nfresh:\n" << fresh.to_json();
+  };
+  // A writer crash just after an addBlock leaves an empty tail block, which
+  // lease recovery truncates away.
+  cluster.throttle_cross_rack(Bandwidth::mbps(60));
+  std::optional<hdfs::StreamStats> stats;
+  cluster.upload("/crash", 48 * kMiB, Protocol::kSmarth,
+                 [&stats](const hdfs::StreamStats& s) { stats = s; });
+  injector.crash_client(0, milliseconds(1150));
+  sim::Simulation& sim = cluster.sim();
+  ASSERT_TRUE(sim.run_until_done(
+      [&] { return stats.has_value() && nn.lease_expiries() > 0; },
+      sim.now() + seconds(30)));
+  expect_fresh("during lease recovery");
+  ASSERT_TRUE(sim.run_until_done(
+      [&] {
+        const hdfs::FileEntry* entry = nn.file_by_path("/crash");
+        return entry != nullptr && entry->state == hdfs::FileState::kClosed;
+      },
+      sim.now() + seconds(60)));
+  ASSERT_TRUE(logged(cluster, hdfs::EditOpType::kTruncateBlocks));
+  expect_fresh("after lease recovery");
+
+  // Overwrites: the recovered file and its blocks give way to an empty
+  // entry, and a long path to a short one's neighbour.
+  ASSERT_TRUE(nn.create("/a/much/longer/path", ClientId{8}, false).ok());
+  expect_fresh("after a create");
+  ASSERT_TRUE(nn.create("/crash", ClientId{7}, true).ok());
+  ASSERT_TRUE(nn.create("/a/much/longer/path", ClientId{8}, true).ok());
+  ASSERT_TRUE(logged(cluster, hdfs::EditOpType::kEraseFile));
+  expect_fresh("after overwrites");
+}
+
 // Truncation safety: asking for a tail below the truncation point is a
 // programming error and must fail loudly, never silently replay a hole.
 TEST(NamenodeReplay, TruncatedTailIsRefused) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "fn_job.hpp"
 #include "net/network.hpp"
 #include "rpc/retry.hpp"
 #include "rpc/rpc_bus.hpp"
@@ -41,9 +42,9 @@ TEST_F(ServiceQueueTest, UndefendedServesInArrivalOrderAtPerClassCost) {
       done_at.push_back(sim_.now());
     };
   };
-  queue.submit(ServiceClass::kMeta, -1, record("meta"), nullptr);
-  queue.submit(ServiceClass::kAddBlock, -1, record("addblock"), nullptr);
-  queue.submit(ServiceClass::kHeartbeat, -1, record("heartbeat"), nullptr);
+  submit(queue, ServiceClass::kMeta, -1, record("meta"), nullptr);
+  submit(queue, ServiceClass::kAddBlock, -1, record("addblock"), nullptr);
+  submit(queue, ServiceClass::kHeartbeat, -1, record("heartbeat"), nullptr);
   sim_.run();
   // Strict FIFO across classes: no priority in the undefended queue.
   ASSERT_EQ(order, (std::vector<std::string>{"meta", "addblock", "heartbeat"}));
@@ -60,8 +61,8 @@ TEST_F(ServiceQueueTest, UndefendedQueueDelayGrowsUnboundedly) {
   ServiceQueue queue(sim_, config);
   SimTime last_done = 0;
   for (int i = 0; i < 10; ++i) {
-    queue.submit(ServiceClass::kAddBlock, -1,
-                 [&last_done, this] { last_done = sim_.now(); }, nullptr);
+    submit(queue, ServiceClass::kAddBlock, -1,
+           [&last_done, this] { last_done = sim_.now(); }, nullptr);
   }
   sim_.run();
   // One server, no shedding: the 10th op waits for the other nine.
@@ -79,10 +80,10 @@ TEST_F(ServiceQueueTest, AdmissionServesHeartbeatsBeforeMetaBeforeAddBlock) {
   };
   // First op goes straight into service; the rest queue behind it and must
   // come out in priority order, not arrival order.
-  queue.submit(ServiceClass::kAddBlock, -1, record("addblock1"), nullptr);
-  queue.submit(ServiceClass::kAddBlock, -1, record("addblock2"), nullptr);
-  queue.submit(ServiceClass::kMeta, -1, record("meta"), nullptr);
-  queue.submit(ServiceClass::kHeartbeat, -1, record("heartbeat"), nullptr);
+  submit(queue, ServiceClass::kAddBlock, -1, record("addblock1"), nullptr);
+  submit(queue, ServiceClass::kAddBlock, -1, record("addblock2"), nullptr);
+  submit(queue, ServiceClass::kMeta, -1, record("meta"), nullptr);
+  submit(queue, ServiceClass::kHeartbeat, -1, record("heartbeat"), nullptr);
   sim_.run();
   ASSERT_EQ(order, (std::vector<std::string>{"addblock1", "heartbeat", "meta",
                                              "addblock2"}));
@@ -94,14 +95,14 @@ TEST_F(ServiceQueueTest, AdmissionBatchesQueuedHeartbeats) {
   ServiceQueue queue(sim_, config);
   int heartbeats_served = 0;
   SimTime batch_done = 0;
-  queue.submit(ServiceClass::kMeta, -1, [] {}, nullptr);  // occupy the server
+  submit(queue, ServiceClass::kMeta, -1, [] {}, nullptr);  // occupy the server
   for (int i = 0; i < 5; ++i) {
-    queue.submit(ServiceClass::kHeartbeat, -1,
-                 [&heartbeats_served, &batch_done, this] {
-                   ++heartbeats_served;
-                   batch_done = sim_.now();
-                 },
-                 nullptr);
+    submit(queue, ServiceClass::kHeartbeat, -1,
+           [&heartbeats_served, &batch_done, this] {
+             ++heartbeats_served;
+             batch_done = sim_.now();
+           },
+           nullptr);
   }
   sim_.run();
   EXPECT_EQ(heartbeats_served, 5);
@@ -127,14 +128,13 @@ TEST_F(ServiceQueueTest, OpsSubmittedDuringServiceWaitForTheNextSlot) {
   // Each heartbeat's handler submits a meta op from inside the batch in
   // service; it must queue behind the batch, not join it.
   for (int i = 0; i < 3; ++i) {
-    queue.submit(ServiceClass::kHeartbeat, -1,
-                 [&, i] {
-                   record("hb" + std::to_string(i));
-                   queue.submit(ServiceClass::kMeta, -1,
-                                [&, i] { record("meta" + std::to_string(i)); },
-                                nullptr);
-                 },
-                 nullptr);
+    submit(queue, ServiceClass::kHeartbeat, -1,
+           [&, i] {
+             record("hb" + std::to_string(i));
+             submit(queue, ServiceClass::kMeta, -1,
+                    [&, i] { record("meta" + std::to_string(i)); }, nullptr);
+           },
+           nullptr);
   }
   sim_.run();
   ASSERT_EQ(order, (std::vector<std::string>{"hb0", "hb1", "hb2", "meta0",
@@ -159,12 +159,12 @@ TEST_F(ServiceQueueTest, AdmissionShedsArrivalWithNoLowerBandToDisplace) {
   ServiceQueue queue(sim_, config);
   int served = 0;
   bool shed = false;
-  queue.submit(ServiceClass::kAddBlock, -1, [&served] { ++served; }, nullptr);
-  queue.submit(ServiceClass::kAddBlock, -1, [&served] { ++served; }, nullptr);
-  queue.submit(ServiceClass::kAddBlock, -1, [&served] { ++served; }, nullptr);
+  submit(queue, ServiceClass::kAddBlock, -1, [&served] { ++served; }, nullptr);
+  submit(queue, ServiceClass::kAddBlock, -1, [&served] { ++served; }, nullptr);
+  submit(queue, ServiceClass::kAddBlock, -1, [&served] { ++served; }, nullptr);
   // Queue full of equal-priority ops: the arrival itself is shed, now.
-  queue.submit(ServiceClass::kAddBlock, -1,
-               [&served] { ++served; }, [&shed] { shed = true; });
+  submit(queue, ServiceClass::kAddBlock, -1,
+         [&served] { ++served; }, [&shed] { shed = true; });
   EXPECT_TRUE(shed);
   sim_.run();
   EXPECT_EQ(served, 3);
@@ -184,13 +184,13 @@ TEST_F(ServiceQueueTest, AdmissionDisplacesNewestLowerPriorityOp) {
   const auto record = [&order](const char* name) {
     return [&order, name] { order.push_back(name); };
   };
-  queue.submit(ServiceClass::kAddBlock, -1, record("in-service"), nullptr);
-  queue.submit(ServiceClass::kAddBlock, -1, record("oldest"), nullptr);
-  queue.submit(ServiceClass::kAddBlock, -1, record("newest"),
-               [&newest_shed] { newest_shed = true; });
+  submit(queue, ServiceClass::kAddBlock, -1, record("in-service"), nullptr);
+  submit(queue, ServiceClass::kAddBlock, -1, record("oldest"), nullptr);
+  submit(queue, ServiceClass::kAddBlock, -1, record("newest"),
+         [&newest_shed] { newest_shed = true; });
   // Full queue, but the heartbeat outranks the queued addBlocks: it evicts
   // the newest one instead of being dropped.
-  queue.submit(ServiceClass::kHeartbeat, -1, record("heartbeat"), nullptr);
+  submit(queue, ServiceClass::kHeartbeat, -1, record("heartbeat"), nullptr);
   sim_.run();
   EXPECT_TRUE(newest_shed);
   ASSERT_EQ(order, (std::vector<std::string>{"in-service", "heartbeat",
@@ -206,20 +206,20 @@ TEST_F(ServiceQueueTest, PerTenantAddBlockCapRejectsAndReleases) {
   ServiceQueue queue(sim_, config);
   int served = 0;
   bool capped = false;
-  queue.submit(ServiceClass::kAddBlock, 7, [&served] { ++served; }, nullptr);
-  queue.submit(ServiceClass::kAddBlock, 7, [&served] { ++served; }, nullptr);
-  queue.submit(ServiceClass::kAddBlock, 7, [&served] { ++served; },
-               [&capped] { capped = true; });
+  submit(queue, ServiceClass::kAddBlock, 7, [&served] { ++served; }, nullptr);
+  submit(queue, ServiceClass::kAddBlock, 7, [&served] { ++served; }, nullptr);
+  submit(queue, ServiceClass::kAddBlock, 7, [&served] { ++served; },
+         [&capped] { capped = true; });
   EXPECT_TRUE(capped);
   EXPECT_EQ(queue.counters().addblock_cap_rejections, 1u);
   // A different tenant is not affected by tenant 7's cap.
-  queue.submit(ServiceClass::kAddBlock, 8, [&served] { ++served; }, nullptr);
+  submit(queue, ServiceClass::kAddBlock, 8, [&served] { ++served; }, nullptr);
   sim_.run();
   EXPECT_EQ(served, 3);
   // Service completion released tenant 7's slots: the next one is admitted.
   bool capped_again = false;
-  queue.submit(ServiceClass::kAddBlock, 7, [&served] { ++served; },
-               [&capped_again] { capped_again = true; });
+  submit(queue, ServiceClass::kAddBlock, 7, [&served] { ++served; },
+         [&capped_again] { capped_again = true; });
   sim_.run();
   EXPECT_FALSE(capped_again);
   EXPECT_EQ(served, 4);
@@ -231,9 +231,9 @@ TEST_F(ServiceQueueTest, CountersLandInMetricsRegistry) {
   config.queue_capacity = 1;
   config.per_tenant_addblock_cap = 0;
   ServiceQueue queue(sim_, config);
-  queue.submit(ServiceClass::kAddBlock, -1, [] {}, nullptr);
-  queue.submit(ServiceClass::kAddBlock, -1, [] {}, nullptr);
-  queue.submit(ServiceClass::kAddBlock, -1, [] {}, nullptr);  // shed
+  submit(queue, ServiceClass::kAddBlock, -1, [] {}, nullptr);
+  submit(queue, ServiceClass::kAddBlock, -1, [] {}, nullptr);
+  submit(queue, ServiceClass::kAddBlock, -1, [] {}, nullptr);  // shed
   sim_.run();
   const metrics::Registry& reg = metrics::global_registry();
   EXPECT_EQ(reg.find_counter("nn.rpc.admitted")->value(), 2u);

@@ -1,6 +1,7 @@
-// Zero-allocation regression test for the packet path. Once pools and queues
-// have grown to their peak, moving messages through the network, requests
-// through a disk and packets through a three-datanode pipeline must not touch
+// Zero-allocation regression test for the packet path and the control plane.
+// Once pools and queues have grown to their peak, moving messages through the
+// network, requests through a disk, packets through a three-datanode pipeline
+// and RPCs through the bus (plain, queued and retried calls) must not touch
 // the heap at all; and a replica's heap cost must not grow with its length.
 //
 // This binary replaces the global allocation functions with counting
@@ -20,7 +21,9 @@
 #include "hdfs/namenode.hpp"
 #include "hdfs/transport.hpp"
 #include "net/network.hpp"
+#include "rpc/retry.hpp"
 #include "rpc/rpc_bus.hpp"
+#include "rpc/service_queue.hpp"
 #include "sim/simulation.hpp"
 #include "storage/block_store.hpp"
 #include "storage/disk.hpp"
@@ -46,6 +49,10 @@ void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   return p;
 }
 
+// Out of line, so GCC does not pair an inlined operator new's malloc with
+// this free and report a new/free mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -70,17 +77,17 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   if (void* p = counted_aligned_alloc(size, align)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace smarth {
@@ -282,6 +289,124 @@ TEST(PacketPathAllocs, DatanodePipelineIsAllocationFree) {
     EXPECT_EQ(replica.value().bytes, config.block_size);
     EXPECT_EQ(replica.value().state, storage::ReplicaState::kFinalized);
   }
+}
+
+/// Two hosts and a bus between them, for the control-plane pins.
+struct RpcWorld {
+  sim::Simulation sim{1};
+  net::Network network{sim};
+  rpc::RpcBus bus{network};
+  NodeId client = network.add_node("client", "/r0", Bandwidth::gbps(1));
+  NodeId server = network.add_node("server", "/r0", Bandwidth::gbps(1));
+};
+
+/// Runs `round` twice to grow every pool, then returns the allocations of
+/// two more rounds.
+template <typename Round>
+std::uint64_t steady_state_allocations(Round&& round) {
+  round();
+  round();
+  return allocations_during([&] {
+    round();
+    round();
+  });
+}
+
+TEST(ControlPlaneAllocs, CallRoundTripIsAllocationFree) {
+  RpcWorld world;
+  std::int64_t answers = 0;
+  const std::uint64_t allocs = steady_state_allocations([&] {
+    for (int i = 0; i < 32; ++i) {
+      world.bus.call<std::int64_t>(
+          world.client, world.server, [i] { return std::int64_t{i}; },
+          [&answers](std::int64_t v) { answers += v + 1; });
+    }
+    world.sim.run();
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(answers, 4 * (31 * 32 / 2 + 32));
+}
+
+TEST(ControlPlaneAllocs, NotifyThroughAdmissionQueueIsAllocationFree) {
+  RpcWorld world;
+  rpc::ServiceQueue::Config config;
+  config.admission_control = true;
+  config.queue_capacity = 8;  // some heartbeats are shed
+  rpc::ServiceQueue queue(world.sim, config);
+  world.bus.set_service_queue(world.server, &queue);
+  int handled = 0;
+  const std::uint64_t allocs = steady_state_allocations([&] {
+    for (int i = 0; i < 64; ++i) {
+      world.bus.notify(world.client, world.server, [&handled] { ++handled; },
+                       {rpc::ServiceClass::kHeartbeat});
+    }
+    world.sim.run();
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(handled, 0);
+  EXPECT_GT(queue.counters().shed_heartbeats, 0u);
+  EXPECT_EQ(queue.counters().served + queue.counters().shed_total, 4u * 64u);
+}
+
+rpc::RetryPolicy short_retry_policy() {
+  rpc::RetryPolicy policy;
+  policy.timeout = milliseconds(100);
+  policy.backoff_base = milliseconds(10);
+  policy.backoff_max = milliseconds(50);
+  return policy;
+}
+
+TEST(ControlPlaneAllocs, RetriedCallSettledByResponseIsAllocationFree) {
+  RpcWorld world;
+  int responses = 0;
+  const std::uint64_t allocs = steady_state_allocations([&] {
+    for (int i = 0; i < 16; ++i) {
+      rpc::call_with_retry<int>(
+          world.bus, world.sim, short_retry_policy(), world.client,
+          world.server, [] { return 7; }, [&responses](int) { ++responses; },
+          [] { FAIL(); }, "alloc_test");
+    }
+    world.sim.run();
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(responses, 4 * 16);
+}
+
+TEST(ControlPlaneAllocs, RetriedCallSettledByGiveUpIsAllocationFree) {
+  RpcWorld world;
+  world.bus.set_host_down(world.server, true);
+  int give_ups = 0;
+  const std::uint64_t allocs = steady_state_allocations([&] {
+    for (int i = 0; i < 16; ++i) {
+      rpc::call_with_retry<int>(
+          world.bus, world.sim, short_retry_policy(), world.client,
+          world.server, [] { return 7; }, [](int) { FAIL(); },
+          [&give_ups] { ++give_ups; }, "alloc_test");
+    }
+    world.sim.run();
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(give_ups, 4 * 16);
+}
+
+TEST(ControlPlaneAllocs, RetriedCallOverloadedRelaunchIsAllocationFree) {
+  RpcWorld world;
+  int served = 0;
+  int responses = 0;
+  const std::uint64_t allocs = steady_state_allocations([&] {
+    for (int i = 0; i < 16; ++i) {
+      // Every call's first answer is an `overloaded` rejection.
+      rpc::call_with_retry<int>(
+          world.bus, world.sim, short_retry_policy(), world.client,
+          world.server, [&served] { return ++served % 2 == 1 ? -1 : 7; },
+          [&responses](int v) { responses += v == 7 ? 1 : 0; },
+          [] { FAIL(); }, "alloc_test", {}, nullptr,
+          [](const int& v) { return v < 0; });
+      world.sim.run();
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(responses, 4 * 16);
 }
 
 }  // namespace

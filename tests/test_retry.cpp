@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -229,6 +230,69 @@ TEST_F(RetryTest, RecordFreedOnceAfterOverloadedRelaunch) {
   EXPECT_EQ(*response, 7);
   EXPECT_EQ(count("rpc.overload_retries"), 1u);
   EXPECT_EQ(destroyed, 1);
+}
+
+/// A capture that counts its live copies: once every closure holding one is
+/// destroyed, exactly once each, the count is back to zero.
+struct Live {
+  explicit Live(int* count) : count_(count) { ++*count_; }
+  Live(const Live& other) : count_(other.count_) { ++*count_; }
+  Live(Live&& other) noexcept : count_(std::exchange(other.count_, nullptr)) {}
+  Live& operator=(const Live&) = delete;
+  ~Live() {
+    if (count_ != nullptr) --*count_;
+  }
+  int* count_;
+};
+
+TEST_F(RetryTest, ResponseAfterGiveUpFreesEveryCaptureOnce) {
+  RpcChaos chaos;
+  chaos.delay_mean = milliseconds(800);  // each way: past every timeout
+  bus_.set_chaos(chaos);
+  RetryPolicy policy = fast_policy();
+  policy.max_attempts = 2;
+  int live = 0;
+  int give_ups = 0;
+  bool responded = false;
+  {
+    const Live probe(&live);
+    call_with_retry<int>(
+        bus_, sim_, policy, client_, server_, [probe] { return 7; },
+        [probe, &responded](int) { responded = true; },
+        [probe, &give_ups] { ++give_ups; }, "test", {}, [probe] { return -1; },
+        [probe](const int& v) { return v < 0; });
+  }
+  sim_.run();
+  EXPECT_EQ(give_ups, 1);
+  EXPECT_FALSE(responded);
+  EXPECT_EQ(bus_.calls_completed(), 2u);  // both responses landed late
+  EXPECT_EQ(live, 0);
+}
+
+TEST_F(RetryTest, HandlerAfterDeadlineFreesEveryCaptureOnce) {
+  // The server is slow: its handler runs after the client settled on the
+  // fallback.
+  RpcConfig config;
+  config.service_time = seconds(2);
+  RpcBus bus(net_, config);
+  int live = 0;
+  bool handled = false;
+  std::vector<int> settled;
+  {
+    const Live probe(&live);
+    call_with_deadline<int>(
+        bus, sim_, client_, server_,
+        [probe, &handled] {
+          handled = true;
+          return 5;
+        },
+        milliseconds(500), "test.deadline", -1,
+        [probe, &settled](int v) { settled.push_back(v); });
+  }
+  sim_.run();
+  EXPECT_TRUE(handled);
+  EXPECT_EQ(settled, std::vector<int>{-1});
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "fn_job.hpp"
 #include "net/network.hpp"
 #include "rpc/service_queue.hpp"
 #include "sim/simulation.hpp"
@@ -177,7 +180,7 @@ TEST_F(RpcTest, ShedRejectionFromDeadServerIsDropped) {
     // rejection now has no live server to leave from.
     bus_.set_host_down(server_, true);
     const std::uint64_t before = dropped_calls();
-    queue.submit(ServiceClass::kHeartbeat, -1, [] {}, nullptr);
+    submit(queue, ServiceClass::kHeartbeat, -1, [] {}, nullptr);
     dropped_at_shed = dropped_calls() - before;
   });
   sim_.run();
@@ -185,6 +188,124 @@ TEST_F(RpcTest, ShedRejectionFromDeadServerIsDropped) {
   EXPECT_EQ(dropped_at_shed, 1u);
   EXPECT_FALSE(rejected);
   EXPECT_EQ(bus_.calls_completed(), 0u);
+}
+
+// --- call record lifetime ----------------------------------------------------
+
+/// A capture that counts its live copies: once every closure holding one is
+/// destroyed, exactly once each, the count is back to zero.
+struct Live {
+  explicit Live(int* count) : count_(count) { ++*count_; }
+  Live(const Live& other) : count_(other.count_) { ++*count_; }
+  Live(Live&& other) noexcept : count_(std::exchange(other.count_, nullptr)) {}
+  Live& operator=(const Live&) = delete;
+  ~Live() {
+    if (count_ != nullptr) --*count_;
+  }
+  int* count_;
+};
+
+TEST_F(RpcTest, ShedRejectionFreesEveryCaptureOnce) {
+  ServiceQueue::Config qc;
+  qc.admission_control = true;
+  qc.queue_capacity = 1;
+  qc.cost_meta = seconds(1);
+  ServiceQueue queue(sim_, qc);
+  bus_.set_service_queue(server_, &queue);
+  int live = 0;
+  int rejections = 0;
+  bool handled = false;
+  {
+    const Live probe(&live);
+    // Occupies the server, then fills the queue; the third call is shed.
+    for (int i = 0; i < 3; ++i) {
+      bus_.call<int>(
+          client_, server_,
+          [probe, &handled, i] {
+            handled = handled || i == 2;
+            return 1;
+          },
+          [probe, &rejections](int v) { rejections += v < 0 ? 1 : 0; },
+          {ServiceClass::kMeta}, [probe] { return -1; });
+    }
+  }
+  EXPECT_GT(live, 0);  // held by the in-flight call records
+  sim_.run();
+  EXPECT_EQ(rejections, 1);
+  EXPECT_FALSE(handled);
+  EXPECT_EQ(queue.counters().shed_total, 1u);
+  EXPECT_EQ(live, 0);
+}
+
+TEST_F(RpcTest, ServerCrashWithQueuedOpsFreesEveryCaptureOnce) {
+  ServiceQueue::Config qc;
+  qc.cost_meta = seconds(1);
+  ServiceQueue queue(sim_, qc);
+  bus_.set_service_queue(server_, &queue);
+  int live = 0;
+  int handled = 0;
+  {
+    const Live probe(&live);
+    for (int i = 0; i < 4; ++i) {
+      bus_.call<int>(
+          client_, server_,
+          [probe, &handled] {
+            ++handled;
+            return 1;
+          },
+          [probe](int) {}, {ServiceClass::kMeta});
+      bus_.notify(client_, server_, [probe, &handled] { ++handled; },
+                  {ServiceClass::kMeta});
+    }
+  }
+  // The first op is in service, seven wait, when the server dies.
+  sim_.schedule_at(milliseconds(500), "test",
+                   [&] { bus_.set_host_down(server_, true); });
+  sim_.run();
+  EXPECT_EQ(handled, 0);
+  EXPECT_EQ(queue.counters().served, 8u);
+  EXPECT_EQ(bus_.calls_completed(), 0u);
+  EXPECT_EQ(live, 0);
+}
+
+TEST_F(RpcTest, DestroyedQueueDiscardsItsOpsOnce) {
+  int live = 0;
+  {
+    ServiceQueue::Config qc;
+    qc.cost_meta = seconds(1);
+    ServiceQueue queue(sim_, qc);
+    bus_.set_service_queue(server_, &queue);
+    const Live probe(&live);
+    for (int i = 0; i < 3; ++i) {
+      bus_.call<int>(client_, server_, [probe] { return 1; }, [probe](int) {},
+                     {ServiceClass::kMeta});
+    }
+    sim_.run_until(milliseconds(500));  // one in service, two queued
+    EXPECT_EQ(live, 1 + 3 * 2);  // the probe, and a handler and a response
+                                 // per call
+    bus_.set_service_queue(server_, nullptr);
+  }
+  // Like a cluster torn down mid-run: the queue goes first and the
+  // simulation never runs its pending service slot.
+  EXPECT_EQ(live, 0);
+}
+
+TEST_F(RpcTest, AsyncResponderOutlivingTheCallFreesItOnce) {
+  int live = 0;
+  int responses = 0;
+  {
+    const Live probe(&live);
+    bus_.call_async<int>(
+        client_, server_,
+        [this, probe](Responder<int> respond) {
+          sim_.schedule_after(seconds(1), "test",
+                              [respond, probe] { respond(3); });
+        },
+        [probe, &responses](int v) { responses += v; });
+  }
+  sim_.run();
+  EXPECT_EQ(responses, 3);
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace
